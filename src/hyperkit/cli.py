@@ -371,13 +371,22 @@ def _add_output_argument(parser):
     parser.add_argument("-o", "--output", help="write the document to a file")
 
 
+def _env_tol() -> float:
+    text = os.environ.get("HYPERKIT_TOL")
+    if not text:
+        return DEFAULT_TOL
+    try:
+        return float(text)
+    except ValueError:
+        raise StructureError(f"HYPERKIT_TOL is not a number: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    env_tol = os.environ.get("HYPERKIT_TOL")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--tol",
         type=float,
-        default=float(env_tol) if env_tol else DEFAULT_TOL,
+        default=_env_tol(),
         help="absolute comparison tolerance (env HYPERKIT_TOL, default 1e-9)",
     )
     common.add_argument(
@@ -466,9 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -265,10 +265,12 @@ def validate_groupoid(g: Hypergroupoid, tol: float = DEFAULT_TOL) -> ValidationR
                     elif b != sa and v > tol:
                         vios.append(Violation("involution", (x, y, a, b), v))
 
+    # the loops above check every other axiom on the endo tables already
     for x in range(k):
         endo_report = validate(g.endo_table(x), tol)
         for sub in endo_report.violations:
-            vios.append(Violation(f"endo:{sub.axiom}", (x, *sub.indices), sub.magnitude))
+            if sub.axiom in ("involution-permutation", "weight-symmetry"):
+                vios.append(Violation(f"endo:{sub.axiom}", (x, *sub.indices), sub.magnitude))
 
     return ValidationReport(not vios, tuple(vios))
 

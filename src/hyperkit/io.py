@@ -90,13 +90,6 @@ def _is_squarefree(d: int) -> bool:
     return True
 
 
-def _squarefree_radicands(limit: int):
-    yield 0
-    for d in range(2, limit + 1):
-        if _is_squarefree(d):
-            yield d
-
-
 def match_quadratic(
     value: float,
     tol: float = DEFAULT_TOL,
@@ -105,28 +98,34 @@ def match_quadratic(
 ) -> QuadraticLiteral | None:
     """Bounded search for an exact quadratic literal matching ``value``.
 
-    Radicands are scanned in increasing order (0 first, so rationals
-    win), then denominators, then the root coefficient b; the first
-    match within tol is returned.
+    The box is ``|a|, |b|, c <= max_coeff`` and square-free
+    ``d <= max_radicand``.  Radicands are scanned in increasing order
+    (0 first, so rationals win), then denominators, then the root
+    coefficient b; the first match within tol is returned.  Each
+    radicand is one numpy pass over the whole (c, b) grid with
+    ``a = round(value * c - b * sqrt(d))`` (half to even), so a miss
+    costs about forty such passes.
     """
     if not math.isfinite(value):
         return None
-    for d in _squarefree_radicands(max_radicand):
-        root = math.sqrt(d)
-        for c in range(1, max_coeff + 1):
-            if d == 0:
-                a = round(value * c)
-                if abs(a) <= max_coeff and abs(a / c - value) <= tol:
-                    return QuadraticLiteral(int(a), 0, c, 0)
-                continue
-            for b in range(-max_coeff, max_coeff + 1):
-                if b == 0:
-                    continue
-                a = round(value * c - b * root)
-                if abs(a) > max_coeff:
-                    continue
-                if abs((a + b * root) / c - value) <= tol:
-                    return QuadraticLiteral(int(a), b, c, d)
+    if abs(value) > max_coeff * (1.0 + math.sqrt(max_radicand)) + tol:
+        return None  # beyond every literal in the box
+    cs = np.arange(1, max_coeff + 1, dtype=np.float64)
+    a = np.round(value * cs)
+    hits = (np.abs(a) <= max_coeff) & (np.abs(a / cs - value) <= tol)
+    if hits.any():
+        c = int(hits.argmax())
+        return QuadraticLiteral(int(a[c]), 0, c + 1, 0)
+    bs = np.arange(-max_coeff, max_coeff + 1, dtype=np.float64)
+    bs = bs[bs != 0]
+    scaled = (value * cs)[:, None]
+    for d in filter(_is_squarefree, range(2, max_radicand + 1)):
+        roots = bs * math.sqrt(d)
+        a = np.round(scaled - roots)
+        hits = (np.abs(a) <= max_coeff) & (np.abs((a + roots) / cs[:, None] - value) <= tol)
+        if hits.any():
+            c, b = divmod(int(hits.argmax()), len(bs))
+            return QuadraticLiteral(int(a[c, b]), int(bs[b]), c + 1, d)
     return None
 
 
@@ -221,6 +220,32 @@ def _expect_kind(doc: dict, kind: str) -> None:
         raise StructureError(f"unsupported format_version {version!r}")
 
 
+def _int_field(value, where: str, bound: int) -> int:
+    """An index: a JSON integer in ``[0, bound)``."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < bound:
+        raise StructureError(f"{where} must be an index in [0, {bound})")
+    return value
+
+
+def _label_list(value, where: str = "labels") -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise StructureError(f"{where} must be a list of strings")
+    return tuple(value)
+
+
+def _int_tensor(data, ndim: int, where: str) -> np.ndarray:
+    """A rectangular tensor of JSON integers with ``ndim`` axes."""
+    try:
+        arr = np.array(data)
+    except ValueError as exc:
+        raise StructureError(f"{where}: ragged tensor") from exc
+    if arr.dtype.kind not in "iu":
+        raise StructureError(f"{where}: entries must be integers")
+    if arr.ndim != ndim:
+        raise StructureError(f"{where}: expected {ndim} axes, found {arr.ndim}")
+    return arr
+
+
 def _scalar_entry(entry, where: str) -> float:
     if isinstance(entry, bool):
         raise StructureError(f"{where}: booleans are not numbers")
@@ -278,23 +303,17 @@ def parse_hypergroup(
     for field in ("labels", "unit", "lambda"):
         if field not in doc:
             raise StructureError(f"hypergroup document is missing {field!r}")
-    labels = doc["labels"]
-    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-        raise StructureError("labels must be a list of strings")
+    labels = _label_list(doc["labels"])
     lam = _scalar_tensor(doc["lambda"], "lambda")
     n = len(labels)
     if lam.shape != (n, n, n):
         raise StructureError(f"lambda tensor has shape {lam.shape}, expected {(n, n, n)}")
-    unit = doc["unit"]
-    if isinstance(unit, bool) or not isinstance(unit, int) or not 0 <= unit < n:
-        raise StructureError("unit must be an element index")
+    unit = _int_field(doc["unit"], "unit", n)
     if "involution" in doc:
-        involution = doc["involution"]
-        if not isinstance(involution, list):
-            raise StructureError("involution must be a list of element indices")
+        involution = _int_tensor(doc["involution"], 1, "involution")
     else:
         involution = infer_involution(lam, unit, tol)
-    table = HypergroupTable(tuple(labels), unit, tuple(involution), lam)
+    table = HypergroupTable(labels, unit, involution, lam)
     if check:
         report = validate(table, tol)
         if not report.passed:
@@ -324,17 +343,13 @@ def parse_fusion_ring(document, check: bool = True) -> FusionRing:
     for field in ("labels", "unit", "N"):
         if field not in doc:
             raise StructureError(f"fusion ring document is missing {field!r}")
-    tensor = np.array(doc["N"])
-    if tensor.dtype.kind not in "iu":
-        raise StructureError("fusion multiplicities must be integers")
+    labels = _label_list(doc["labels"])
+    unit = _int_field(doc["unit"], "unit", len(labels))
+    tensor = _int_tensor(doc["N"], 3, "N")
     conj = doc.get("involution")
-    return fusion_ring(
-        tuple(doc["labels"]),
-        doc["unit"],
-        tensor,
-        conj=None if conj is None else tuple(conj),
-        check=check,
-    )
+    if conj is not None:
+        conj = _int_tensor(conj, 1, "involution")
+    return fusion_ring(labels, unit, tensor, conj=conj, check=check)
 
 
 def serialize_fusion_ring(ring: FusionRing) -> str:
@@ -359,10 +374,12 @@ def parse_group(document, check: bool = True) -> CayleyGroup:
     for field in ("unit", "mul"):
         if field not in doc:
             raise StructureError(f"group document is missing {field!r}")
-    mul = np.array(doc["mul"])
-    if mul.dtype.kind not in "iu":
-        raise StructureError("multiplication table entries must be integers")
-    return cayley_group(mul, doc["unit"], labels=doc.get("labels"), check=check)
+    mul = _int_tensor(doc["mul"], 2, "mul")
+    unit = _int_field(doc["unit"], "unit", len(mul))
+    labels = doc.get("labels")
+    if labels is not None:
+        labels = _label_list(labels)
+    return cayley_group(mul, unit, labels=labels, check=check)
 
 
 def serialize_group(group: CayleyGroup) -> str:
@@ -386,12 +403,12 @@ def parse_groupoid(document, tol: float = DEFAULT_TOL) -> Hypergroupoid:
     for field in ("objects", "mor", "comp", "star", "unit"):
         if field not in doc:
             raise StructureError(f"groupoid document is missing {field!r}")
-    objects = doc["objects"]
+    objects = _label_list(doc["objects"], "objects")
     k = len(objects)
     mor = doc["mor"]
     comp_doc = doc["comp"]
     star = doc["star"]
-    units = doc["unit"]
+    units = _int_tensor(doc["unit"], 1, "unit")
     try:
         comp = tuple(
             tuple(
@@ -403,11 +420,19 @@ def parse_groupoid(document, tol: float = DEFAULT_TOL) -> Hypergroupoid:
             )
             for x in range(k)
         )
-        mor_t = tuple(tuple(tuple(mor[x][y]) for y in range(k)) for x in range(k))
-        star_t = tuple(tuple(tuple(star[x][y]) for y in range(k)) for x in range(k))
-    except (IndexError, TypeError) as exc:
+        mor_t = tuple(
+            tuple(_label_list(mor[x][y], f"mor[{x}][{y}]") for y in range(k)) for x in range(k)
+        )
+        star_t = tuple(
+            tuple(
+                tuple(_int_field(a, f"star[{x}][{y}]", len(mor_t[y][x])) for a in star[x][y])
+                for y in range(k)
+            )
+            for x in range(k)
+        )
+    except (IndexError, KeyError, TypeError) as exc:
         raise StructureError(f"groupoid document has inconsistent shapes: {exc}") from exc
-    return Hypergroupoid(tuple(objects), mor_t, comp, star_t, tuple(units))
+    return Hypergroupoid(objects, mor_t, comp, star_t, units)
 
 
 def serialize_groupoid(g: Hypergroupoid) -> str:
@@ -457,7 +482,7 @@ def parse_character_table(document) -> CharacterTable:
         dtype=np.complex128,
     )
     return CharacterTable(
-        tuple(doc["labels"]),
+        _label_list(doc["labels"]),
         chars,
         np.array(doc["haar_weights"], dtype=np.float64),
         np.array(doc["dual_weights"], dtype=np.float64),

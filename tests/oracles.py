@@ -3,12 +3,17 @@
 These recompute class/coset hypergroups from a different formula than
 the library (representative pair counting instead of full measure
 convolution), and spectral radii via dense eigenvalues instead of
-power iteration.
+power iteration.  ``match_quadratic_reference`` is the scalar
+quadratic-literal scan that the vectorized ``match_quadratic``
+replaced.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from hyperkit import QuadraticLiteral
 
 
 def _inverse(group, i):
@@ -96,3 +101,34 @@ def cyclic_subgroups(group):
             x = int(group.mul[x, g])
         subs.add(frozenset(members))
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
+
+
+def squarefree_radicands(limit):
+    """0, then the square-free integers 2..limit."""
+    yield 0
+    for d in range(2, limit + 1):
+        if all(d % (k * k) for k in range(2, math.isqrt(d) + 1)):
+            yield d
+
+
+def match_quadratic_reference(value, tol=1e-9, max_coeff=64, max_radicand=64):
+    """First literal in (d, c, b) order within tol, by a scalar triple loop."""
+    if not math.isfinite(value):
+        return None
+    for d in squarefree_radicands(max_radicand):
+        root = math.sqrt(d)
+        for c in range(1, max_coeff + 1):
+            if d == 0:
+                a = round(value * c)
+                if abs(a) <= max_coeff and abs(a / c - value) <= tol:
+                    return QuadraticLiteral(int(a), 0, c, 0)
+                continue
+            for b in range(-max_coeff, max_coeff + 1):
+                if b == 0:
+                    continue
+                a = round(value * c - b * root)
+                if abs(a) > max_coeff:
+                    continue
+                if abs((a + b * root) / c - value) <= tol:
+                    return QuadraticLiteral(int(a), b, c, d)
+    return None

@@ -290,6 +290,59 @@ class TestGlobalFlags:
         assert code == 0
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv, document, env_tol",
+        [
+            pytest.param(
+                ["build", "fusion"],
+                {"format_version": 1, "kind": "fusion_ring", "labels": ["1", "x"], "unit": 0,
+                 "N": [[[1, 0], [0, 1]], [[0, 1]]]},
+                None,
+                id="ragged-N",
+            ),
+            pytest.param(
+                ["build", "group"],
+                {"format_version": 1, "kind": "group", "unit": 0, "mul": [[0, 1], [1]]},
+                None,
+                id="ragged-mul",
+            ),
+            pytest.param(
+                ["build", "classes"],
+                {"format_version": 1, "kind": "group", "unit": [0], "mul": [[0, 1], [1, 0]]},
+                None,
+                id="list-unit",
+            ),
+            pytest.param(
+                ["build", "classes"],
+                {"format_version": 1, "kind": "group", "unit": 0, "labels": "ab",
+                 "mul": [[0, 1], [1, 0]]},
+                None,
+                id="string-labels",
+            ),
+            pytest.param(
+                ["compose", "e", "--file"],
+                {"format_version": 1, "kind": "groupoid", "objects": ["X"], "mor": [[["e"]]],
+                 "comp": [[[[[[1.0]]]]]], "star": [[[0]]], "unit": ["a"]},
+                None,
+                id="groupoid-string-unit",
+            ),
+            pytest.param(["validate", "--builtin", "ghj"], None, "abc", id="env-tol"),
+        ],
+    )
+    def test_exits_two_with_message(self, capsys, tmp_path, monkeypatch, argv, document, env_tol):
+        if env_tol is not None:
+            monkeypatch.setenv("HYPERKIT_TOL", env_tol)
+        if document is not None:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(document))
+            argv = argv + [str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 class TestDeterminismAcrossProcesses:
     def test_identical_bytes(self):
         cmd = [

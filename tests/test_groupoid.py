@@ -60,6 +60,18 @@ class TestValidation:
         report = hk.validate_groupoid(broken)
         assert any(v.axiom in ("involution", "endo:involution") for v in report.violations)
 
+    def test_endo_defect_reported_once(self, groupoids):
+        base = groupoids["two-object"]
+        comp = [[list(row) for row in plane] for plane in base.comp]
+        raised = np.array(comp[1][1][1])
+        raised[1, 1, 1] += 0.25
+        comp[1][1][1] = raised
+        broken = hk.Hypergroupoid(base.objects, base.mor, comp, base.star, base.units)
+        report = hk.validate_groupoid(broken)
+        convexity = [v for v in report.violations if v.axiom.endswith("convexity")]
+        assert [(v.axiom, v.indices) for v in convexity] == [("convexity", (1, 1, 1, 1, 1))]
+        assert not [v for v in report.violations if v.axiom.startswith("endo:")]
+
     def test_endo_restrictions_validate(self, groupoids):
         for g in groupoids.values():
             for x in range(g.n_objects):

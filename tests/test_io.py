@@ -1,13 +1,37 @@
 import hashlib
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import hyperkit as hk
+import oracles
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _pinned_match_cases():
+    """Seeded (value, tol) pairs: box literals at small offsets, then uniform values.
+
+    The counts keep the scalar reference to about twenty misses, each
+    a full scan of the box.
+    """
+    rng = np.random.default_rng(1612)
+    radicands = list(oracles.squarefree_radicands(64))
+    tols = itertools.cycle((1e-9, 1e-6, 1e-12))
+    cases = []
+    for offset, count in ((0.0, 9), (1e-9, 4), (-1e-9, 4), (-2e-9, 4), (1e-7, 4)):
+        for _ in range(count):
+            d = int(rng.choice(radicands))
+            a, b, c = (int(x) for x in rng.integers((-64, -64, 1), (65, 65, 65)))
+            value = hk.QuadraticLiteral(a, b if d else 0, c, d).value()
+            cases.append((value + offset, next(tols)))
+    cases += [(float(v), next(tols)) for v in rng.uniform(-80, 80, 9)]
+    return cases
+
 
 GHJ_DOCUMENT = """
 {
@@ -66,6 +90,18 @@ class TestQuadraticLiteral:
 
     def test_match_rejects_transcendental(self):
         assert hk.match_quadratic(math.pi, tol=1e-12) is None
+
+    def test_match_agrees_with_scalar_reference(self):
+        cases = _pinned_match_cases()
+        found = [hk.match_quadratic(v, tol=t) for v, t in cases]
+        assert found == [oracles.match_quadratic_reference(v, tol=t) for v, t in cases]
+        assert any(f is None for f in found) and any(f is not None and f.d > 0 for f in found)
+
+    def test_match_huge_values_miss_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (1e308, -1e308):
+                assert hk.match_quadratic(value) is None
 
 
 class TestHypergroupDocuments:
