@@ -5,9 +5,8 @@ Three families of constructions:
 * From a finite group given by its Cayley table: the group itself
   (rows are point masses), its conjugacy classes, and its double cosets
   with respect to a subgroup.  The class and coset tables expand
-  products of normalized indicator sums exactly in the integer group
-  algebra (``fractions.Fraction``) and convert to floating point only
-  at the very end.
+  products of normalized indicator sums from integer pair counts, with
+  one correctly rounded division each.
 
 * From a fusion ring (nonnegative-integer structure constants with a
   conjugation): rescale each basis element by its Perron-Frobenius
@@ -22,7 +21,6 @@ Three families of constructions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 import warnings
 
 import numpy as np
@@ -72,22 +70,26 @@ def validate_cayley(group: CayleyGroup) -> None:
     """Raise StructureError unless ``mul`` is a genuine group table.
 
     Checks the Latin-square property, both identity laws,
-    associativity over all triples, and existence of inverses.
+    associativity over all triples, and existence of inverses, in
+    O(|G|^3) time and O(|G|^2) memory.
     """
     mul = group.mul
     n = group.order
     e = group.identity
     rng = np.arange(n)
-    for i in range(n):
-        if sorted(mul[i]) != list(rng) or sorted(mul[:, i]) != list(rng):
-            raise StructureError(f"Cayley table is not a Latin square at row/column {i}")
+    bad = np.any(np.sort(mul, axis=1) != rng, axis=1)
+    bad |= np.any(np.sort(mul, axis=0) != rng[:, None], axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise StructureError(f"Cayley table is not a Latin square at row/column {i}")
     if not (np.array_equal(mul[e], rng) and np.array_equal(mul[:, e], rng)):
         raise StructureError("identity element does not act trivially")
-    left = mul[mul]            # left[i, j, k] = (i j) k
-    right = mul[:, mul]        # right[i, j, k] = i (j k)
-    if not np.array_equal(left, right):
-        i, j, k = (int(x[0]) for x in np.where(left != right))
-        raise StructureError(f"Cayley table is not associative at ({i}, {j}, {k})")
+    for i in range(n):
+        # (i j) k against i (j k), one i at a time
+        bad = mul[mul[i]] != mul[i][mul]
+        if bad.any():
+            j, k = (int(x[0]) for x in np.where(bad))
+            raise StructureError(f"Cayley table is not associative at ({i}, {j}, {k})")
     # Latin square + associativity + identity already give inverses,
     # but check explicitly so the error message is direct.
     for i in range(n):
@@ -157,47 +159,42 @@ def double_cosets(group: CayleyGroup, left, right) -> list[tuple[int, ...]]:
 
 
 def indicator_product_coefficients(
-    group: CayleyGroup, parts: list[tuple[int, ...]]
-) -> list[list[list[Fraction]]]:
-    """Exact expansion of products of normalized indicator sums.
+    group: CayleyGroup, parts_a, parts_b=None, parts_c=None
+) -> np.ndarray:
+    """Expansion of products of normalized indicator sums.
 
-    ``parts`` must partition the group.  For each pair (A, B) the
-    uniform probability measures on A and B are convolved in the group
-    algebra and the resulting measure is re-expressed as a convex
-    combination over the parts.  All arithmetic is exact.
+    Each of ``parts_a``, ``parts_b`` and ``parts_c`` must partition the
+    group; the last two default to ``parts_a``.  Entry ``[a, b, c]`` is
+    the mass that the convolution of the uniform measures on ``A_a``
+    and ``B_b`` puts on ``C_c``: the number of pairs in ``A_a x B_b``
+    whose product lies in ``C_c``, divided by ``|A_a| |B_b|``.  All |G|^2
+    products are counted at once, O(|G|^2) time and memory, and each
+    count is divided once, so every entry is correctly rounded.
     """
-    mul = group.mul
-    n_parts = len(parts)
-    part_of = {}
-    for p, part in enumerate(parts):
-        for x in part:
-            part_of[x] = p
-    if len(part_of) != group.order:
-        raise StructureError("parts do not partition the group")
-    out = [[[Fraction(0)] * n_parts for _ in range(n_parts)] for _ in range(n_parts)]
-    for a, A in enumerate(parts):
-        for b, B in enumerate(parts):
-            counts = [0] * n_parts
-            for g in A:
-                row = mul[g]
-                for h in B:
-                    counts[part_of[int(row[h])]] += 1
-            total = len(A) * len(B)
-            row_out = out[a][b]
-            for c in range(n_parts):
-                row_out[c] = Fraction(counts[c], total)
-    return out
+    parts_b = parts_a if parts_b is None else parts_b
+    parts_c = parts_a if parts_c is None else parts_c
+    assigned = []
+    for parts in (parts_a, parts_b, parts_c):
+        flat = [int(x) for part in parts for x in part]
+        if not all(parts) or sorted(flat) != list(range(group.order)):
+            raise StructureError("parts do not partition the group")
+        part_of = np.empty(group.order, dtype=np.int64)
+        part_of[flat] = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+        assigned.append((part_of, len(parts)))
+    (pa, na), (pb, nb), (pc, nc) = assigned
+    cell = (pa[:, None] * nb + pb[None, :]) * nc + pc[group.mul]
+    counts = np.bincount(cell.ravel(), minlength=na * nb * nc).reshape(na, nb, nc)
+    sizes_a = np.bincount(pa, minlength=na)
+    sizes_b = np.bincount(pb, minlength=nb)
+    return counts / (sizes_a[:, None, None] * sizes_b[None, :, None])
 
 
 def _partition_hypergroup(group, parts, labels) -> HypergroupTable:
     inv = inverses(group)
-    coeffs = indicator_product_coefficients(group, parts)
     part_of = {x: p for p, part in enumerate(parts) for x in part}
     unit = part_of[group.identity]
     involution = tuple(part_of[inv[part[0]]] for part in parts)
-    lam = np.array(
-        [[[float(c) for c in row] for row in mat] for mat in coeffs], dtype=np.float64
-    )
+    lam = indicator_product_coefficients(group, parts)
     return HypergroupTable(labels, unit, involution, lam)
 
 

@@ -186,6 +186,72 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _row_violations(t, prefix, tol, vios) -> None:
+    """Nonnegativity of every entry and convexity of every row ``t[a, b, :]``."""
+    for a, b, c in zip(*np.where(t < -tol)):
+        where = (*prefix, int(a), int(b), int(c))
+        vios.append(Violation("nonnegativity", where, float(-t[a, b, c])))
+    dev = np.abs(t.sum(axis=2) - 1.0)
+    for a, b in zip(*np.where(dev > tol)):
+        vios.append(Violation("convexity", (*prefix, int(a), int(b)), float(dev[a, b])))
+
+
+def _unit_violations(left, right, lu, ru, endo, prefix, tol, vios) -> None:
+    """Unit laws: ``left[lu]`` and ``right[:, ru]`` are identity matrices.
+
+    On an endo-space (``endo``) the entries ``(lu, lu, c)`` are checked
+    by the left law only, so each is reported once.
+    """
+    eye = np.eye(left.shape[1])
+    dev = np.abs(left[lu] - eye)
+    for b, c in zip(*np.where(dev > tol)):
+        vios.append(Violation("unit", (*prefix, lu, int(b), int(c)), float(dev[b, c])))
+    dev = np.abs(right[:, ru, :] - eye)
+    for a, c in zip(*np.where(dev > tol)):
+        if not (endo and a == ru):
+            vios.append(Violation("unit", (*prefix, int(a), ru, int(c)), float(dev[a, c])))
+
+
+def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios) -> None:
+    """Report ``|sum_m ab[a,b,m] mc[m,c,p] - sum_q bc[b,c,q] aq[a,q,p]| > tol``.
+
+    Violations come in (a, b, c, p) order.  One first index ``a`` at a
+    time, with two matrix products, so for basis sizes up to n this
+    takes O(n^5) time and O(n^3) memory.
+    """
+    nm, nc, np_ = mc.shape
+    nb, nq = bc.shape[0], bc.shape[2]
+    mc_flat = mc.reshape(nm, nc * np_)
+    bc_flat = bc.reshape(nb * nc, nq)
+    for a in range(ab.shape[0]):
+        left = (ab[a] @ mc_flat).reshape(nb, nc, np_)
+        right = (bc_flat @ aq[a]).reshape(nb, nc, np_)
+        dev = np.abs(left - right)
+        for b, c, p in zip(*np.where(dev > tol)):
+            where = (*prefix, a, int(b), int(c), int(p))
+            vios.append(Violation("associativity", where, float(dev[b, c, p])))
+
+
+def _involution_violations(t, unit, star, prefix, tol, vios) -> None:
+    """The unit coefficient ``t[a, b, unit]`` is positive iff ``b == star[a]``."""
+    for a in range(t.shape[0]):
+        for b in range(t.shape[1]):
+            v = float(t[a, b, unit])
+            if b == star[a] and v <= tol:
+                vios.append(Violation("involution", (*prefix, a, b), tol - v))
+            elif b != star[a] and v > tol:
+                vios.append(Violation("involution", (*prefix, a, b), v))
+
+
+def _weight_symmetry_violations(lam, unit, inv, prefix, tol, vios) -> None:
+    """Equal unit coefficients of ``k_i k_inv(i)`` and ``k_inv(i) k_i``."""
+    for i in range(lam.shape[0]):
+        if i <= inv[i]:
+            d = abs(float(lam[i, inv[i], unit]) - float(lam[inv[i], i, unit]))
+            if d > tol:
+                vios.append(Violation("weight-symmetry", (*prefix, i, inv[i]), d))
+
+
 def validate(table: HypergroupTable, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check every hypergroup axiom, reporting all violations beyond tol.
 
@@ -194,57 +260,25 @@ def validate(table: HypergroupTable, tol: float = DEFAULT_TOL) -> ValidationRepo
     involution fixing the unit, and unit mass appears exactly on
     conjugate pairs), and symmetry of the unit coefficients across each
     conjugate pair (equal weights for ``i`` and ``inv(i)``).
+    Associativity dominates: O(n^5) time and O(n^3) memory.
     """
     lam = table.lam
-    n = table.n
     unit = table.unit
     inv = table.involution
     vios: list[Violation] = []
 
-    for i, j, l in zip(*np.where(lam < -tol)):
-        vios.append(Violation("nonnegativity", (int(i), int(j), int(l)), float(-lam[i, j, l])))
-
-    sums = lam.sum(axis=2)
-    for i, j in zip(*np.where(np.abs(sums - 1.0) > tol)):
-        vios.append(Violation("convexity", (int(i), int(j)), float(abs(sums[i, j] - 1.0))))
-
-    eye = np.eye(n)
-    dev = np.abs(lam[unit] - eye)
-    for j, l in zip(*np.where(dev > tol)):
-        vios.append(Violation("unit", (unit, int(j), int(l)), float(dev[j, l])))
-    dev = np.abs(lam[:, unit, :] - eye)
-    for i, l in zip(*np.where(dev > tol)):
-        if i != unit:
-            vios.append(Violation("unit", (int(i), unit, int(l)), float(dev[i, l])))
-
-    left = np.einsum("ijm,mlp->ijlp", lam, lam)
-    right = np.einsum("jlm,imp->ijlp", lam, lam)
-    dev = np.abs(left - right)
-    for i, j, l, p in zip(*np.where(dev > tol)):
-        vios.append(
-            Violation("associativity", (int(i), int(j), int(l), int(p)), float(dev[i, j, l, p]))
-        )
+    _row_violations(lam, (), tol, vios)
+    _unit_violations(lam, lam, unit, unit, True, (), tol, vios)
+    _associativity_violations(lam, lam, lam, lam, (), tol, vios)
 
     if inv[unit] != unit:
         vios.append(Violation("involution-permutation", (unit,), 1.0))
-    for i in range(n):
+    for i in range(table.n):
         if inv[inv[i]] != i:
             vios.append(Violation("involution-permutation", (i,), 1.0))
 
-    for i in range(n):
-        for j in range(n):
-            v = float(lam[i, j, unit])
-            if j == inv[i] and v <= tol:
-                vios.append(Violation("involution", (i, j), tol - v))
-            elif j != inv[i] and v > tol:
-                vios.append(Violation("involution", (i, j), v))
-
-    for i in range(n):
-        if i <= inv[i]:
-            d = abs(float(lam[i, inv[i], unit]) - float(lam[inv[i], i, unit]))
-            if d > tol:
-                vios.append(Violation("weight-symmetry", (i, inv[i]), d))
-
+    _involution_violations(lam, unit, inv, (), tol, vios)
+    _weight_symmetry_violations(lam, unit, inv, (), tol, vios)
     return ValidationReport(not vios, tuple(vios))
 
 

@@ -460,12 +460,24 @@ def _complex_record(z: complex) -> dict:
     return {"im": float(z.imag), "re": float(z.real)}
 
 
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise StructureError(f"{where}: expected a number")
+    return float(value)
+
+
 def _parse_complex(entry, where: str) -> complex:
     if isinstance(entry, (int, float)) and not isinstance(entry, bool):
         return complex(float(entry), 0.0)
     if isinstance(entry, dict) and set(entry) == {"re", "im"}:
-        return complex(float(entry["re"]), float(entry["im"]))
+        return complex(_number(entry["re"], where), _number(entry["im"], where))
     raise StructureError(f"{where}: expected a number or a re/im record")
+
+
+def _number_list(value, n: int, where: str) -> np.ndarray:
+    if not isinstance(value, list) or len(value) != n:
+        raise StructureError(f"{where} must be a list of {n} numbers")
+    return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
 
 def parse_character_table(document) -> CharacterTable:
@@ -474,18 +486,25 @@ def parse_character_table(document) -> CharacterTable:
     for field in ("labels", "chars", "haar_weights", "dual_weights"):
         if field not in doc:
             raise StructureError(f"character table document is missing {field!r}")
+    labels = _label_list(doc["labels"])
+    n = len(labels)
+    rows = doc["chars"]
+    if not isinstance(rows, list) or len(rows) != n or any(
+        not isinstance(row, list) or len(row) != n for row in rows
+    ):
+        raise StructureError(f"chars must be a {n} x {n} list of lists")
     chars = np.array(
         [
             [_parse_complex(entry, f"chars[{m}][{a}]") for a, entry in enumerate(row)]
-            for m, row in enumerate(doc["chars"])
+            for m, row in enumerate(rows)
         ],
         dtype=np.complex128,
     )
     return CharacterTable(
-        _label_list(doc["labels"]),
+        labels,
         chars,
-        np.array(doc["haar_weights"], dtype=np.float64),
-        np.array(doc["dual_weights"], dtype=np.float64),
+        _number_list(doc["haar_weights"], n, "haar_weights"),
+        _number_list(doc["dual_weights"], n, "dual_weights"),
     )
 
 

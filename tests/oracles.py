@@ -1,11 +1,13 @@
 """Independent brute-force references used by the test suite only.
 
-These recompute class/coset hypergroups from a different formula than
-the library (representative pair counting instead of full measure
-convolution), and spectral radii via dense eigenvalues instead of
-power iteration.  ``match_quadratic_reference`` is the scalar
-quadratic-literal scan that the vectorized ``match_quadratic``
-replaced.
+These recompute class/coset hypergroups and double-coset groupoids
+from a different formula than the library (representative pair
+counting instead of full measure convolution), and spectral radii via
+dense eigenvalues instead of power iteration.
+``match_quadratic_reference`` is the scalar quadratic-literal scan that
+the vectorized ``match_quadratic`` replaced, and the two
+``associativity_reference`` functions are the n^4 einsum checks that the
+per-slice kernel of ``validate`` and ``validate_groupoid`` replaced.
 """
 
 import math
@@ -36,31 +38,34 @@ def _classes(group):
     return classes
 
 
-def _double_cosets(group, sub):
+def _double_cosets(group, sub, right=None):
     mul = group.mul
+    right = sub if right is None else right
     seen = set()
     cosets = []
     for e in range(group.order):
         if e in seen:
             continue
-        coset = {int(mul[mul[h1, e], h2]) for h1 in sub for h2 in sub}
+        coset = {int(mul[mul[h1, e], h2]) for h1 in sub for h2 in right}
         seen |= coset
         cosets.append(tuple(sorted(coset)))
     return cosets
 
 
-def _pair_count_table(group, parts):
+def _pair_count_table(group, parts, parts_b=None, parts_c=None):
     """lambda[A][B][C] = |C| * #{(g,h) in AxB : g*h = rep(C)} / (|A| |B|).
 
-    The count is independent of the representative, so the first
-    element of each part is used.
+    A, B and C range over ``parts``, ``parts_b`` and ``parts_c`` (both
+    default to ``parts``).  The count is independent of the
+    representative, so the first element of each part is used.
     """
     mul = group.mul
-    k = len(parts)
-    lam = np.zeros((k, k, k))
+    parts_b = parts if parts_b is None else parts_b
+    parts_c = parts if parts_c is None else parts_c
+    lam = np.zeros((len(parts), len(parts_b), len(parts_c)))
     for a, A in enumerate(parts):
-        for b, B in enumerate(parts):
-            for c, C in enumerate(parts):
+        for b, B in enumerate(parts_b):
+            for c, C in enumerate(parts_c):
                 rep = C[0]
                 count = sum(1 for g in A for h in B if mul[g, h] == rep)
                 lam[a, b, c] = float(Fraction(count * len(C), len(A) * len(B)))
@@ -78,12 +83,59 @@ def double_coset_table_oracle(group, sub):
     return _finish(group, parts)
 
 
+def double_coset_groupoid_comp_oracle(group, sub):
+    """comp[x][y][z] of the two-object groupoid over the trivial subgroup and ``sub``."""
+    subgroups = [[group.identity], sorted(sub)]
+    parts = {
+        (x, y): _double_cosets(group, subgroups[x], subgroups[y]) for x in range(2) for y in range(2)
+    }
+    return [
+        [
+            [_pair_count_table(group, parts[x, y], parts[y, z], parts[x, z]) for z in range(2)]
+            for y in range(2)
+        ]
+        for x in range(2)
+    ]
+
+
 def _finish(group, parts):
     lam = _pair_count_table(group, parts)
     part_of = {x: p for p, part in enumerate(parts) for x in part}
     unit = part_of[group.identity]
     involution = tuple(part_of[_inverse(group, part[0])] for part in parts)
     return lam, unit, involution
+
+
+def associativity_reference(lam, tol):
+    """[((i, j, l, p), defect)] of a table, from two n^4 einsum tensors."""
+    left = np.einsum("ijm,mlp->ijlp", lam, lam)
+    right = np.einsum("jlm,imp->ijlp", lam, lam)
+    dev = np.abs(left - right)
+    return [
+        ((int(i), int(j), int(l), int(p)), float(dev[i, j, l, p]))
+        for i, j, l, p in zip(*np.where(dev > tol))
+    ]
+
+
+def groupoid_associativity_reference(g, tol):
+    """[((x, y, z, w, a, b, c, p), defect)], from einsum tensors per object quadruple."""
+    k = g.n_objects
+    out = []
+    for x in range(k):
+        for y in range(k):
+            for z in range(k):
+                for w in range(k):
+                    left = np.einsum("abm,mcp->abcp", g.comp[x][y][z], g.comp[x][z][w])
+                    right = np.einsum("bcq,aqp->abcp", g.comp[y][z][w], g.comp[x][y][w])
+                    dev = np.abs(left - right)
+                    for a, b, c, p in zip(*np.where(dev > tol)):
+                        out.append(
+                            (
+                                (x, y, z, w, int(a), int(b), int(c), int(p)),
+                                float(dev[a, b, c, p]),
+                            )
+                        )
+    return out
 
 
 def spectral_radius_oracle(matrix):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperkit as hk
+import oracles
 
 SQRT3 = math.sqrt(3.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -15,6 +17,39 @@ def break_entry(table, i, j, l, value):
     lam = np.array(table.lam)
     lam[i, j, l] = value
     return hk.HypergroupTable(table.labels, table.unit, table.involution, lam)
+
+
+def su2_table(k):
+    """SU(2)_k from the truncated Clebsch-Gordan rule, rescaled by closed-form dimensions.
+
+    ``lam[i, j, l] = N[i, j, l] d_l / (d_i d_j)`` with the quantum
+    dimensions ``d_i = sin((i+1) pi/(k+2)) / sin(pi/(k+2))``.
+    """
+    n = k + 1
+    i, j, l = np.ogrid[:n, :n, :n]
+    N = (np.abs(i - j) <= l) & (l <= np.minimum(i + j, 2 * k - i - j)) & ((i + j + l) % 2 == 0)
+    d = np.sin(np.pi * np.arange(1, n + 1) / (k + 2)) / np.sin(np.pi / (k + 2))
+    lam = N * d[None, None, :] / (d[:, None, None] * d[None, :, None])
+    return hk.HypergroupTable(tuple(f"j{a}" for a in range(n)), 0, tuple(range(n)), lam)
+
+
+def perturb_rows(table, rng, count=3):
+    """Replace ``count`` random rows by random convex rows (breaks associativity)."""
+    lam = np.array(table.lam)
+    for i, j in rng.integers(table.n, size=(count, 2)):
+        row = rng.random(table.n)
+        lam[i, j] = row / row.sum()
+    return hk.HypergroupTable(table.labels, table.unit, table.involution, lam)
+
+
+def assert_matches_reference(found, reference):
+    """Same violations in the same order, defects within 1e-12."""
+    assert [idx for idx, _ in found] == [idx for idx, _ in reference]
+    assert np.allclose([m for _, m in found], [m for _, m in reference], rtol=0.0, atol=1e-12)
+
+
+def associativity_found(report):
+    return [(v.indices, v.magnitude) for v in report.violations if v.axiom == "associativity"]
 
 
 class TestValidate:
@@ -63,6 +98,27 @@ class TestValidate:
         broken = hk.HypergroupTable(z3.labels, z3.unit, (0, 1, 2), z3.lam)
         report = hk.validate(broken)
         assert any(v.axiom == "involution" for v in report.violations)
+
+    def test_associativity_matches_einsum_reference(self, tables):
+        rng = np.random.default_rng(5)
+        perturbed = [perturb_rows(su2_table(k), rng) for k in range(1, 21)]
+        perturbed += [perturb_rows(t, rng) for t in tables.values()]
+        for table in perturbed:
+            reference = oracles.associativity_reference(table.lam, hk.DEFAULT_TOL)
+            assert reference
+            assert_matches_reference(associativity_found(hk.validate(table)), reference)
+
+    def test_validate_memory_is_cubic(self):
+        # three 71^4 float64 tensors would take about 0.6 GB
+        table = su2_table(70)
+        tracemalloc.start()
+        try:
+            report = hk.validate(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 32 * 2**20
 
     def test_bad_shape_is_structural(self):
         with pytest.raises(hk.StructureError):

@@ -4,8 +4,27 @@ import numpy as np
 import pytest
 
 import hyperkit as hk
+import oracles
 
 SQRT3 = math.sqrt(3.0)
+
+
+def with_changes(g, comp=None, star=None):
+    """``g`` with some composition tensors or star maps replaced."""
+    new_comp = [[list(row) for row in plane] for plane in g.comp]
+    for (x, y, z), t in (comp or {}).items():
+        new_comp[x][y][z] = t
+    new_star = [list(row) for row in g.star]
+    for (x, y), s in (star or {}).items():
+        new_star[x][y] = s
+    return hk.Hypergroupoid(g.objects, g.mor, new_comp, new_star, g.units)
+
+
+def order_two_subgroup(group):
+    t = next(
+        i for i in range(group.order) if i != group.identity and group.mul[i, i] == group.identity
+    )
+    return (group.identity, t)
 
 
 def right_fold(g, states):
@@ -71,6 +90,70 @@ class TestValidation:
         convexity = [v for v in report.violations if v.axiom.endswith("convexity")]
         assert [(v.axiom, v.indices) for v in convexity] == [("convexity", (1, 1, 1, 1, 1))]
         assert not [v for v in report.violations if v.axiom.startswith("endo:")]
+
+    def test_endo_unit_defect_reported_once(self, groups):
+        g = hk.double_coset_groupoid(groups["d4"], order_two_subgroup(groups["d4"]))
+        u = g.units[1]
+        c = 1 if u == 0 else 0
+        raised = np.array(g.comp[1][1][1])
+        raised[u, u, c] += 0.25
+        report = hk.validate_groupoid(with_changes(g, comp={(1, 1, 1): raised}))
+        unit = [v.indices for v in report.violations if v.axiom == "unit"]
+        assert unit == [(1, 1, u, u, c)]
+
+    def test_endo_star_defect_reported_once(self, groupoids):
+        g = groupoids["two-object"]
+        star = list(g.star[0][0])
+        a, b = [i for i in range(len(star)) if star[i] == i and i != g.units[0]][:2]
+        star[a] = b  # star(star(a)) = b
+        report = hk.validate_groupoid(with_changes(g, star={(0, 0): star}))
+        permutation = [
+            (v.axiom, v.indices) for v in report.violations if v.axiom != "involution"
+        ]
+        assert permutation == [("star-involution", (0, 0, a))]
+
+    def test_weight_symmetry_reported_per_object(self, tables):
+        lam = np.array(tables["z3"].lam)
+        lam[1, 2] = (0.5, 0.0, 0.5)  # unit coefficient of k1 k2 no longer matches k2 k1
+        g = hk.from_hypergroup(hk.HypergroupTable(("e", "a", "b"), 0, (0, 2, 1), lam))
+        report = hk.validate_groupoid(g)
+        symmetry = [v for v in report.violations if v.axiom == "weight-symmetry"]
+        assert [(v.indices, v.magnitude) for v in symmetry] == [((0, 1, 2), 0.5)]
+
+    def test_associativity_matches_einsum_reference(self, groups):
+        g = hk.double_coset_groupoid(groups["d4"], order_two_subgroup(groups["d4"]))
+        rng = np.random.default_rng(9)
+        changes = {}
+        for x, y, z in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)):
+            t = np.array(g.comp[x][y][z])
+            a, b = rng.integers(t.shape[0]), rng.integers(t.shape[1])
+            row = rng.random(t.shape[2])
+            t[a, b] = row / row.sum()
+            changes[x, y, z] = t
+        broken = with_changes(g, comp=changes)
+        reference = oracles.groupoid_associativity_reference(broken, hk.DEFAULT_TOL)
+        found = [
+            (v.indices, v.magnitude)
+            for v in hk.validate_groupoid(broken).violations
+            if v.axiom == "associativity"
+        ]
+        assert reference
+        assert [idx for idx, _ in found] == [idx for idx, _ in reference]
+        assert np.allclose([m for _, m in found], [m for _, m in reference], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("fault", ["nan-entry", "repeated-label"])
+    def test_malformed_groupoid_is_structural(self, groupoids, fault):
+        g = groupoids["two-object"]
+        mor, comp = g.mor, g.comp
+        if fault == "nan-entry":
+            t = np.array(comp[1][1][1])
+            t[0, 0, 0] = np.nan
+            comp = [[list(row) for row in plane] for plane in comp]
+            comp[1][1][1] = t
+        else:
+            mor = ((mor[0][0], ("u0", "u0", "u2")), mor[1])
+        with pytest.raises(hk.StructureError):
+            hk.Hypergroupoid(g.objects, mor, comp, g.star, g.units)
 
     def test_endo_restrictions_validate(self, groupoids):
         for g in groupoids.values():
@@ -205,6 +288,17 @@ class TestTwoObjectExample:
         assert out.coeffs[g.units[0]] > 1e-9
         assert np.isclose(out.coeffs.sum(), 1.0, atol=1e-12)
         assert np.count_nonzero(out.coeffs) > 1
+
+    def test_composition_against_pair_count_oracle(self, groups):
+        for name in ("s3", "s4", "d4", "q8"):
+            group = groups[name]
+            for sub in oracles.cyclic_subgroups(group):
+                g = hk.double_coset_groupoid(group, sorted(sub))
+                want = oracles.double_coset_groupoid_comp_oracle(group, sub)
+                for x in range(2):
+                    for y in range(2):
+                        for z in range(2):
+                            assert np.array_equal(g.comp[x][y][z], want[x][y][z]), (name, sub)
 
     def test_not_a_subgroup_rejected(self, groups):
         with pytest.raises(hk.StructureError):

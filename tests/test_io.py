@@ -243,6 +243,37 @@ class TestParseDocument:
         with pytest.raises(hk.StructureError):
             hk.parse_document(json.dumps({"format_version": 1, "kind": "validation_report"}))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("chars", 5),
+            ("chars", [[1, 1, 1], [1, 1, 1]]),
+            ("chars", [[1, 1, 1], [1, 1], [1, 1, 1]]),
+            ("chars", [[1, 1, 1], [1, {"re": "1", "im": 0}, 1], [1, 1, 1]]),
+            ("haar_weights", ["x"]),
+            ("haar_weights", ["x", 1, 1]),
+            ("haar_weights", [1, 1]),
+            ("dual_weights", [[1, 1], 1, 1]),
+            ("dual_weights", 3),
+        ],
+        ids=[
+            "chars-scalar",
+            "chars-short",
+            "chars-ragged",
+            "chars-string-re",
+            "haar-string",
+            "haar-string-entry",
+            "haar-short",
+            "dual-ragged",
+            "dual-scalar",
+        ],
+    )
+    def test_character_table_faults_are_structural(self, tables, field, value):
+        doc = json.loads(hk.serialize_character_table(hk.characters(tables["z3"])))
+        doc[field] = value
+        with pytest.raises(hk.StructureError):
+            hk.parse_document(json.dumps(doc))
+
     def test_unknown_kind(self):
         with pytest.raises(hk.StructureError):
             hk.parse_document(json.dumps({"format_version": 1, "kind": "mystery"}))
