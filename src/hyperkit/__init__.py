@@ -59,6 +59,7 @@ from .groupoid import (
     double_coset_groupoid,
     from_hypergroup,
     juxtapose_chain,
+    juxtapose_steps,
     point_state,
     unit_state,
     validate_groupoid,

@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     StructureError,
 )
-from .groupoid import compose, point_state
+from .groupoid import juxtapose_steps, point_state
 from .quantize import enumerate_admissible, jones_value
 from .reprs import DEFAULT_SEED, characters, dual_hypergroup, orthogonality_check
 
@@ -303,11 +303,8 @@ def cmd_compose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    acc = states[0]
-    steps = [acc]
-    for state in states[1:]:
-        acc = compose(g, acc, state, tol=args.tol)
-        steps.append(acc)
+    steps = list(juxtapose_steps(g, states, tol=args.tol))
+    acc = steps[-1]
 
     if args.json:
         sys.stdout.write(hio.canonical_text(hio.boundary_state_document(acc)))

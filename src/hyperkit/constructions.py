@@ -25,7 +25,8 @@ import warnings
 
 import numpy as np
 
-from .core import DEFAULT_TOL, HypergroupTable, validate
+from .core import DEFAULT_TOL, HypergroupTable, ValidationReport, validate
+from .core import _associativity_violations
 from .errors import AxiomError, NumericalError, PreconditionError, StructureError
 
 
@@ -69,9 +70,10 @@ class CayleyGroup:
 def validate_cayley(group: CayleyGroup) -> None:
     """Raise StructureError unless ``mul`` is a genuine group table.
 
-    Checks the Latin-square property, both identity laws,
-    associativity over all triples, and existence of inverses, in
-    O(|G|^3) time and O(|G|^2) memory.
+    Checks the Latin-square property, both identity laws and
+    associativity over all triples, in O(|G|^3) time and O(|G|^2)
+    memory.  Inverses follow: every row of a Latin square holds the
+    identity.
     """
     mul = group.mul
     n = group.order
@@ -90,11 +92,6 @@ def validate_cayley(group: CayleyGroup) -> None:
         if bad.any():
             j, k = (int(x[0]) for x in np.where(bad))
             raise StructureError(f"Cayley table is not associative at ({i}, {j}, {k})")
-    # Latin square + associativity + identity already give inverses,
-    # but check explicitly so the error message is direct.
-    for i in range(n):
-        if e not in mul[i]:
-            raise StructureError(f"element {i} has no inverse")
 
 
 def cayley_group(mul, identity, labels=None, check: bool = True) -> CayleyGroup:
@@ -201,12 +198,8 @@ def _partition_hypergroup(group, parts, labels) -> HypergroupTable:
 def group_hypergroup(group: CayleyGroup) -> HypergroupTable:
     """The group itself as a hypergroup: every product is a point mass."""
     validate_cayley(group)
-    n = group.order
-    lam = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            lam[i, j, group.mul[i, j]] = 1.0
-    labels = tuple(group.label(i) for i in range(n))
+    lam = np.eye(group.order)[group.mul]  # lam[i, j] is the point mass at i*j
+    labels = tuple(group.label(i) for i in range(group.order))
     return HypergroupTable(labels, group.identity, inverses(group), lam)
 
 
@@ -241,11 +234,15 @@ class FusionRing:
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
         n = len(labels)
+        if n < 1:
+            raise StructureError("a fusion ring needs at least one element")
         N = np.array(self.N, dtype=np.int64)
         if N.shape != (n, n, n):
             raise StructureError(f"fusion tensor has shape {N.shape}, expected {(n, n, n)}")
         if N.min() < 0:
             raise StructureError("fusion multiplicities must be nonnegative")
+        if n * int(N.max()) ** 2 >= 2**53:
+            raise StructureError("fusion multiplicities too large: n * max(N)**2 >= 2**53")
         if not 0 <= int(self.unit) < n:
             raise StructureError("unit index out of range")
         conj = tuple(int(x) for x in self.conj)
@@ -269,50 +266,50 @@ def validate_fusion_ring(ring: FusionRing) -> None:
     conjugation law ``N[i, j, unit] == (j == conj(i))``.  Frobenius
     reciprocity ``N[i, j, l] == N[conj(i), l, j]`` is reported as a
     warning only, since rescalings of group-like data may lack it.
+
+    Associativity runs on the kernel of ``validate`` in float64, O(n^5)
+    time and O(n^3) memory, and is exact: ``FusionRing`` keeps
+    ``n * max(N)**2`` below 2**53, so every partial sum is an integer
+    that float64 holds.  The error's ``report`` lists every violation.
     """
     N = ring.N
-    n = ring.n
     unit = ring.unit
-    eye = np.eye(n, dtype=np.int64)
+    eye = np.eye(ring.n, dtype=np.int64)
     if not (np.array_equal(N[unit], eye) and np.array_equal(N[:, unit, :], eye)):
         raise AxiomError("fusion ring violates the unit law")
-    conj_matrix = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        conj_matrix[i, ring.conj[i]] = 1
-    if not np.array_equal(N[:, :, unit], conj_matrix):
+    if not np.array_equal(N[:, :, unit], eye[list(ring.conj)]):
         raise AxiomError(
             "fusion ring violates the conjugation law N[i, j, unit] = delta(j, conj(i))"
         )
     frob = N.transpose(0, 2, 1)[list(ring.conj)]  # frob[i, j, l] = N[conj(i), l, j]
     if not np.array_equal(N, frob):
         warnings.warn("fusion ring lacks Frobenius symmetry N[i,j,l] = N[conj(i),l,j]")
-    left = np.einsum("ijm,mlp->ijlp", N, N)
-    right = np.einsum("jlm,imp->ijlp", N, N)
-    if not np.array_equal(left, right):
-        i, j, l, p = (int(x[0]) for x in np.where(left != right))
-        raise AxiomError(f"fusion ring is not associative at ({i}, {j}, {l}, {p})")
+    Nf = N.astype(np.float64)
+    vios = []
+    _associativity_violations(Nf, Nf, Nf, Nf, (), 0.0, vios)
+    if vios:
+        report = ValidationReport(False, tuple(vios))
+        raise AxiomError(f"fusion ring is not associative at {vios[0].indices}", report=report)
 
 
 def fusion_ring(labels, unit, N, conj=None, check: bool = True) -> FusionRing:
     """Build a fusion ring, inferring the conjugation from N if omitted."""
-    N = np.array(N, dtype=np.int64)
-    n = len(labels)
+    ring = FusionRing(tuple(labels), unit, range(len(labels)) if conj is None else conj, N)
     if conj is None:
-        unit_slice = N[:, :, int(unit)] if N.shape == (n, n, n) else None
-        if unit_slice is None:
-            raise StructureError(f"fusion tensor has shape {N.shape}, expected {(n, n, n)}")
-        conj = []
-        for i in range(n):
-            js = np.where(unit_slice[i] > 0)[0]
-            if len(js) != 1 or unit_slice[i, js[0]] != 1:
-                raise StructureError(
-                    f"cannot infer conjugation: row {i} has no unique unit partner"
-                )
-            conj.append(int(js[0]))
-    ring = FusionRing(tuple(labels), unit, tuple(conj), N)
+        unit_slice = ring.N[:, :, ring.unit]  # nonnegative: one partner, once, iff sum is 1
+        bad = np.flatnonzero(unit_slice.sum(axis=1) != 1)
+        if bad.size:
+            raise StructureError(
+                f"cannot infer conjugation: row {bad[0]} has no unique unit partner"
+            )
+        ring = FusionRing(ring.labels, ring.unit, unit_slice.argmax(axis=1), ring.N)
     if check:
         validate_fusion_ring(ring)
     return ring
+
+
+_MAX_ITERATIONS = 100_000
+_RESIDUAL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,18 +334,15 @@ def _is_irreducible(adjacency: np.ndarray) -> bool:
     return bool(power.all())
 
 
-def pf_dimensions(
-    ring: FusionRing,
-    max_iterations: int = 100_000,
-    residual: float = 1e-12,
-) -> DimensionVector:
+def pf_dimensions(ring: FusionRing) -> DimensionVector:
     """Spectral radius of each left-multiplication matrix, by power iteration.
 
     The matrix for basis element i is ``(M_i)[l, m] = N[i, m, l]``.
     Iteration runs on ``M_i + I`` (the shift makes the leading
     eigenvalue strictly dominant for a nonnegative matrix) from the
     all-ones start vector, and stops once the eigen-equation residual
-    of the Rayleigh estimate drops below ``residual``.
+    of the Rayleigh estimate drops below ``_RESIDUAL``, or fails with
+    NumericalError after ``_MAX_ITERATIONS`` steps.
     """
     total = ring.N.sum(axis=0).T
     if not _is_irreducible(total):
@@ -360,17 +354,17 @@ def pf_dimensions(
         B = M + np.eye(n)
         v = np.ones(n) / np.sqrt(n)
         rho = 0.0
-        for _ in range(max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             w = B @ v
             v = w / np.linalg.norm(w)
             Mv = M @ v
             rho = float(v @ Mv) / float(v @ v)
-            if np.max(np.abs(Mv - rho * v)) <= residual:
+            if np.max(np.abs(Mv - rho * v)) <= _RESIDUAL:
                 break
         else:
             raise NumericalError(
                 f"power iteration did not converge for basis element {i} "
-                f"after {max_iterations} iterations"
+                f"after {_MAX_ITERATIONS} iterations"
             )
         dims[i] = rho
     # sanity: dims must reproduce the fusion rules as an eigenvector equation
@@ -396,11 +390,7 @@ def two_element(lam: float, labels=("k0", "k1")) -> HypergroupTable:
     lam = float(lam)
     if not 0.0 < lam <= 1.0:
         raise PreconditionError(f"two-element parameter must lie in (0, 1], got {lam}")
-    tensor = np.zeros((2, 2, 2))
-    tensor[0, 0, 0] = 1.0
-    tensor[0, 1, 1] = 1.0
-    tensor[1, 0, 1] = 1.0
-    tensor[1, 1] = (lam, 1.0 - lam)
+    tensor = [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [lam, 1.0 - lam]]]
     return HypergroupTable(tuple(labels), 0, (0, 1), tensor)
 
 

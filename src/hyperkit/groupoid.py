@@ -274,21 +274,31 @@ def compose(
     return BoundaryState(g, left.to_object, right.from_object, out)
 
 
-def juxtapose_chain(
-    g: Hypergroupoid, states, tol: float = DEFAULT_TOL
-) -> BoundaryState:
-    """Left-to-right fold of ``compose`` along a chain of phases."""
-    states = list(states)
-    if not states:
+def juxtapose_steps(g: Hypergroupoid, states, tol: float = DEFAULT_TOL):
+    """Left-to-right fold of ``compose`` along a chain of phases.
+
+    Yields each partial composite in turn, from the first state alone
+    to the composite of the whole chain.
+    """
+    states = iter(states)
+    acc = next(states, None)
+    if acc is None:
         raise PreconditionError("empty chain")
-    acc = states[0]
-    for pos, state in enumerate(states[1:], start=1):
+    yield acc
+    for pos, state in enumerate(states, start=1):
         if acc.from_object != state.to_object:
             raise PreconditionError(
                 f"chain mismatch at step {pos}: expected a state out of object "
                 f"{g.objects[acc.from_object]!r}"
             )
         acc = compose(g, acc, state, tol)
+        yield acc
+
+
+def juxtapose_chain(g: Hypergroupoid, states, tol: float = DEFAULT_TOL) -> BoundaryState:
+    """The composite of a whole chain, the last of ``juxtapose_steps``."""
+    for acc in juxtapose_steps(g, states, tol):
+        pass
     return acc
 
 

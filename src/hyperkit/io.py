@@ -595,6 +595,8 @@ def parse_document(document):
     """
     doc = _load(document)
     kind = doc.get("kind")
+    if not isinstance(kind, str):
+        raise StructureError(f"document kind must be a string, found {kind!r}")
     if kind in _PARSERS:
         return _PARSERS[kind](doc)
     if kind in _REPORT_FIELDS:

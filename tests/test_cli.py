@@ -327,6 +327,13 @@ class TestMalformedInput:
                 None,
                 id="groupoid-string-unit",
             ),
+            pytest.param(
+                ["build", "fusion"],
+                {"format_version": 1, "kind": "fusion_ring", "labels": ["1", "x"], "unit": 0,
+                 "N": [[[1, 0], [0, 1]], [[0, 1], [1, 2**40]]]},
+                None,
+                id="huge-multiplicity",
+            ),
             pytest.param(["validate", "--builtin", "ghj"], None, "abc", id="env-tol"),
         ],
     )

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,48 @@ import oracles
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
 PHI = (1.0 + SQRT5) / 2.0
+
+
+def su2_fusion_tensor(k):
+    """SU(2)_k multiplicities from the truncated Clebsch-Gordan rule."""
+    n = k + 1
+    i, j, l = np.ogrid[:n, :n, :n]
+    N = (np.abs(i - j) <= l) & (l <= np.minimum(i + j, 2 * k - i - j)) & ((i + j + l) % 2 == 0)
+    return N.astype(np.int64)
+
+
+@st.composite
+def unital_tensors(draw):
+    """Random multiplicities in 0..3 on n <= 5 with the unit and conjugation laws forced."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    conj = (0, *draw(st.permutations(range(1, n))))
+    entries = draw(st.lists(st.integers(0, 3), min_size=n**3, max_size=n**3))
+    N = np.array(entries, dtype=np.int64).reshape(n, n, n)
+    eye = np.eye(n, dtype=np.int64)
+    N[0] = eye
+    N[:, 0, :] = eye
+    N[:, :, 0] = eye[list(conj)]
+    return N, conj
+
+
+def assert_associativity_matches_reference(N, conj):
+    """``validate_fusion_ring`` fails iff the einsum reference is non-empty.
+
+    On failure the message names the reference's first index and the
+    report lists all of its violations, defects included.
+    """
+    reference = oracles.associativity_reference(N, 0.0)
+    ring = hk.FusionRing(tuple(f"f{a}" for a in range(len(conj))), 0, conj, N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # Frobenius asymmetry is only a warning
+        if not reference:
+            hk.validate_fusion_ring(ring)
+            return
+        with pytest.raises(hk.AxiomError) as info:
+            hk.validate_fusion_ring(ring)
+    assert str(info.value) == f"fusion ring is not associative at {reference[0][0]}"
+    found = [(v.indices, v.magnitude) for v in info.value.report.violations]
+    assert found == reference
 
 
 class TestCayley:
@@ -153,6 +197,53 @@ class TestFusionRings:
         with pytest.warns(UserWarning, match="Frobenius"):
             with pytest.raises(hk.AxiomError):
                 hk.fusion_ring(("1", "a", "b"), 0, N, conj=(0, 1, 2))
+
+    def test_empty_basis_is_structural(self):
+        with pytest.raises(hk.StructureError, match="at least one element"):
+            hk.FusionRing((), 0, (), np.zeros((0, 0, 0), dtype=np.int64))
+        with pytest.raises(hk.StructureError, match="at least one element"):
+            hk.fusion_ring((), 0, np.zeros((0, 0, 0), dtype=np.int64))
+
+    def test_inferred_conjugation_needs_unit_in_range(self):
+        with pytest.raises(hk.StructureError, match="unit index"):
+            hk.fusion_ring(("1",), 3, np.ones((1, 1, 1), dtype=np.int64))
+
+    def test_multiplicity_bound(self):
+        # exact float64 associativity needs n * max(N)**2 < 2**53
+        N = np.zeros((2, 2, 2), dtype=np.int64)
+        N[1, 1, 1] = 2**26 - 1
+        hk.FusionRing(("1", "x"), 0, (0, 1), N)
+        N[1, 1, 1] = 2**26
+        with pytest.raises(hk.StructureError, match="2\\*\\*53"):
+            hk.FusionRing(("1", "x"), 0, (0, 1), N)
+        with pytest.raises(hk.StructureError):
+            hk.fusion_ring(("1",), 0, [[[2**40]]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=unital_tensors())
+    def test_associativity_matches_einsum_reference(self, data):
+        assert_associativity_matches_reference(*data)
+
+    def test_perturbed_su2_matches_einsum_reference(self):
+        rng = np.random.default_rng(11)
+        for k in range(1, 21):
+            N = su2_fusion_tensor(k)
+            assert_associativity_matches_reference(N, tuple(range(k + 1)))
+            i, j, l = rng.integers(1, k + 1, size=3)  # off the unit, so both laws still hold
+            N[i, j, l] += 1
+            assert_associativity_matches_reference(N, tuple(range(k + 1)))
+
+    def test_validate_memory_is_cubic(self):
+        # two 71^4 int64 tensors would take about 0.4 GB
+        labels = tuple(f"j{a}" for a in range(71))
+        ring = hk.FusionRing(labels, 0, range(71), su2_fusion_tensor(70))
+        tracemalloc.start()
+        try:
+            hk.validate_fusion_ring(ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestPfDimensions:

@@ -264,6 +264,25 @@ class TestChains:
         with pytest.raises(hk.PreconditionError):
             hk.juxtapose_chain(g, [u, u])
 
+    def test_steps_are_the_partial_folds(self, groupoids):
+        rng = np.random.default_rng(29)
+        for g in groupoids.values():
+            states = random_chain(g, 4, rng)
+            steps = list(hk.juxtapose_steps(g, iter(states)))
+            assert len(steps) == len(states)
+            for length, step in enumerate(steps, start=1):
+                fold = hk.juxtapose_chain(g, states[:length])
+                assert (step.to_object, step.from_object) == (fold.to_object, fold.from_object)
+                assert np.array_equal(step.coeffs, fold.coeffs)
+
+    def test_steps_stop_at_the_mismatch(self, groupoids):
+        g = groupoids["two-object"]
+        u = hk.point_state(g, 0, 1, 0)
+        steps = hk.juxtapose_steps(g, [u, u])
+        assert next(steps) is u
+        with pytest.raises(hk.PreconditionError, match="chain mismatch at step 1"):
+            next(steps)
+
 
 class TestTwoObjectExample:
     def test_shape(self, groupoids):

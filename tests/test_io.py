@@ -1,3 +1,5 @@
+import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -6,9 +8,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hyperkit as hk
 import oracles
+from hyperkit.cli import main
 
 SQRT3 = math.sqrt(3.0)
 
@@ -277,6 +282,104 @@ class TestParseDocument:
     def test_unknown_kind(self):
         with pytest.raises(hk.StructureError):
             hk.parse_document(json.dumps({"format_version": 1, "kind": "mystery"}))
+
+    @pytest.mark.parametrize("kind", [None, 1, [], ["hypergroup"], {}])
+    def test_kind_must_be_a_string(self, kind):
+        with pytest.raises(hk.StructureError):
+            hk.parse_document({"format_version": 1, "kind": kind})
+
+
+@functools.cache
+def builtin_documents():
+    """Every builtin object, serialized and read back as JSON trees, by kind."""
+    texts = (
+        [hk.serialize_hypergroup(t) for t in hk.builtin_hypergroups().values()],
+        [hk.serialize_fusion_ring(r) for r in hk.builtin_fusion_rings().values()],
+        [hk.serialize_group(g) for g in hk.builtin_groups().values()],
+        [hk.serialize_groupoid(g) for g in hk.builtin_groupoids().values()],
+    )
+    return tuple(tuple(json.loads(text) for text in kind) for kind in texts)
+
+
+#: stand-ins of every JSON type for a retyped field
+REPLACEMENTS = ("x", "", 0.5, 1e300, True, False, None, [], {})
+
+
+@st.composite
+def mutated_documents(draw):
+    """A builtin document and a copy of it with one field dropped, retyped or truncated.
+
+    The field is a top-level key, or an entry reached by descending
+    into it through lists and objects.  Each kind is drawn equally often,
+    and each step down is taken with probability 3/4.
+    """
+    original = draw(st.sampled_from(draw(st.sampled_from(builtin_documents()))))
+    doc = copy.deepcopy(original)
+    parent, key = doc, draw(st.sampled_from(sorted(doc)))
+    while isinstance(parent[key], (list, dict)) and parent[key] and draw(st.integers(0, 3)):
+        child = parent[key]
+        parent, key = child, draw(st.sampled_from(sorted(child) if isinstance(child, dict)
+                                                  else range(len(child))))
+    value = parent[key]
+    actions = ["drop", "retype"] + (["truncate"] if isinstance(value, list) and value else [])
+    action = draw(st.sampled_from(actions))
+    if action == "drop":
+        del parent[key]
+    elif action == "retype":
+        parent[key] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+    else:
+        value.pop()
+    return original, doc
+
+
+def parse_outcome(doc):
+    """None if the document parses, else the type of the (allowed) error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # Frobenius asymmetry is only a warning
+            hk.parse_document(doc)
+    except (hk.StructureError, hk.AxiomError) as exc:
+        return type(exc)
+    return None
+
+
+#: a CLI command that reads each document kind
+CLI_COMMANDS = {
+    "hypergroup": ["validate"],
+    "fusion_ring": ["build", "fusion", "--json"],
+    "group": ["build", "classes", "--json"],
+    "groupoid": ["compose", "--json", "--file"],
+}
+
+
+class TestDocumentMutations:
+    @settings(max_examples=400, deadline=None)
+    @given(mutation=mutated_documents())
+    def test_parse_raises_only_library_errors(self, mutation):
+        parse_outcome(mutation[1])
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(mutation=mutated_documents())
+    def test_cli_exit_code_follows_the_parse(self, capsys, tmp_path, mutation):
+        original, doc = mutation
+        argv = list(CLI_COMMANDS[original["kind"]])
+        if original["kind"] == "groupoid":
+            argv.insert(1, original["mor"][0][0][0])  # an arrow of the unmutated groupoid
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(doc))
+        outcome = parse_outcome(doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv + [str(path)])
+        err = capsys.readouterr().err
+        if outcome is hk.StructureError:
+            assert code == 2 and err.startswith("error: ")
+        elif outcome is hk.AxiomError:
+            assert code == 1
+        else:
+            assert code in (0, 1, 2)
 
 
 class TestRegistryCompleteness:
