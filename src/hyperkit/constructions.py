@@ -236,7 +236,10 @@ class FusionRing:
         n = len(labels)
         if n < 1:
             raise StructureError("a fusion ring needs at least one element")
-        N = np.array(self.N, dtype=np.int64)
+        try:
+            N = np.array(self.N, dtype=np.int64)
+        except OverflowError as exc:
+            raise StructureError("fusion multiplicities must fit in int64") from exc
         if N.shape != (n, n, n):
             raise StructureError(f"fusion tensor has shape {N.shape}, expected {(n, n, n)}")
         if N.min() < 0:

@@ -25,7 +25,6 @@ pure function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,48 +333,79 @@ def is_commutative(table: HypergroupTable, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(table.lam - table.lam.transpose(1, 0, 2))) <= tol)
 
 
+def _isomorphism_search(t1, t2, tol, extra=((), ())):
+    """Search of ``table_isomorphism``; ``extra``: per table, more per-element colour columns."""
+    n = t1.n
+    if n != t2.n:
+        return None
+    cmp = max(tol, 1e-6)
+    try:
+        w1, w2 = weights(t1, tol), weights(t2, tol)
+    except AxiomError:
+        return None
+    inv1, inv2 = np.array(t1.involution), np.array(t2.involution)
+    feats = [
+        np.column_stack([np.arange(n) == t.unit, inv == np.arange(n), w, *x])
+        for t, inv, w, x in ((t1, inv1, w1, extra[0]), (t2, inv2, w2, extra[1]))
+    ]
+    # value ids: cut the sorted values at gaps over cmp, so close entries share one
+    values = np.sort(np.concatenate([x.ravel() for x in (*feats, t1.lam, t2.lam)]))
+    starts = values[np.concatenate(([True], np.diff(values) > cmp))]
+    f1, f2, ids1, ids2 = (np.searchsorted(starts, x, "right") - 1 for x in (*feats, t1.lam, t2.lam))
+
+    def classes(rows):  # equal rows of a C-contiguous matrix share a class; compared as bytes
+        return np.unique(rows.view(f"V{rows[0].nbytes}"), return_inverse=True)[1].ravel()
+
+    def refine(colours):
+        count = 0
+        while colours.max() + 1 > count:
+            count = colours.max() + 1
+            keys = [
+                np.sort(((c[:, None] * count + c) * len(starts) + ids).reshape(n, n * n), axis=1)
+                for c, ids in ((colours[:n], ids1), (colours[n:], ids2))
+            ]
+            colours = classes(np.column_stack([colours, np.vstack(keys)]))
+        return colours
+
+    def search(colours):
+        c1, c2 = colours[:n], colours[n:]
+        if not np.array_equal(np.sort(c1), np.sort(c2)):
+            return None
+        sizes = np.bincount(c1)
+        pi = np.empty(n, dtype=np.int64)
+        pi[np.argsort(c1, kind="stable")] = np.argsort(c2, kind="stable")
+        p = np.flatnonzero(sizes[c1] == 1)  # singleton classes: their images are fixed
+        if np.any(np.abs(t1.lam[np.ix_(p, p, p)] - t2.lam[np.ix_(pi[p], pi[p], pi[p])]) > cmp):
+            return None
+        if p.size == n:
+            return tuple(int(b) for b in pi) if np.array_equal(pi[inv1], inv2[pi]) else None
+        cell = np.argmin(np.where(sizes > 1, sizes, n + 1))  # smallest class of two or more
+        a = int(np.flatnonzero(c1 == cell)[0])
+        for b in np.flatnonzero(c2 == cell):
+            trial = colours.copy()
+            trial[[a, n + b]] = sizes.size  # a and its candidate image b get a new colour
+            found = search(refine(trial))
+            if found is not None:
+                return found
+        return None
+
+    return search(refine(classes(np.vstack([f1, f2]))))
+
+
 def table_isomorphism(
     t1: HypergroupTable, t2: HypergroupTable, tol: float = DEFAULT_TOL
 ) -> tuple[int, ...] | None:
     """Search for a basis bijection identifying two tables.
 
     Returns a permutation ``pi`` with ``lam1[i, j, l] == lam2[pi(i),
-    pi(j), pi(l)]`` (within tol), ``pi(unit1) == unit2`` and
-    ``pi . inv1 == inv2 . pi``, or None if no such bijection exists.
-    Exhaustive over basis permutations, pruned by weight matching, so
-    intended for the small tables this library works with.
+    pi(j), pi(l)]`` (within ``max(tol, 1e-6)``), ``pi(unit1) == unit2``
+    and ``pi . inv1 == inv2 . pi``, or None if no such bijection exists;
+    a table maps to itself by the identity.  Colours (unit, conjugacy,
+    weight) are refined by the multiset of ``(colour(j), colour(l),
+    lam[i, j, l])`` until they stop splitting (1-dimensional Weisfeiler-
+    Leman), in O(n^3 log n) time and O(n^3) memory a round.  Backtracking
+    fixes the image of one element of the smallest class, in index order,
+    refines again and checks ``lam`` on the elements fixed so far (McKay &
+    Piperno 2014); it is exponential only on tables refinement cannot split.
     """
-    n = t1.n
-    if n != t2.n:
-        return None
-    try:
-        w1 = weights(t1, tol)
-        w2 = weights(t2, tol)
-    except AxiomError:
-        return None
-    others1 = [i for i in range(n) if i != t1.unit]
-    others2 = [i for i in range(n) if i != t2.unit]
-    # candidate images per element, filtered by weight
-    cands = {
-        i: [j for j in others2 if abs(w1[i] - w2[j]) <= max(tol, 1e-6)] for i in others1
-    }
-    if any(not c for c in cands.values()):
-        return None
-    for images in itertools.permutations(others2):
-        pi = [0] * n
-        pi[t1.unit] = t2.unit
-        ok = True
-        for i, j in zip(others1, images):
-            if j not in cands[i]:
-                ok = False
-                break
-            pi[i] = j
-        if not ok:
-            continue
-        if any(pi[t1.involution[i]] != t2.involution[pi[i]] for i in range(n)):
-            continue
-        perm = np.array(pi)
-        pulled = t2.lam[np.ix_(perm, perm, perm)]
-        if np.max(np.abs(t1.lam - pulled)) <= max(tol, 1e-6):
-            return tuple(pi)
-    return None
+    return _isomorphism_search(t1, t2, tol)

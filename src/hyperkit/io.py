@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import CayleyGroup, FusionRing, cayley_group, fusion_ring
-from .core import DEFAULT_TOL, HypergroupTable, Mixture, ValidationReport, validate
+from .core import DEFAULT_TOL, HypergroupTable, ValidationReport, validate
 from .errors import AxiomError, StructureError
 from .groupoid import BoundaryState, Hypergroupoid
 from .quantize import AdmissibleIndexSet
@@ -536,15 +536,6 @@ def validation_report_document(report: ValidationReport) -> dict:
     }
 
 
-def mixture_document(mix: Mixture) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "mixture",
-        "labels": list(mix.table.labels),
-        "coeffs": mix.coeffs.tolist(),
-    }
-
-
 def boundary_state_document(state: BoundaryState) -> dict:
     g = state.groupoid
     return {
@@ -580,7 +571,6 @@ _PARSERS = {
 
 _REPORT_FIELDS = {
     "validation_report": ("passed", "violations"),
-    "mixture": ("labels", "coeffs"),
     "boundary_state": ("from_object", "to_object", "labels", "coeffs"),
     "admissible_indices": ("bound", "n_max", "values", "continuum_from"),
     "characters_result": ("character_table", "unitarity_defect", "dual", "dual_error"),

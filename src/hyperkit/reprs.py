@@ -31,6 +31,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     HypergroupTable,
+    _isomorphism_search,
     is_commutative,
     validate,
     weights,
@@ -272,36 +273,12 @@ def character_matched_isomorphism(
     seed: int = DEFAULT_SEED,
     tol: float = 1e-6,
 ) -> tuple[int, ...] | None:
-    """Identify two commutative tables by matching character columns.
-
-    Characters of both tables are computed with the same canonical row
-    ordering; if the tables are isomorphic the two character matrices
-    agree up to a permutation of columns (elements).  Each column of
-    the first matrix is matched to the nearest column of the second
-    within tol; a consistent bijection that also pulls back the
-    structure constants is returned as a permutation, else None.
-    """
-    if t1.n != t2.n:
-        return None
+    """``table_isomorphism``, at the same cost, with the sorted real and
+    imaginary character values at each element (independent of the basis
+    order) as extra initial colours; None if a table has no characters."""
     try:
-        c1 = characters(t1, seed=seed)
-        c2 = characters(t2, seed=seed)
+        cts = [characters(t, seed=seed) for t in (t1, t2)]
     except (PreconditionError, NumericalError):
         return None
-    taken = set()
-    pi = []
-    for a in range(t1.n):
-        dists = np.max(np.abs(c2.chars - c1.chars[:, a][:, None]), axis=0)
-        order = np.argsort(dists)
-        match = next((int(b) for b in order if b not in taken), None)
-        if match is None or dists[match] > tol:
-            return None
-        taken.add(match)
-        pi.append(match)
-    perm = np.array(pi)
-    if t2.unit != pi[t1.unit]:
-        return None
-    pulled = t2.lam[np.ix_(perm, perm, perm)]
-    if np.max(np.abs(t1.lam - pulled)) > tol:
-        return None
-    return tuple(pi)
+    extra = [(np.sort(ct.chars.real.T, axis=1), np.sort(ct.chars.imag.T, axis=1)) for ct in cts]
+    return _isomorphism_search(t1, t2, tol, extra)

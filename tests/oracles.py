@@ -8,14 +8,17 @@ dense eigenvalues instead of power iteration.
 the vectorized ``match_quadratic`` replaced, and the two
 ``associativity_reference`` functions are the n^4 einsum checks that the
 per-slice kernel of ``validate`` and ``validate_groupoid`` replaced.
+``table_isomorphism_reference`` is the loop over all basis permutations
+that the colour-refined search of ``table_isomorphism`` replaced.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from hyperkit import QuadraticLiteral
+from hyperkit import AxiomError, CayleyGroup, HypergroupTable, QuadraticLiteral, weights
 
 
 def _inverse(group, i):
@@ -184,3 +187,67 @@ def match_quadratic_reference(value, tol=1e-9, max_coeff=64, max_radicand=64):
                 if abs((a + b * root) / c - value) <= tol:
                     return QuadraticLiteral(int(a), b, c, d)
     return None
+
+
+def table_isomorphism_reference(t1, t2, tol=1e-9):
+    """Search for a basis bijection identifying two tables.
+
+    Returns a permutation ``pi`` with ``lam1[i, j, l] == lam2[pi(i),
+    pi(j), pi(l)]`` (within tol), ``pi(unit1) == unit2`` and
+    ``pi . inv1 == inv2 . pi``, or None if no such bijection exists.
+    Exhaustive over basis permutations, pruned by weight matching.
+    """
+    n = t1.n
+    if n != t2.n:
+        return None
+    try:
+        w1 = weights(t1, tol)
+        w2 = weights(t2, tol)
+    except AxiomError:
+        return None
+    others1 = [i for i in range(n) if i != t1.unit]
+    others2 = [i for i in range(n) if i != t2.unit]
+    # candidate images per element, filtered by weight
+    cands = {
+        i: [j for j in others2 if abs(w1[i] - w2[j]) <= max(tol, 1e-6)] for i in others1
+    }
+    if any(not c for c in cands.values()):
+        return None
+    for images in itertools.permutations(others2):
+        pi = [0] * n
+        pi[t1.unit] = t2.unit
+        ok = True
+        for i, j in zip(others1, images):
+            if j not in cands[i]:
+                ok = False
+                break
+            pi[i] = j
+        if not ok:
+            continue
+        if any(pi[t1.involution[i]] != t2.involution[pi[i]] for i in range(n)):
+            continue
+        perm = np.array(pi)
+        pulled = t2.lam[np.ix_(perm, perm, perm)]
+        if np.max(np.abs(t1.lam - pulled)) <= max(tol, 1e-6):
+            return tuple(pi)
+    return None
+
+
+def relabel(table, perm):
+    """The same table with element ``i`` renamed to index ``perm[i]``."""
+    perm = np.asarray(perm)
+    inverse = np.argsort(perm)
+    return HypergroupTable(
+        tuple(table.labels[i] for i in inverse),
+        int(perm[table.unit]),
+        tuple(int(perm[table.involution[i]]) for i in inverse),
+        table.lam[np.ix_(inverse, inverse, inverse)],
+    )
+
+
+def direct_product(g1, g2):
+    """Cayley table of ``g1 x g2``; the pair (a, b) has index ``a * |g2| + b``."""
+    n2 = g2.order
+    mul = g1.mul[:, None, :, None] * n2 + g2.mul[None, :, None, :]
+    size = g1.order * n2
+    return CayleyGroup(mul.reshape(size, size), g1.identity * n2 + g2.identity)

@@ -218,6 +218,8 @@ class TestFusionRings:
             hk.FusionRing(("1", "x"), 0, (0, 1), N)
         with pytest.raises(hk.StructureError):
             hk.fusion_ring(("1",), 0, [[[2**40]]])
+        with pytest.raises(hk.StructureError):
+            hk.FusionRing(("1",), 0, (0,), [[[2**70]]])
 
     @settings(max_examples=300, deadline=None)
     @given(data=unital_tensors())

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -288,6 +289,92 @@ class TestIsomorphism:
         pi = hk.table_isomorphism(shuffled, ising)
         assert pi is not None
         assert hk.table_isomorphism(ising, shuffled) is not None
+
+    def test_agrees_with_permutation_reference(self, tables, groups):
+        rng = np.random.default_rng(6)
+        pool = list(tables.values())
+        pool += [hk.group_hypergroup(groups[f"z{n}"]) for n in range(2, 8)]
+        pool += [hk.group_hypergroup(groups["s3"])]
+        pool += [hk.group_hypergroup(oracles.direct_product(groups["z2"], groups["z2"]))]
+        pool += [su2_table(k) for k in range(1, 7)]
+        # z5 with unit mass on a second pairing too, under either pairing as involution
+        z5 = hk.group_hypergroup(groups["z5"])
+        lam = np.array(z5.lam)
+        lam[[1, 2, 3, 4], [2, 1, 4, 3], 0] = 1.0
+        pool += [hk.HypergroupTable(z5.labels, 0, inv, lam) for inv in (z5.involution, (0, 2, 1, 4, 3))]
+        pairs = [(a, b) for a in pool for b in pool if a.n == b.n and a is not b]
+        for table in pool:
+            assert hk.table_isomorphism(table, table) == tuple(range(table.n))
+            perm = rng.permutation(table.n)
+            shuffled = oracles.relabel(table, perm)
+            pairs.append((table, shuffled))
+            for delta in (1e-8, 1e-3, 0.1):
+                i, j, l = rng.integers(table.n, size=3)
+                pairs.append((table, break_entry(shuffled, i, j, l, shuffled.lam[i, j, l] + delta)))
+            # a bridging entry of 0.75e-6 puts 0 and 1.5e-6 in one value class
+            zeros = np.argwhere(table.lam == 0.0)
+            if len(zeros) >= 2:
+                bridge, moved = zeros[rng.choice(len(zeros), 2, replace=False)]
+                bridged = break_entry(table, *bridge, 0.75e-6)
+                shifted = break_entry(oracles.relabel(bridged, perm), *perm[moved], 1.5e-6)
+                pairs.append((bridged, shifted))
+        found = 0
+        for t1, t2 in pairs:
+            pi = hk.table_isomorphism(t1, t2)
+            assert (pi is None) == (oracles.table_isomorphism_reference(t1, t2) is None)
+            if pi is not None:
+                assert_pulls_back(t1, t2, pi)
+                found += 1
+        assert 0 < found < len(pairs)
+
+    def test_non_isomorphic_groups_rejected_quickly(self, groups):
+        rng = np.random.default_rng(9)
+        z25 = hk.CayleyGroup((np.arange(25)[:, None] + np.arange(25)) % 25, 0)
+        cases = [
+            (groups["z12"], oracles.direct_product(groups["z2"], groups["z6"])),
+            (z25, oracles.direct_product(groups["z5"], groups["z5"])),
+        ]
+        for g1, g2 in cases:
+            t1, t2 = (oracles.relabel(hk.group_hypergroup(g), rng.permutation(g.order)) for g in (g1, g2))
+            start = time.perf_counter()
+            pi = hk.table_isomorphism(t1, t2)
+            elapsed = time.perf_counter() - start
+            assert pi is None
+            assert elapsed < 1.0, f"order {g1.order}: {elapsed:.2f}s"
+
+    @pytest.mark.parametrize(
+        "search", [hk.table_isomorphism, hk.character_matched_isomorphism]
+    )
+    def test_random_relabelings_of_su2_recovered(self, search):
+        rng = np.random.default_rng(7)
+        for k in range(1, 31):
+            table = su2_table(k)
+            shuffled = oracles.relabel(table, rng.permutation(table.n))
+            pi = search(table, shuffled)
+            assert pi is not None, k
+            assert_pulls_back(table, shuffled, pi)
+
+    def test_random_relabelings_of_builtins_recovered(self, tables):
+        rng = np.random.default_rng(8)
+        for name, table in tables.items():
+            searches = [hk.table_isomorphism]
+            if hk.is_commutative(table):
+                searches.append(hk.character_matched_isomorphism)
+            for search in searches:
+                for _ in range(5):
+                    shuffled = oracles.relabel(table, rng.permutation(table.n))
+                    pi = search(table, shuffled)
+                    assert pi is not None, (name, search.__name__)
+                    assert_pulls_back(table, shuffled, pi)
+
+
+def assert_pulls_back(t1, t2, pi, tol=1e-6):
+    """``pi`` maps the unit, the involution and ``lam`` of t1 onto t2 within tol."""
+    perm = np.array(pi)
+    assert sorted(pi) == list(range(t1.n))
+    assert perm[t1.unit] == t2.unit
+    assert all(perm[t1.involution[i]] == t2.involution[perm[i]] for i in range(t1.n))
+    assert np.max(np.abs(t1.lam - t2.lam[np.ix_(perm, perm, perm)])) <= tol
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hyperkit as hk
+import oracles
 
 SQRT3 = math.sqrt(3.0)
 
@@ -205,6 +206,11 @@ class TestCharacterMatching:
         ising = tables["ising-rescaled"]
         pi = hk.character_matched_isomorphism(ising, hk.with_labels(ising, ("a", "b", "c")))
         assert pi == (0, 1, 2)
+
+    def test_matches_swapped_ising(self, tables):
+        ising = tables["ising-rescaled"]
+        swapped = oracles.relabel(ising, (0, 2, 1))
+        assert hk.character_matched_isomorphism(ising, swapped) == (0, 2, 1)
 
     def test_rejects_different_tables(self, tables):
         assert hk.character_matched_isomorphism(tables["z2"], tables["ghj"]) is None
