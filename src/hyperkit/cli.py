@@ -9,7 +9,6 @@ fusion | two-element), characters, compose, indices.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -40,10 +39,17 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(value: float, tol: float) -> str:
+def _fmt(value: float, tol: float, quadratic: bool = True) -> str:
+    """The value to 12 digits, with a quadratic literal matching it within tol.
+
+    ``quadratic=False`` says the value is known to have degree above 2,
+    so the literal search is skipped.
+    """
     if abs(value) <= max(tol, 1e-9):
         return "0"
     text = f"{value:.12g}"
+    if not quadratic:
+        return text
     match = hio.match_quadratic(value, tol=max(tol, 1e-9))
     if match is not None and match.d > 0:
         text += f" ({match.pretty()})"
@@ -55,6 +61,19 @@ def _fmt_complex(z: complex, tol: float) -> str:
         return _fmt(z.real, tol)
     sign = "+" if z.imag >= 0 else "-"
     return f"{z.real:.12g} {sign} {abs(z.imag):.12g}i"
+
+
+def _beyond_quadratic(witness: tuple[int, ...]) -> bool:
+    """Whether ``1 + sum(4cos^2(pi/n) for n in witness)`` has degree above 2.
+
+    4cos^2(pi/n) = 2 + 2cos(2 pi/n) is an integer for n in {3, 4, 6},
+    and 2cos(2 pi/n) has degree phi(n)/2, which is at most 2 only for
+    n in {5, 8, 10, 12} besides those.  With exactly one other distinct
+    n, the value is an integer plus m * 2cos(2 pi/n) with m >= 1, of
+    degree phi(n)/2 > 2.
+    """
+    others = set(witness) - {3, 4, 6}
+    return len(others) == 1 and others.isdisjoint({5, 8, 10, 12})
 
 
 def _mixture_lines(labels, coeffs, tol) -> list[str]:
@@ -224,11 +243,9 @@ def cmd_characters(args) -> int:
         doc = {
             "format_version": hio.FORMAT_VERSION,
             "kind": "characters_result",
-            "character_table": json.loads(hio.serialize_character_table(ct)),
+            "character_table": hio.character_table_document(ct),
             "unitarity_defect": duality.unitarity_defect,
-            "dual": None
-            if dual_table is None
-            else json.loads(hio.serialize_hypergroup(dual_table)),
+            "dual": None if dual_table is None else hio.hypergroup_document(dual_table),
             "dual_error": None if dual_error is None else str(dual_error),
         }
         sys.stdout.write(hio.canonical_text(doc))
@@ -350,7 +367,8 @@ def cmd_indices(args) -> int:
         flag = ""
         if not is_integer and entry.value < 4.0:
             flag = "  <- the unique non-integer value below 4"
-        print(f"  {_fmt(entry.value, args.tol):<34} = {witness}{flag}")
+        text = _fmt(entry.value, args.tol, quadratic=not _beyond_quadratic(entry.witness))
+        print(f"  {text:<34} = {witness}{flag}")
     if result.continuum_from is not None:
         print(f"  plus every value >= {result.continuum_from:g} (continuum summands)")
     return EXIT_OK

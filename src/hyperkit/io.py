@@ -14,11 +14,16 @@ Every document is a JSON object carrying a ``kind`` discriminator and
 
 Numeric entries of ``lambda`` and groupoid ``comp`` tensors may be
 plain numbers or exact quadratic literals ``{"a": .., "b": .., "c":
-.., "d": ..}`` denoting ``(a + b * sqrt(d)) / c``; literals are
-evaluated once at parse time.
+.., "d": ..}`` denoting ``(a + b * sqrt(d)) / c``, with ``|a|, |b|, c
+<= 2**53`` and ``0 <= d < 2**31``; literals are evaluated once at parse
+time.  A tensor of plain numbers converts in one pass (O(N)); one with
+literals or other entries is checked entry by entry.  A number beyond
+the float64 range is a ``StructureError``.
 
 Serialization is canonical: keys sorted, floats printed with 17
 significant digits, identical objects always produce identical bytes.
+Arrays are emitted in bulk: O(N log N) to sort the N entries, and one
+formatting call per distinct value.
 """
 
 from __future__ import annotations
@@ -41,11 +46,18 @@ FORMAT_VERSION = 1
 
 _QUAD_KEYS = frozenset({"a", "b", "c", "d"})
 _INT_RE = re.compile(r"^-?[0-9]+$")
+_MAX_LITERAL_COEFF = 2**53
+_MAX_LITERAL_RADICAND = 2**31
 
 
 @dataclass(frozen=True)
 class QuadraticLiteral:
-    """Exact representation of ``(a + b * sqrt(d)) / c``."""
+    """Exact representation of ``(a + b * sqrt(d)) / c``.
+
+    The fields are bounded: ``|a|, |b|, c <= 2**53`` (exact in float64)
+    and ``0 <= d < 2**31``, so the square-free check of d takes at most
+    46,341 trial divisions.  Anything outside raises ``StructureError``.
+    """
 
     a: int
     b: int
@@ -57,6 +69,10 @@ class QuadraticLiteral:
             raise StructureError("quadratic literal denominator must be positive")
         if self.d < 0:
             raise StructureError("quadratic literal radicand must be nonnegative")
+        if max(abs(self.a), abs(self.b), self.c) > _MAX_LITERAL_COEFF:
+            raise StructureError("quadratic literal coefficients a, b, c must not exceed 2**53")
+        if self.d >= _MAX_LITERAL_RADICAND:
+            raise StructureError("quadratic literal radicand must be below 2**31")
         if not _is_squarefree(self.d):
             raise StructureError(f"quadratic literal radicand {self.d} is not square-free")
 
@@ -154,12 +170,14 @@ def _emit(value, indent: int, out: list[str]) -> None:
             _emit(item, indent + 1, out)
             out.append(",\n" if pos + 1 < len(items) else "\n")
         out.append(pad + "}")
+    elif isinstance(value, np.ndarray):
+        _emit_array(value, indent, out)
     elif isinstance(value, (list, tuple)):
         seq = list(value)
         if not seq:
             out.append("[]")
             return
-        if any(isinstance(v, (list, tuple, dict)) for v in seq):
+        if any(isinstance(v, (list, tuple, dict, np.ndarray)) for v in seq):
             out.append("[\n")
             for pos, item in enumerate(seq):
                 out.append(pad + "  ")
@@ -170,6 +188,38 @@ def _emit(value, indent: int, out: list[str]) -> None:
             out.append("[" + ", ".join(_scalar_token(v) for v in seq) + "]")
     else:
         out.append(_scalar_token(value))
+
+
+def _emit_array(arr: np.ndarray, indent: int, out: list[str]) -> None:
+    """Emit an array exactly as ``_emit(arr.tolist())`` would.
+
+    Each distinct value is formatted once: ``np.unique`` sorts the
+    entries (O(N log N)), ``_scalar_token`` runs once per distinct
+    value, and the tokens are gathered back through the inverse index.
+    """
+    if arr.ndim == 0:
+        out.append(_scalar_token(arr.item()))
+        return
+    distinct, inverse = np.unique(arr.ravel(), return_inverse=True)
+    tokens = np.array([_scalar_token(v) for v in distinct.tolist()], dtype=object)
+    rows = tokens[inverse].reshape(math.prod(arr.shape[:-1]), arr.shape[-1]).tolist()
+    _emit_rows(arr.shape, iter(rows), indent, out)
+
+
+def _emit_rows(shape: tuple[int, ...], rows, indent: int, out: list[str]) -> None:
+    if len(shape) == 1:
+        out.append("[" + ", ".join(next(rows)) + "]")
+        return
+    if shape[0] == 0:
+        out.append("[]")
+        return
+    pad = "  " * indent
+    out.append("[\n")
+    for pos in range(shape[0]):
+        out.append(pad + "  ")
+        _emit_rows(shape[1:], rows, indent + 1, out)
+        out.append(",\n" if pos + 1 < shape[0] else "\n")
+    out.append(pad + "]")
 
 
 def _scalar_token(value) -> str:
@@ -246,11 +296,20 @@ def _int_tensor(data, ndim: int, where: str) -> np.ndarray:
     return arr
 
 
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise StructureError(f"{where}: expected a number")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise StructureError(f"{where}: number out of the float64 range") from exc
+
+
 def _scalar_entry(entry, where: str) -> float:
     if isinstance(entry, bool):
         raise StructureError(f"{where}: booleans are not numbers")
     if isinstance(entry, (int, float)):
-        return float(entry)
+        return _number(entry, where)
     if isinstance(entry, dict):
         if set(entry) != _QUAD_KEYS:
             raise StructureError(f"{where}: quadratic literal needs exactly keys a, b, c, d")
@@ -261,6 +320,25 @@ def _scalar_entry(entry, where: str) -> float:
 
 
 def _scalar_tensor(data, where: str) -> np.ndarray:
+    """A float64 tensor from nested lists of numbers or quadratic literals.
+
+    A rectangular tensor of plain JSON numbers converts in one
+    ``astype``; anything else (literals, booleans, ragged rows) goes
+    entry by entry through ``_scalar_tensor_entries``.
+    """
+    try:
+        entries = np.array(data, dtype=object)
+    except ValueError:
+        return _scalar_tensor_entries(data, where)
+    if not set(map(type, entries.ravel().tolist())) <= {int, float}:
+        return _scalar_tensor_entries(data, where)
+    try:
+        return entries.astype(np.float64)
+    except OverflowError as exc:
+        raise StructureError(f"{where}: number out of the float64 range") from exc
+
+
+def _scalar_tensor_entries(data, where: str) -> np.ndarray:
     def convert(node):
         if isinstance(node, list):
             return [convert(v) for v in node]
@@ -321,17 +399,19 @@ def parse_hypergroup(
     return table
 
 
+def hypergroup_document(table: HypergroupTable) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": "hypergroup",
+        "labels": list(table.labels),
+        "unit": table.unit,
+        "involution": list(table.involution),
+        "lambda": table.lam,
+    }
+
+
 def serialize_hypergroup(table: HypergroupTable) -> str:
-    return canonical_text(
-        {
-            "format_version": FORMAT_VERSION,
-            "kind": "hypergroup",
-            "labels": list(table.labels),
-            "unit": table.unit,
-            "involution": list(table.involution),
-            "lambda": table.lam.tolist(),
-        }
-    )
+    return canonical_text(hypergroup_document(table))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +440,7 @@ def serialize_fusion_ring(ring: FusionRing) -> str:
             "labels": list(ring.labels),
             "unit": ring.unit,
             "involution": list(ring.conj),
-            "N": ring.N.tolist(),
+            "N": ring.N,
         }
     )
 
@@ -387,7 +467,7 @@ def serialize_group(group: CayleyGroup) -> str:
         "format_version": FORMAT_VERSION,
         "kind": "group",
         "unit": group.identity,
-        "mul": group.mul.tolist(),
+        "mul": group.mul,
     }
     if group.labels is not None:
         doc["labels"] = list(group.labels)
@@ -444,7 +524,7 @@ def serialize_groupoid(g: Hypergroupoid) -> str:
             "objects": list(g.objects),
             "mor": [[list(g.mor[x][y]) for y in range(k)] for x in range(k)],
             "comp": [
-                [[g.comp[x][y][z].tolist() for z in range(k)] for y in range(k)]
+                [[g.comp[x][y][z] for z in range(k)] for y in range(k)]
                 for x in range(k)
             ],
             "star": [[list(g.star[x][y]) for y in range(k)] for x in range(k)],
@@ -460,15 +540,9 @@ def _complex_record(z: complex) -> dict:
     return {"im": float(z.imag), "re": float(z.real)}
 
 
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise StructureError(f"{where}: expected a number")
-    return float(value)
-
-
 def _parse_complex(entry, where: str) -> complex:
     if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return complex(float(entry), 0.0)
+        return complex(_number(entry, where), 0.0)
     if isinstance(entry, dict) and set(entry) == {"re", "im"}:
         return complex(_number(entry["re"], where), _number(entry["im"], where))
     raise StructureError(f"{where}: expected a number or a re/im record")
@@ -508,17 +582,19 @@ def parse_character_table(document) -> CharacterTable:
     )
 
 
+def character_table_document(ct: CharacterTable) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": "character_table",
+        "labels": list(ct.labels),
+        "chars": [[_complex_record(z) for z in row] for row in ct.chars],
+        "haar_weights": ct.haar_weights,
+        "dual_weights": ct.dual_weights,
+    }
+
+
 def serialize_character_table(ct: CharacterTable) -> str:
-    return canonical_text(
-        {
-            "format_version": FORMAT_VERSION,
-            "kind": "character_table",
-            "labels": list(ct.labels),
-            "chars": [[_complex_record(z) for z in row] for row in ct.chars],
-            "haar_weights": ct.haar_weights.tolist(),
-            "dual_weights": ct.dual_weights.tolist(),
-        }
-    )
+    return canonical_text(character_table_document(ct))
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +620,7 @@ def boundary_state_document(state: BoundaryState) -> dict:
         "from_object": g.objects[state.from_object],
         "to_object": g.objects[state.to_object],
         "labels": list(g.mor[state.to_object][state.from_object]),
-        "coeffs": state.coeffs.tolist(),
+        "coeffs": state.coeffs,
     }
 
 

@@ -10,15 +10,27 @@ the vectorized ``match_quadratic`` replaced, and the two
 per-slice kernel of ``validate`` and ``validate_groupoid`` replaced.
 ``table_isomorphism_reference`` is the loop over all basis permutations
 that the colour-refined search of ``table_isomorphism`` replaced.
+``canonical_text_reference`` is the canonical JSON emitter that formats
+every scalar on its own; the library now formats each distinct value of
+an array once.
 """
 
 import itertools
+import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 
-from hyperkit import AxiomError, CayleyGroup, HypergroupTable, QuadraticLiteral, weights
+from hyperkit import (
+    AxiomError,
+    CayleyGroup,
+    HypergroupTable,
+    QuadraticLiteral,
+    StructureError,
+    weights,
+)
 
 
 def _inverse(group, i):
@@ -158,6 +170,14 @@ def cyclic_subgroups(group):
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
+def su2_fusion_tensor(k):
+    """SU(2)_k multiplicities from the truncated Clebsch-Gordan rule."""
+    n = k + 1
+    i, j, l = np.ogrid[:n, :n, :n]
+    N = (np.abs(i - j) <= l) & (l <= np.minimum(i + j, 2 * k - i - j)) & ((i + j + l) % 2 == 0)
+    return N.astype(np.int64)
+
+
 def squarefree_radicands(limit):
     """0, then the square-free integers 2..limit."""
     yield 0
@@ -251,3 +271,78 @@ def direct_product(g1, g2):
     mul = g1.mul[:, None, :, None] * n2 + g2.mul[None, :, None, :]
     size = g1.order * n2
     return CayleyGroup(mul.reshape(size, size), g1.identity * n2 + g2.identity)
+
+
+_INT_RE = re.compile(r"^-?[0-9]+$")
+
+
+def _format_float_reference(x: float) -> str:
+    if x == 0.0:
+        x = 0.0  # normalize -0.0
+    s = f"{x:.17g}"
+    if _INT_RE.match(s):
+        s += ".0"
+    return s
+
+
+def _emit_reference(value, indent: int, out: list[str]) -> None:
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        out.append("{\n")
+        items = sorted(value.items())
+        for pos, (key, item) in enumerate(items):
+            out.append(f"{pad}  {json.dumps(str(key))}: ")
+            _emit_reference(item, indent + 1, out)
+            out.append(",\n" if pos + 1 < len(items) else "\n")
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        seq = list(value)
+        if not seq:
+            out.append("[]")
+            return
+        if any(isinstance(v, (list, tuple, dict)) for v in seq):
+            out.append("[\n")
+            for pos, item in enumerate(seq):
+                out.append(pad + "  ")
+                _emit_reference(item, indent + 1, out)
+                out.append(",\n" if pos + 1 < len(seq) else "\n")
+            out.append(pad + "]")
+        else:
+            out.append("[" + ", ".join(_scalar_token_reference(v) for v in seq) + "]")
+    else:
+        out.append(_scalar_token_reference(value))
+
+
+def _scalar_token_reference(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _format_float_reference(float(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise StructureError(f"cannot serialize value of type {type(value).__name__}")
+
+
+def _as_lists(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(item) for item in value]
+    return value
+
+
+def canonical_text_reference(document: dict) -> str:
+    """Canonical JSON text, one scalar token at a time, with arrays as ``tolist()``."""
+    out: list[str] = []
+    _emit_reference(_as_lists(document), 0, out)
+    out.append("\n")
+    return "".join(out)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -165,6 +166,16 @@ class TestCharactersCommand:
         dual = hk.parse_hypergroup(json.dumps(doc["dual"]))
         assert abs(dual.lam[1, 1, 0] - (2 - SQRT3)) < 1e-9
 
+    @pytest.mark.parametrize("name", ["ghj", "conj-s3", "fibonacci-rescaled", "z3"])
+    def test_json_embeds_the_serialized_documents(self, capsys, tables, name):
+        code, out, _ = run(capsys, "characters", "--builtin", name, "--dual", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        ct = hk.characters(tables[name])
+        assert doc["character_table"] == json.loads(hk.serialize_character_table(ct))
+        dual = hk.dual_hypergroup(tables[name], chars=ct)
+        assert doc["dual"] == json.loads(hk.serialize_hypergroup(dual))
+
 
 class TestComposeCommand:
     def test_ising_dual_dual(self, capsys):
@@ -253,6 +264,29 @@ class TestIndicesCommand:
         code, _, err = run(capsys, "indices", "--bound", "0.5")
         assert code == 2
 
+    def test_quadratic_values_keep_their_literals(self, capsys):
+        code, out, _ = run(capsys, "indices", "--bound", "5", "--nmax", "12")
+        assert code == 0
+        sums = {line.split(" = ")[1].split("  <-")[0]: line for line in out.splitlines()[1:-1]}
+        for literal, witness in [("(5+√5)/2", "4cos^2(pi/5)"), ("3+√2", "4cos^2(pi/8)"),
+                                 ("(7+√5)/2", "4cos^2(pi/3) + 4cos^2(pi/5)"),
+                                 ("3+√3", "4cos^2(pi/12)")]:
+            assert f"({literal})" in sums["1 + " + witness]
+
+    def test_no_literal_for_a_value_of_higher_degree(self, capsys):
+        # 2 + 4cos^2(pi/86) has degree 21, yet lies within 1e-9 of (-59+25√30)/13
+        code, out, _ = run(capsys, "indices", "--bound", "6", "--nmax", "100")
+        assert code == 0
+        (line,) = [x for x in out.splitlines() if x.endswith("= 1 + 4cos^2(pi/3) + 4cos^2(pi/86)")]
+        assert line.split()[:2] == ["5.99466456733", "="]
+
+    def test_loose_tolerance_annotates_only_quadratic_values(self, capsys):
+        code, out, _ = run(capsys, "indices", "--bound", "4.5", "--nmax", "12", "--tol", "1e-4")
+        assert code == 0
+        lines = out.splitlines()
+        assert "  4.24697960372                      = 1 + 4cos^2(pi/7)" in lines
+        assert "  4.41421356237 (3+√2)               = 1 + 4cos^2(pi/8)" in lines
+
 
 class TestGlobalFlags:
     def test_tolerance_flag_loosens_validation(self, capsys, tmp_path):
@@ -334,6 +368,26 @@ class TestMalformedInput:
                 None,
                 id="huge-multiplicity",
             ),
+            pytest.param(
+                ["validate"],
+                {"format_version": 1, "kind": "hypergroup", "labels": ["e"], "unit": 0,
+                 "lambda": [[[10**400]]]},
+                None,
+                id="huge-integer",
+            ),
+            pytest.param(
+                ["validate"],
+                {"format_version": 1, "kind": "hypergroup", "labels": ["e"], "unit": 0,
+                 "lambda": [[[{"a": 1, "b": 0, "c": 1, "d": 1000000000000000003}]]]},
+                None,
+                id="huge-radicand",
+            ),
+            pytest.param(
+                ["build", "two-element", "--lambda", "1,0,1,1000000000000000003"],
+                None,
+                None,
+                id="huge-radicand-argument",
+            ),
             pytest.param(["validate", "--builtin", "ghj"], None, "abc", id="env-tol"),
         ],
     )
@@ -348,6 +402,16 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_huge_radicand_is_rejected_at_once(self, capsys, tmp_path):
+        literal = {"a": 1, "b": 0, "c": 1, "d": 1000000000000000003}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"format_version": 1, "kind": "hypergroup", "labels": ["e"],
+                                    "unit": 0, "lambda": [[[literal]]]}))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "validate", str(path))
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and "2**31" in err
 
 
 class TestDeterminismAcrossProcesses:

@@ -15,14 +15,6 @@ SQRT5 = math.sqrt(5.0)
 PHI = (1.0 + SQRT5) / 2.0
 
 
-def su2_fusion_tensor(k):
-    """SU(2)_k multiplicities from the truncated Clebsch-Gordan rule."""
-    n = k + 1
-    i, j, l = np.ogrid[:n, :n, :n]
-    N = (np.abs(i - j) <= l) & (l <= np.minimum(i + j, 2 * k - i - j)) & ((i + j + l) % 2 == 0)
-    return N.astype(np.int64)
-
-
 @st.composite
 def unital_tensors(draw):
     """Random multiplicities in 0..3 on n <= 5 with the unit and conjugation laws forced."""
@@ -229,7 +221,7 @@ class TestFusionRings:
     def test_perturbed_su2_matches_einsum_reference(self):
         rng = np.random.default_rng(11)
         for k in range(1, 21):
-            N = su2_fusion_tensor(k)
+            N = oracles.su2_fusion_tensor(k)
             assert_associativity_matches_reference(N, tuple(range(k + 1)))
             i, j, l = rng.integers(1, k + 1, size=3)  # off the unit, so both laws still hold
             N[i, j, l] += 1
@@ -238,7 +230,7 @@ class TestFusionRings:
     def test_validate_memory_is_cubic(self):
         # two 71^4 int64 tensors would take about 0.4 GB
         labels = tuple(f"j{a}" for a in range(71))
-        ring = hk.FusionRing(labels, 0, range(71), su2_fusion_tensor(70))
+        ring = hk.FusionRing(labels, 0, range(71), oracles.su2_fusion_tensor(70))
         tracemalloc.start()
         try:
             hk.validate_fusion_ring(ring)

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hyperkit as hk
 import oracles
+from hyperkit import io as hio
 from hyperkit.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -73,6 +75,13 @@ class TestQuadraticLiteral:
             hk.QuadraticLiteral(1, 1, 1, 4)  # 4 = 2^2 is not square-free
         with pytest.raises(hk.StructureError):
             hk.QuadraticLiteral(1, 1, 1, -1)
+
+    def test_field_bounds(self):
+        assert hk.QuadraticLiteral(-(2**53), 2**53, 2**53, 2**31 - 1).d == 2**31 - 1
+        for fields in ((2**53 + 1, 0, 1, 0), (0, -(2**53) - 1, 1, 2), (0, 1, 2**53 + 1, 2),
+                       (0, 1, 1, 2**31), (1, 0, 1, 10**18 + 3)):
+            with pytest.raises(hk.StructureError):
+                hk.QuadraticLiteral(*fields)
 
     def test_match_round_trip(self):
         for lit in (
@@ -287,6 +296,149 @@ class TestParseDocument:
     def test_kind_must_be_a_string(self, kind):
         with pytest.raises(hk.StructureError):
             hk.parse_document({"format_version": 1, "kind": kind})
+
+
+def rescaled_su2(k):
+    labels = [f"j{a}" for a in range(k + 1)]
+    return hk.from_fusion_ring(hk.fusion_ring(labels, 0, oracles.su2_fusion_tensor(k)))
+
+
+def emitted_document(serialize, obj):
+    """The document ``serialize`` hands to ``canonical_text``, and the text it returns."""
+    documents = []
+    emit = hio.canonical_text
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hio, "canonical_text", lambda doc: documents.append(doc) or emit(doc))
+        text = serialize(obj)
+    (document,) = documents
+    return document, text
+
+
+EDGE_ARRAYS = {
+    "signed-zero-and-subnormal": np.array([-0.0, 0.0, 5e-324, -5e-324, 0.0, -0.0]),
+    "integral-floats": np.array([1e15, 1e16, 1e17, -1e15, -1e16, -1e17, 123456789012345678.0]),
+    "extreme-floats": np.array([[1e308, -1e308], [np.finfo(np.float64).max, 2.2250738585e-308]]),
+    "non-finite": np.array([np.inf, -np.inf, np.nan, 1.0, np.nan]),
+    "int64-extremes": np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 1]),
+    "booleans": np.array([[True, False], [False, False]]),
+    "empty-1d": np.zeros((0,)),
+    "empty-rows": np.zeros((2, 0)),
+    "empty-leading": np.zeros((0, 3, 3)),
+    "empty-middle": np.zeros((2, 0, 3), dtype=np.int64),
+    "empty-last": np.zeros((3, 2, 0)),
+}
+
+
+class TestBulkEmission:
+    """``canonical_text`` emits arrays byte for byte as the per-scalar reference does."""
+
+    @pytest.mark.parametrize("arr", EDGE_ARRAYS.values(), ids=EDGE_ARRAYS.keys())
+    def test_edge_arrays(self, arr):
+        doc = {"a": arr, "b": [arr, [arr, {"c": arr}]], "d": [[1, 2.0], arr]}
+        assert hk.canonical_text(doc) == oracles.canonical_text_reference(doc)
+
+    def test_seeded_tensors_with_repeated_values(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            shape = tuple(rng.integers(0, 6, size=rng.integers(1, 5)))
+            pool = np.concatenate([rng.normal(size=5) * 10.0 ** rng.integers(-20, 20, size=5),
+                                   np.array([0.0, -0.0, 1.0, 0.5, 1e16, 1e17])])
+            arr = rng.choice(pool, size=shape)
+            doc = {"x": arr, "y": [arr.astype(np.int64)]}
+            assert hk.canonical_text(doc) == oracles.canonical_text_reference(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arr=hnp.arrays(
+        dtype=st.sampled_from([np.float64, np.int64]),
+        shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+    ))
+    def test_hypothesis_arrays(self, arr):
+        doc = {"lambda": arr, "rows": [arr, arr]}
+        assert hk.canonical_text(doc) == oracles.canonical_text_reference(doc)
+
+    def test_every_serialized_builtin(self, tables, rings, groups, groupoids):
+        cases = [(hk.serialize_hypergroup, t) for t in tables.values()]
+        cases += [(hk.serialize_hypergroup, hk.from_fusion_ring(r)) for r in rings.values()]
+        cases += [(hk.serialize_fusion_ring, r) for r in rings.values()]
+        cases += [(hk.serialize_group, g) for g in groups.values()]
+        cases += [(hk.serialize_hypergroup, hk.conjugacy_class_hypergroup(g))
+                  for g in groups.values()]
+        cases += [(hk.serialize_groupoid, g) for g in groupoids.values()]
+        cases += [(hk.serialize_character_table, hk.characters(t))
+                  for t in tables.values() if hk.is_commutative(t)]
+        for serialize, obj in cases:
+            document, text = emitted_document(serialize, obj)
+            assert text == oracles.canonical_text_reference(document)
+
+    def test_boundary_state_document(self, groupoids):
+        g = groupoids["ising"]
+        dual = g.mor[0][0].index("dual")
+        state = hk.compose(g, hk.point_state(g, 0, 0, dual), hk.point_state(g, 0, 0, dual))
+        doc = hio.boundary_state_document(state)
+        assert hk.canonical_text(doc) == oracles.canonical_text_reference(doc)
+
+    def test_rescaled_su2(self):
+        for k in [*range(1, 13), 18, 26, 36, 60]:
+            document, text = emitted_document(hk.serialize_hypergroup, rescaled_su2(k))
+            assert text == oracles.canonical_text_reference(document), k
+
+
+def number_trees():
+    """Nested lists of JSON scalars, rectangular or ragged, plain or mixed."""
+    plain = st.one_of(
+        st.integers(-(2**70), 2**70),
+        st.floats(allow_nan=False),
+        st.sampled_from([10**400, -(10**400), 0, -0.0, 5e-324]),
+    )
+    other = st.one_of(
+        st.booleans(),
+        st.just("1"),
+        st.just(None),
+        st.fixed_dictionaries({k: st.integers(-3, 3) for k in "abcd"}),
+        st.fixed_dictionaries({k: st.integers(1, 5) for k in "abcd"}),
+    )
+    rectangular = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3).flatmap(
+        lambda shape: _filled(shape, st.one_of(plain, plain, plain, other))
+    )
+    ragged = st.recursive(st.one_of(plain, other), lambda kids: st.lists(kids, max_size=3))
+    return st.one_of(rectangular, ragged)
+
+
+def _filled(shape, entries):
+    if not shape:
+        return entries
+    return st.lists(_filled(shape[1:], entries), min_size=shape[0], max_size=shape[0])
+
+
+def tensor_outcome(convert, data):
+    try:
+        arr = convert(data, "lambda")
+    except hk.StructureError as exc:
+        return "error", str(exc)
+    return "array", arr.shape, arr.tobytes()
+
+
+class TestBulkParse:
+    """``_scalar_tensor`` agrees with the per-entry path on every input."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=number_trees())
+    def test_agrees_with_the_per_entry_path(self, data):
+        assert tensor_outcome(hio._scalar_tensor, data) == tensor_outcome(
+            hio._scalar_tensor_entries, data
+        )
+
+    def test_serialized_tables_parse_to_the_same_bits(self, tables):
+        for table in [*tables.values(), rescaled_su2(12), rescaled_su2(30)]:
+            data = json.loads(hk.serialize_hypergroup(table))["lambda"]
+            bulk = hio._scalar_tensor(data, "lambda")
+            assert bulk.tobytes() == hio._scalar_tensor_entries(data, "lambda").tobytes()
+            assert bulk.tobytes() == table.lam.tobytes()
+
+    def test_huge_integers_are_structural_errors(self):
+        for data in ([[[10**400]]], [[[10**400, {"a": 1, "b": 1, "c": 1, "d": 2}]]]):
+            with pytest.raises(hk.StructureError, match="float64 range"):
+                hio._scalar_tensor(data, "lambda")
 
 
 @functools.cache
