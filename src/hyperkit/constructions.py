@@ -311,70 +311,67 @@ def fusion_ring(labels, unit, N, conj=None, check: bool = True) -> FusionRing:
     return ring
 
 
-_MAX_ITERATIONS = 100_000
-_RESIDUAL = 1e-12
-
-
 @dataclass(frozen=True, eq=False)
 class DimensionVector:
-    """Perron-Frobenius dimensions of the basis of a fusion ring."""
+    """Perron-Frobenius dimensions of the basis of a fusion ring.
+
+    ``defect`` is ``max |d_i d_j - sum_l N[i, j, l] d_l|``, the residual
+    of the fusion rules on ``dims``; it is 0.0 for integer dimensions.
+    """
 
     dims: np.ndarray
+    defect: float
 
     def __post_init__(self):
         dims = np.array(self.dims, dtype=np.float64)
         dims.setflags(write=False)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "defect", float(self.defect))
 
 
-def _is_irreducible(adjacency: np.ndarray) -> bool:
-    # strong connectivity via boolean closure of (I + A)^(n-1)
-    n = adjacency.shape[0]
-    reach = (adjacency > 0) | np.eye(n, dtype=bool)
-    power = reach
-    for _ in range(n - 1):
-        power = power @ reach
-    return bool(power.all())
+def _reaches_all(adjacency: np.ndarray, start: int) -> bool:
+    # breadth-first search; each vertex is a frontier row once, so O(n^2)
+    reached = np.zeros(adjacency.shape[0], dtype=bool)
+    reached[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        step = adjacency[frontier].any(axis=0) & ~reached
+        reached |= step
+        frontier = np.flatnonzero(step)
+    return bool(reached.all())
 
 
 def pf_dimensions(ring: FusionRing) -> DimensionVector:
-    """Spectral radius of each left-multiplication matrix, by power iteration.
+    """Perron-Frobenius dimensions, read off one eigenvector.
 
-    The matrix for basis element i is ``(M_i)[l, m] = N[i, m, l]``.
-    Iteration runs on ``M_i + I`` (the shift makes the leading
-    eigenvalue strictly dominant for a nonnegative matrix) from the
-    all-ones start vector, and stops once the eigen-equation residual
-    of the Rayleigh estimate drops below ``_RESIDUAL``, or fails with
-    NumericalError after ``_MAX_ITERATIONS`` steps.
+    With ``(N_i)[j, l] = N[i, j, l]`` the dimension vector d satisfies
+    ``N_i d = d_i d`` for every i, so it is the Perron-Frobenius
+    eigenvector of the total matrix ``T = sum_i N_i``, scaled to
+    ``d[unit] = 1``.  T is nonnegative and irreducible (else
+    PreconditionError; checked by search from the unit in T and in T^T,
+    O(n^2)), so its Perron-Frobenius eigenvalue is the one with the
+    largest real part.  One dense ``eig`` of T (O(n^3)) gives d; one
+    pass ``d_i = sum_jl N[i, j, l] d_l / sum_j d_j`` (O(n^3)) refines
+    it, and its rounding replaces it when the rounded vector satisfies
+    the fusion rules exactly in integers.  A fusion-rule defect above
+    1e-7 raises NumericalError.
     """
-    total = ring.N.sum(axis=0).T
-    if not _is_irreducible(total):
+    N = ring.N
+    total = N.sum(axis=0)
+    adjacency = total > 0
+    if not (_reaches_all(adjacency, ring.unit) and _reaches_all(adjacency.T, ring.unit)):
         raise PreconditionError("fusion graph is reducible; dimensions are not determined")
-    n = ring.n
-    dims = np.empty(n)
-    for i in range(n):
-        M = ring.N[i].T.astype(np.float64)
-        B = M + np.eye(n)
-        v = np.ones(n) / np.sqrt(n)
-        rho = 0.0
-        for _ in range(_MAX_ITERATIONS):
-            w = B @ v
-            v = w / np.linalg.norm(w)
-            Mv = M @ v
-            rho = float(v @ Mv) / float(v @ v)
-            if np.max(np.abs(Mv - rho * v)) <= _RESIDUAL:
-                break
-        else:
-            raise NumericalError(
-                f"power iteration did not converge for basis element {i} "
-                f"after {_MAX_ITERATIONS} iterations"
-            )
-        dims[i] = rho
-    # sanity: dims must reproduce the fusion rules as an eigenvector equation
-    defect = np.max(np.abs(np.outer(dims, dims) - np.einsum("ijl,l->ij", ring.N, dims)))
+    values, vectors = np.linalg.eig(total)
+    d = vectors[:, np.argmax(values.real)].real
+    sums = N.sum(axis=1) @ d  # sums[i] = d_i * sum_j d_j
+    dims = sums / sums[ring.unit]
+    rounded = np.rint(dims).astype(np.int64)
+    if np.array_equal(np.outer(rounded, rounded), N @ rounded):
+        dims = rounded.astype(np.float64)
+    defect = float(np.max(np.abs(np.outer(dims, dims) - N @ dims)))
     if defect > 1e-7:
         raise NumericalError(f"dimension vector inconsistent with fusion rules ({defect:.3e})")
-    return DimensionVector(dims)
+    return DimensionVector(dims, defect)
 
 
 def from_fusion_ring(ring: FusionRing, tol: float = DEFAULT_TOL) -> HypergroupTable:

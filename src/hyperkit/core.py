@@ -215,20 +215,28 @@ def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios) -> None:
     """Report ``|sum_m ab[a,b,m] mc[m,c,p] - sum_q bc[b,c,q] aq[a,q,p]| > tol``.
 
     Violations come in (a, b, c, p) order.  One first index ``a`` at a
-    time, with two matrix products, so for basis sizes up to n this
-    takes O(n^5) time and O(n^3) memory.
+    time, with two matrix products into two reused buffers, so for basis
+    sizes up to n this takes O(n^5) time and O(n^3) memory.  The
+    deviations of a slice are formed in place, and only a slice whose
+    largest deviation exceeds tol is scanned for its indices.
     """
     nm, nc, np_ = mc.shape
     nb, nq = bc.shape[0], bc.shape[2]
     mc_flat = mc.reshape(nm, nc * np_)
     bc_flat = bc.reshape(nb * nc, nq)
+    dev = np.empty((nb, nc * np_))
+    right = np.empty((nb * nc, np_))
     for a in range(ab.shape[0]):
-        left = (ab[a] @ mc_flat).reshape(nb, nc, np_)
-        right = (bc_flat @ aq[a]).reshape(nb, nc, np_)
-        dev = np.abs(left - right)
-        for b, c, p in zip(*np.where(dev > tol)):
+        np.matmul(ab[a], mc_flat, out=dev)
+        np.matmul(bc_flat, aq[a], out=right)
+        dev -= right.reshape(nb, nc * np_)
+        np.abs(dev, out=dev)
+        if dev.size == 0 or not np.fmax.reduce(dev, axis=None) > tol:
+            continue  # fmax skips NaN, as the comparison below does
+        slab = dev.reshape(nb, nc, np_)
+        for b, c, p in zip(*np.where(slab > tol)):
             where = (*prefix, a, int(b), int(c), int(p))
-            vios.append(Violation("associativity", where, float(dev[b, c, p])))
+            vios.append(Violation("associativity", where, float(slab[b, c, p])))
 
 
 def _involution_violations(t, unit, star, prefix, tol, vios) -> None:

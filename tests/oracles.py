@@ -3,7 +3,8 @@
 These recompute class/coset hypergroups and double-coset groupoids
 from a different formula than the library (representative pair
 counting instead of full measure convolution), and spectral radii via
-dense eigenvalues instead of power iteration.
+the dense eigenvalues of each element's fusion matrix instead of one
+eigenvector of their sum.
 ``match_quadratic_reference`` is the scalar quadratic-literal scan that
 the vectorized ``match_quadratic`` replaced, and the two
 ``associativity_reference`` functions are the n^4 einsum checks that the

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -27,6 +28,27 @@ def unital_tensors(draw):
     N[:, 0, :] = eye
     N[:, :, 0] = eye[list(conj)]
     return N, conj
+
+
+def su2_ring(k):
+    labels = tuple(f"j{a}" for a in range(k + 1))
+    return hk.FusionRing(labels, 0, range(k + 1), oracles.su2_fusion_tensor(k))
+
+
+def verlinde_dims(k):
+    """Quantum dimensions ``sin(pi (i+1)/(k+2)) / sin(pi/(k+2))`` of SU(2)_k."""
+    return np.sin(np.pi * np.arange(1, k + 2) / (k + 2)) / np.sin(np.pi / (k + 2))
+
+
+def rep_d8():
+    """Rep(D8): four 1-dimensional elements forming Z2 x Z2, and X with X X = 1 + a + b + c."""
+    N = np.zeros((5, 5, 5), dtype=np.int64)
+    for g in range(4):
+        for h in range(4):
+            N[g, h, g ^ h] = 1
+        N[g, 4, 4] = N[4, g, 4] = 1
+    N[4, 4, :4] = 1
+    return hk.fusion_ring(("1", "a", "b", "c", "X"), 0, N)
 
 
 def assert_associativity_matches_reference(N, conj):
@@ -278,6 +300,71 @@ class TestPfDimensions:
         ring = hk.FusionRing(("1", "x"), 0, (0, 1), N)
         with pytest.raises(hk.PreconditionError):
             hk.pf_dimensions(ring)
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_reducible_only_at_end_of_long_path(self, forward):
+        # path 0 - 1 - ... - 63 with edges both ways, except one direction of the last link
+        n = 64
+        N = np.zeros((n, n, n), dtype=np.int64)
+        N[0] = np.eye(n, dtype=np.int64)
+        steps = np.arange(n - 1)
+        N[1, steps, steps + 1] = 1
+        N[1, steps + 1, steps] = 1
+        if forward:
+            N[1, n - 1, n - 2] = 0  # the last element reaches nothing else
+        else:
+            N[1, n - 2, n - 1] = 0  # nothing else reaches the last element
+        ring = hk.FusionRing(tuple(f"f{a}" for a in range(n)), 0, range(n), N)
+        with pytest.raises(hk.PreconditionError):
+            hk.pf_dimensions(ring)
+
+    def test_su2_matches_verlinde(self):
+        for k in range(1, 101):
+            dims = hk.pf_dimensions(su2_ring(k)).dims
+            assert np.max(np.abs(dims - verlinde_dims(k)) / verlinde_dims(k)) < 1e-13, k
+
+    def test_su2_250_matches_verlinde_in_time(self):
+        ring = su2_ring(250)
+        start = time.perf_counter()
+        dims = hk.pf_dimensions(ring).dims
+        assert time.perf_counter() - start < 2.0
+        assert np.max(np.abs(dims - verlinde_dims(250)) / verlinde_dims(250)) < 1e-13
+
+    def test_relabelled_su2_against_eigenvalue_oracle(self):
+        rng = np.random.default_rng(11)
+        for k in (3, 8, 17, 30):
+            n = k + 1
+            perm = rng.permutation(n)  # element i becomes element perm[i]
+            N = np.empty((n, n, n), dtype=np.int64)
+            N[np.ix_(perm, perm, perm)] = oracles.su2_fusion_tensor(k)
+            ring = hk.FusionRing(tuple(f"j{a}" for a in range(n)), perm[0], range(n), N)
+            dims = hk.pf_dimensions(ring).dims
+            assert dims[ring.unit] == 1.0
+            rho = [oracles.spectral_radius_oracle(N[i].T) for i in range(n)]
+            assert np.max(np.abs(dims - rho) / rho) < 1e-12, k
+            assert np.max(np.abs(dims[perm] - verlinde_dims(k)) / verlinde_dims(k)) < 1e-13, k
+
+    def test_integer_dimensions_are_exact(self, groups, rings):
+        for n in range(2, 13):
+            table = hk.group_hypergroup(groups[f"z{n}"])
+            N = np.array(np.rint(table.lam), dtype=np.int64)
+            ring = hk.fusion_ring(table.labels, table.unit, N)
+            dimension = hk.pf_dimensions(ring)
+            assert dimension.dims.tolist() == [1.0] * n and dimension.defect == 0.0
+        assert hk.pf_dimensions(rings["s3-irreps"]).dims.tolist() == [1.0, 1.0, 2.0]
+        assert hk.pf_dimensions(rep_d8()).dims.tolist() == [1.0, 1.0, 1.0, 1.0, 2.0]
+
+    def test_unit_dimension_is_exactly_one(self, rings):
+        for ring in [*rings.values(), rep_d8(), *(su2_ring(k) for k in (5, 12, 40))]:
+            assert hk.pf_dimensions(ring).dims[ring.unit] == 1.0
+
+    def test_defect_is_the_fusion_rule_residual(self, rings):
+        for ring in [*rings.values(), su2_ring(12)]:
+            dimension = hk.pf_dimensions(ring)
+            dims = dimension.dims
+            residual = np.abs(np.outer(dims, dims) - np.einsum("ijl,l->ij", ring.N, dims))
+            assert dimension.defect == pytest.approx(residual.max(), abs=1e-15)
+            assert dimension.defect < 1e-12
 
 
 class TestFromFusionRing:

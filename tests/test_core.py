@@ -109,6 +109,19 @@ class TestValidate:
             assert reference
             assert_matches_reference(associativity_found(hk.validate(table)), reference)
 
+    def test_violations_only_in_last_slice(self):
+        # an extra element x whose products with the others vanish and with
+        # x * b = alpha_b x: associativity fails only with x as first factor
+        base = su2_table(6)
+        n = base.n + 1
+        lam = np.zeros((n, n, n))
+        lam[:-1, :-1, :-1] = base.lam
+        lam[-1, :, -1] = np.linspace(0.5, 1.5, n)  # alpha is no character of the table
+        table = hk.HypergroupTable((*base.labels, "x"), base.unit, (*base.involution, n - 1), lam)
+        reference = oracles.associativity_reference(table.lam, hk.DEFAULT_TOL)
+        assert reference and {idx[0] for idx, _ in reference} == {n - 1}
+        assert_matches_reference(associativity_found(hk.validate(table)), reference)
+
     def test_validate_memory_is_cubic(self):
         # three 71^4 float64 tensors would take about 0.6 GB
         table = su2_table(70)

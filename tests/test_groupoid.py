@@ -141,6 +141,35 @@ class TestValidation:
         assert [idx for idx, _ in found] == [idx for idx, _ in reference]
         assert np.allclose([m for _, m in found], [m for _, m in reference], rtol=0, atol=1e-12)
 
+    def test_defect_in_one_object_quadruple(self, tables):
+        # two hypergroups side by side with no arrows between them; the
+        # second is broken, so only quadruple (1, 1, 1, 1) fails associativity
+        first, second = tables["ghj"], tables["conj-s3"]
+        lam = np.array(second.lam)
+        lam[1, 2] = (1.0, 0.0, 0.0)
+        labels = (first.labels, second.labels)
+        mor = tuple(tuple(labels[x] if x == y else () for y in range(2)) for x in range(2))
+        comp = [
+            [
+                [np.zeros((len(mor[x][y]), len(mor[y][z]), len(mor[x][z]))) for z in range(2)]
+                for y in range(2)
+            ]
+            for x in range(2)
+        ]
+        comp[0][0][0], comp[1][1][1] = first.lam, lam
+        star = ((first.involution, ()), ((), second.involution))
+        broken = hk.Hypergroupoid(("A", "B"), mor, comp, star, (first.unit, second.unit))
+        reference = oracles.groupoid_associativity_reference(broken, hk.DEFAULT_TOL)
+        found = [
+            (v.indices, v.magnitude)
+            for v in hk.validate_groupoid(broken).violations
+            if v.axiom == "associativity"
+        ]
+        assert reference
+        assert {idx[:4] for idx, _ in reference} == {(1, 1, 1, 1)}
+        assert [idx for idx, _ in found] == [idx for idx, _ in reference]
+        assert np.allclose([m for _, m in found], [m for _, m in reference], rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("fault", ["nan-entry", "repeated-label"])
     def test_malformed_groupoid_is_structural(self, groupoids, fault):
         g = groupoids["two-object"]
