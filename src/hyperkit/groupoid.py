@@ -218,8 +218,11 @@ def validate_groupoid(g: Hypergroupoid, tol: float = DEFAULT_TOL) -> ValidationR
 
     Runs the hypergroup checks of ``core.validate`` once per object
     tuple, so each defect is reported once.  Associativity over the k^4
-    object quadruples dominates: O(k^4 n^5) time and O(n^3) memory for
-    arrow bases of size up to n.
+    object quadruples dominates: at most 2 k^4 n^5 multiply-adds and
+    O(n^3) memory for arrow bases of size up to n.  An endo quadruple
+    ``(x, x, x, x)`` is ``core.validate``'s check on Mor(x -> x), with
+    its screen: n^5 multiply-adds there when that hypergroup is
+    commutative and passes.
     """
     objs = range(g.n_objects)
     c, u, star = g.comp, g.units, g.star

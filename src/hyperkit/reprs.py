@@ -74,12 +74,27 @@ class CharacterTable:
     lexicographically by value vector.  ``haar_weights`` are the
     element weights mu_a; ``dual_weights[m]`` is the inverse squared
     norm of character m in the Haar inner product.
+
+    ``characters`` also records how it found them: ``eigen_gap``, the
+    smallest distance between two eigenvalues of the accepted random
+    combination; ``retries``, the number of draws it rejected; and the
+    largest defect of each character axiom, ``normalization`` (value 1
+    at the unit), ``multiplicativity``, ``conjugation`` (``chi(inv(a))
+    == conj(chi(a))``) and ``orthogonality`` (the Haar Gram matrix off
+    its diagonal).  They are None on tables built otherwise, and no
+    document carries them.
     """
 
     labels: tuple[str, ...]
     chars: np.ndarray
     haar_weights: np.ndarray
     dual_weights: np.ndarray
+    eigen_gap: float | None = None
+    retries: int | None = None
+    normalization: float | None = None
+    multiplicativity: float | None = None
+    conjugation: float | None = None
+    orthogonality: float | None = None
 
     def __post_init__(self):
         chars = np.array(self.chars, dtype=np.complex128)
@@ -128,13 +143,14 @@ def characters(
     mats = regular_representation(table).matrices
     rng = np.random.default_rng(seed)
     rows = None
-    for _ in range(1 + _MAX_RETRIES):
+    for retries in range(1 + _MAX_RETRIES):
         coeffs = rng.standard_normal(n)
         z = np.einsum("b,bca->ca", coeffs, mats)
         eigvals, eigvecs = np.linalg.eig(z.T)
         gaps = np.abs(eigvals[:, None] - eigvals[None, :])
         np.fill_diagonal(gaps, np.inf)
-        if gaps.min() < _EIG_GAP:
+        eigen_gap = float(gaps.min())
+        if eigen_gap < _EIG_GAP:
             continue
         units = eigvecs[table.unit, :]
         if np.min(np.abs(units)) < 1e-12:
@@ -159,30 +175,34 @@ def characters(
     norms = np.array([_haar_inner(rows[m], rows[m], mu).real for m in range(n)])
     if np.any(norms <= 0):
         raise NumericalError("a character has nonpositive Haar norm")
-    ct = CharacterTable(table.labels, rows, mu, 1.0 / norms)
-    _check_character_axioms(table, ct)
-    return ct
+    defects = _check_character_axioms(table, rows, mu)
+    return CharacterTable(table.labels, rows, mu, 1.0 / norms, eigen_gap, retries, *defects)
 
 
-def _check_character_axioms(table: HypergroupTable, ct: CharacterTable) -> None:
-    rows = ct.chars
+def _check_character_axioms(table: HypergroupTable, rows, mu) -> tuple[float, ...]:
+    """The normalization, multiplicativity, conjugation and orthogonality
+    defects of ``rows``; NumericalError if one exceeds 1e-7."""
     n = table.n
-    if np.max(np.abs(rows[:, table.unit] - 1.0)) > _CHAR_TOL:
+    normalization = float(np.max(np.abs(rows[:, table.unit] - 1.0)))
+    if normalization > _CHAR_TOL:
         raise NumericalError("characters are not normalized at the unit")
     if np.max(np.abs(rows[0] - 1.0)) > 0.0:
         raise NumericalError("row 0 is not the trivial character")
-    prod = rows[:, :, None] * rows[:, None, :]          # chi(a) chi(b)
-    expand = np.einsum("abc,mc->mab", table.lam, rows)  # sum_c lam chi(c)
-    if np.max(np.abs(prod - expand)) > _CHAR_TOL:
+    prod = rows[:, :, None] * rows[:, None, :]                    # chi(a) chi(b)
+    expand = (rows @ table.lam.reshape(n * n, n).T).reshape(n, n, n)  # sum_c lam chi(c)
+    multiplicativity = float(np.max(np.abs(prod - expand)))
+    if multiplicativity > _CHAR_TOL:
         raise NumericalError("characters fail multiplicativity beyond tolerance")
     conj_rows = np.conj(rows)[:, list(table.involution)]
-    if np.max(np.abs(rows - conj_rows)) > _CHAR_TOL:
+    conjugation = float(np.max(np.abs(rows - conj_rows)))
+    if conjugation > _CHAR_TOL:
         raise NumericalError("characters fail conjugation symmetry beyond tolerance")
-    mu = ct.haar_weights
     gram = np.einsum("ma,a,ka->mk", np.conj(rows), mu, rows) / mu.sum()
     off = gram - np.diag(np.diag(gram))
-    if np.max(np.abs(off)) > _CHAR_TOL:
+    orthogonality = float(np.max(np.abs(off)))
+    if orthogonality > _CHAR_TOL:
         raise NumericalError("characters are not Haar-orthogonal beyond tolerance")
+    return normalization, multiplicativity, conjugation, orthogonality
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +254,7 @@ def dual_hypergroup(
     n = table.n
     # coefficients of chi_m chi_m' in the character basis
     pointwise = rows[:, None, :] * rows[None, :, :]            # [m, m', a]
-    gram = np.einsum("pa,a,mka->mkp", np.conj(rows), mu, pointwise) / mu.sum()
+    gram = (pointwise.reshape(n * n, n) @ (np.conj(rows) * mu).T).reshape(n, n, n) / mu.sum()
     coeff = gram * ct.dual_weights[None, None, :]
     worst = int(np.argmin(coeff.real))
     m, k, p = np.unravel_index(worst, coeff.shape)

@@ -8,9 +8,13 @@ eigenvector of their sum.
 ``match_quadratic_reference`` is the scalar quadratic-literal scan that
 the vectorized ``match_quadratic`` replaced, and the two
 ``associativity_reference`` functions are the n^4 einsum checks that the
-per-slice kernel of ``validate`` and ``validate_groupoid`` replaced.
+per-slice kernel of ``validate`` and ``validate_groupoid`` replaced, and
+``associativity_kernel_reference`` is that per-slice kernel without the
+commutative screen that now runs ahead of it.
 ``table_isomorphism_reference`` is the loop over all basis permutations
 that the colour-refined search of ``table_isomorphism`` replaced.
+``involution_reference`` is the loop over unit coefficients that the
+vectorized involution check replaced.
 ``canonical_text_reference`` is the canonical JSON emitter that formats
 every scalar on its own; the library now formats each distinct value of
 an array once.
@@ -131,6 +135,39 @@ def associativity_reference(lam, tol):
         ((int(i), int(j), int(l), int(p)), float(dev[i, j, l, p]))
         for i, j, l, p in zip(*np.where(dev > tol))
     ]
+
+
+def associativity_kernel_reference(ab, mc, bc, aq, tol):
+    """[((a, b, c, p), defect)] from every full slice, as the kernel ran before its screen."""
+    nm, nc, np_ = mc.shape
+    nb, nq = bc.shape[0], bc.shape[2]
+    mc_flat = mc.reshape(nm, nc * np_)
+    bc_flat = bc.reshape(nb * nc, nq)
+    dev = np.empty((nb, nc * np_))
+    right = np.empty((nb * nc, np_))
+    out = []
+    for a in range(ab.shape[0]):
+        np.matmul(ab[a], mc_flat, out=dev)
+        np.matmul(bc_flat, aq[a], out=right)
+        dev -= right.reshape(nb, nc * np_)
+        np.abs(dev, out=dev)
+        slab = dev.reshape(nb, nc, np_)
+        for b, c, p in zip(*np.where(slab > tol)):
+            out.append(((a, int(b), int(c), int(p)), float(slab[b, c, p])))
+    return out
+
+
+def involution_reference(t, unit, star, tol):
+    """[((a, b), defect)]: the n^2 loop over unit coefficients that ``validate`` vectorized."""
+    out = []
+    for a in range(t.shape[0]):
+        for b in range(t.shape[1]):
+            v = float(t[a, b, unit])
+            if b == star[a] and v <= tol:
+                out.append(((a, b), tol - v))
+            elif b != star[a] and v > tol:
+                out.append(((a, b), v))
+    return out
 
 
 def groupoid_associativity_reference(g, tol):

@@ -122,6 +122,27 @@ class TestValidate:
         assert reference and {idx[0] for idx, _ in reference} == {n - 1}
         assert_matches_reference(associativity_found(hk.validate(table)), reference)
 
+    def test_involution_matches_loop_reference(self, tables):
+        rng = np.random.default_rng(11)
+        for table in [*tables.values(), su2_table(12)]:
+            for _ in range(5):
+                lam = np.array(table.lam)
+                a, b = rng.integers(table.n, size=(2, 4))
+                lam[a, b, table.unit] = rng.choice([0.0, 1e-10, 0.3], size=4)
+                inv = tuple(rng.permutation(table.n)) if rng.random() < 0.5 else table.involution
+                broken = hk.HypergroupTable(table.labels, table.unit, inv, lam)
+                found = [
+                    (v.indices, v.magnitude) for v in hk.validate(broken).violations
+                    if v.axiom == "involution"
+                ]
+                assert found == oracles.involution_reference(lam, table.unit, inv, hk.DEFAULT_TOL)
+                assert all(type(i) is int for idx, _ in found for i in idx)
+
+    def test_weights_match_loop(self, tables):
+        for table in [*tables.values(), su2_table(20)]:
+            loop = [1.0 / table.lam[i, table.involution[i], table.unit] for i in range(table.n)]
+            assert hk.weights(table).tolist() == loop
+
     def test_validate_memory_is_cubic(self):
         # three 71^4 float64 tensors would take about 0.6 GB
         table = su2_table(70)

@@ -5,6 +5,7 @@ import pytest
 
 import hyperkit as hk
 import oracles
+from hyperkit import reprs
 
 SQRT3 = math.sqrt(3.0)
 
@@ -143,6 +144,55 @@ class TestCharacters:
     def test_conj_s3_dual_weights(self, tables):
         ct = hk.characters(tables["conj-s3"])
         assert np.allclose(sorted(ct.dual_weights), (1, 1, 4), atol=1e-8)
+
+
+class TestCharacterDiagnostics:
+    def test_defects_and_gap_are_recorded(self, tables):
+        for name in COMMUTATIVE_BUILTINS:
+            table = tables[name]
+            ct = hk.characters(table)
+            assert ct.retries == 0 and ct.eigen_gap >= 1e-8
+            rows, mu = ct.chars, ct.haar_weights
+            assert ct.normalization == np.max(np.abs(rows[:, table.unit] - 1.0))
+            pulled = np.conj(rows)[:, list(table.involution)]
+            assert ct.conjugation == np.max(np.abs(rows - pulled))
+            expand = np.einsum("abc,mc->mab", table.lam, rows)
+            product = rows[:, :, None] * rows[:, None, :]
+            assert abs(ct.multiplicativity - np.max(np.abs(product - expand))) < 1e-15
+            gram = np.einsum("ma,a,ka->mk", np.conj(rows), mu, rows) / mu.sum()
+            assert ct.orthogonality == np.max(np.abs(gram - np.diag(np.diag(gram))))
+            for defect in (ct.normalization, ct.multiplicativity, ct.conjugation, ct.orthogonality):
+                assert 0.0 <= defect <= 1e-7, name
+
+    def test_retries_and_gap_of_the_accepted_draw(self, tables, monkeypatch):
+        # replay the solver's draws and set the gap threshold so that the
+        # first draw fails and a later one passes
+        table = tables["conj-s3"]
+        mats = hk.regular_representation(table).matrices
+        rng = np.random.default_rng(7)
+        gaps = []
+        for _ in range(4):
+            z = np.einsum("b,bca->ca", rng.standard_normal(table.n), mats)
+            eigvals = np.linalg.eigvals(z.T)
+            diff = np.abs(eigvals[:, None] - eigvals[None, :])
+            np.fill_diagonal(diff, np.inf)
+            gaps.append(float(diff.min()))
+        accepted = next(i for i in range(1, 4) if gaps[i] > gaps[0])
+        threshold = (gaps[0] + gaps[accepted]) / 2
+        expected = next(i for i in range(4) if gaps[i] >= threshold)
+        monkeypatch.setattr(reprs, "_EIG_GAP", threshold)
+        ct = hk.characters(table, seed=7)
+        assert ct.retries == expected >= 1
+        assert ct.eigen_gap == gaps[expected]
+
+    def test_tables_built_otherwise_carry_none(self, tables):
+        ct = hk.characters(tables["z3"])
+        plain = hk.CharacterTable(ct.labels, ct.chars, ct.haar_weights, ct.dual_weights)
+        assert plain.eigen_gap is plain.retries is plain.orthogonality is None
+        text = hk.serialize_character_table(ct)
+        assert text == hk.serialize_character_table(plain)
+        parsed = hk.parse_character_table(text)
+        assert parsed.eigen_gap is None and parsed.normalization is None
 
 
 class TestOrthogonality:
