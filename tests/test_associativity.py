@@ -113,13 +113,13 @@ def deviations(lam):
     return dev, np.where(upper, screened, 0.0)
 
 
-def margin_of(lam, exact=False):
+def margin_of(lam):
     """``5 n M delta + 2 e``, computed here from the documented formula."""
     n = len(lam)
     delta = np.max(np.abs(lam - lam.transpose(1, 0, 2)))
     big = np.max(np.abs(lam))
     gamma = n * EPS / (1 - n * EPS)
-    e = 0.0 if exact else 2 * (gamma + EPS) * (1 + gamma) * n * big**2
+    e = 2 * (gamma + EPS) * (1 + gamma) * n * big**2
     return 5 * n * big * delta + 2 * e
 
 
@@ -148,9 +148,7 @@ class TestScreenCut:
         n = len(base)
         i, j, l = next(e for e in zip(*np.nonzero((base > 0) & (base < 0.5))) if e[0] != e[1])
         big = np.max(base)
-        gamma = n * EPS / (1 - n * EPS)
-        e = 2 * (gamma + EPS) * (1 + gamma) * n * big**2
-        critical = (tol - 2 * e) / (5 * n * big)
+        critical = (tol - margin_of(base)) / (5 * n * big)  # base is commutative: 2 e only
         for factor, screens in ((0.99, True), (1.01, False)):
             lam = base.copy()
             lam[i, j, l] += factor * critical
