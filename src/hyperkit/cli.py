@@ -115,25 +115,23 @@ def _one_input(args) -> None:
         raise StructureError("an input path or --builtin is required")
 
 
-def _resolve_hypergroup(args):
+def _resolve(args, what: str, builtins, parse):
+    """The input: builtin ``what`` named by ``--builtin``, or ``parse`` of the file at the path."""
     _one_input(args)
     if args.builtin:
-        return _load_builtin(args.builtin, registry.builtin_hypergroups(), "hypergroup")
-    return hio.parse_hypergroup(_read_path(args.path), tol=args.tol, check=False)
+        return _load_builtin(args.builtin, builtins(), what)
+    return parse(_read_path(args.path))
+
+
+def _resolve_hypergroup(args):
+    return _resolve(
+        args, "hypergroup", registry.builtin_hypergroups,
+        lambda text: hio.parse_hypergroup(text, tol=args.tol, check=False),
+    )
 
 
 def _resolve_group(args):
-    _one_input(args)
-    if args.builtin:
-        return _load_builtin(args.builtin, registry.builtin_groups(), "group")
-    return hio.parse_group(_read_path(args.path))
-
-
-def _resolve_fusion_ring(args):
-    _one_input(args)
-    if args.builtin:
-        return _load_builtin(args.builtin, registry.builtin_fusion_rings(), "fusion ring")
-    return hio.parse_fusion_ring(_read_path(args.path))
+    return _resolve(args, "group", registry.builtin_groups, hio.parse_group)
 
 
 def _resolve_groupoid(args):
@@ -216,7 +214,8 @@ def cmd_build_double_cosets(args) -> int:
 
 
 def cmd_build_fusion(args) -> int:
-    return _emit_built_table(from_fusion_ring(_resolve_fusion_ring(args)), args)
+    ring = _resolve(args, "fusion ring", registry.builtin_fusion_rings, hio.parse_fusion_ring)
+    return _emit_built_table(from_fusion_ring(ring), args)
 
 
 def cmd_build_two_element(args) -> int:

@@ -4,7 +4,10 @@ Three families of constructions:
 
 * From a finite group given by its Cayley table: the group itself
   (rows are point masses), its conjugacy classes, and its double cosets
-  with respect to a subgroup.  The class and coset tables expand
+  with respect to a subgroup.  The group axioms are checked once, when
+  a ``CayleyGroup`` is built (``validate_cayley``), so the constructions
+  trust every group they are given.  Classes and double cosets come
+  from one vectorized orbit pass each, and their tables expand
   products of normalized indicator sums from integer pair counts, with
   one correctly rounded division each.
 
@@ -32,7 +35,11 @@ from .errors import AxiomError, NumericalError, PreconditionError, StructureErro
 
 @dataclass(frozen=True, eq=False)
 class CayleyGroup:
-    """A finite group as a multiplication table of element indices."""
+    """A finite group as a multiplication table of element indices.
+
+    Construction raises StructureError unless the table is a group
+    (``validate_cayley``), so every instance satisfies the group axioms.
+    """
 
     mul: np.ndarray
     identity: int
@@ -58,6 +65,7 @@ class CayleyGroup:
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "identity", int(self.identity))
         object.__setattr__(self, "labels", labels)
+        validate_cayley(self)
 
     @property
     def order(self) -> int:
@@ -73,7 +81,7 @@ def validate_cayley(group: CayleyGroup) -> None:
     Checks the Latin-square property, both identity laws and
     associativity over all triples, in O(|G|^3) time and O(|G|^2)
     memory.  Inverses follow: every row of a Latin square holds the
-    identity.
+    identity.  ``CayleyGroup`` runs it once, on construction.
     """
     mul = group.mul
     n = group.order
@@ -94,65 +102,85 @@ def validate_cayley(group: CayleyGroup) -> None:
             raise StructureError(f"Cayley table is not associative at ({i}, {j}, {k})")
 
 
-def cayley_group(mul, identity, labels=None, check: bool = True) -> CayleyGroup:
-    group = CayleyGroup(mul, identity, labels)
-    if check:
-        validate_cayley(group)
-    return group
+def cayley_group(mul, identity, labels=None) -> CayleyGroup:
+    return CayleyGroup(mul, identity, labels)
 
 
 def inverses(group: CayleyGroup) -> tuple[int, ...]:
-    e = group.identity
-    return tuple(int(np.where(group.mul[i] == e)[0][0]) for i in range(group.order))
+    return tuple(np.argmax(group.mul == group.identity, axis=1).tolist())
+
+
+def _orbits(least: np.ndarray) -> list[tuple[int, ...]]:
+    """The partition given by the least member of each element's part.
+
+    Parts are ordered by least member and each is sorted: one stable
+    sort, O(|G| log |G|).
+    """
+    order = np.argsort(least, kind="stable")
+    bounds = np.flatnonzero(np.diff(least[order])) + 1
+    return [tuple(part.tolist()) for part in np.split(order, bounds)]
 
 
 def conjugacy_classes(group: CayleyGroup) -> list[tuple[int, ...]]:
-    """Conjugacy classes by orbit enumeration, ordered by first representative."""
+    """Conjugacy classes, ordered by least member, each sorted.
+
+    The least conjugate ``min_g g i g^-1`` of every i is read off the
+    |G| x |G| table of conjugates: O(|G|^2) time and memory.
+    """
     mul = group.mul
-    inv = inverses(group)
-    seen = [False] * group.order
-    classes = []
-    for i in range(group.order):
-        if seen[i]:
-            continue
-        orbit = {int(mul[mul[g, i], inv[g]]) for g in range(group.order)}
-        for x in orbit:
-            seen[x] = True
-        classes.append(tuple(sorted(orbit)))
-    return classes
+    inv = np.asarray(inverses(group))
+    return _orbits(mul[mul, inv[:, None]].min(axis=0))
 
 
 def is_subgroup(group: CayleyGroup, elements) -> bool:
-    elems = frozenset(int(x) for x in elements)
-    if not elems or any(not 0 <= x < group.order for x in elems):
+    """Whether ``elements`` is a subgroup: a finite, nonempty, closed subset is one."""
+    elems = sorted({int(x) for x in elements})
+    if not elems or elems[0] < 0 or elems[-1] >= group.order:
         return False
-    if group.identity not in elems:
-        return False
-    inv = inverses(group)
-    for a in elems:
-        if inv[a] not in elems:
-            return False
-        for b in elems:
-            if int(group.mul[a, b]) not in elems:
-                return False
-    return True
+    member = np.zeros(group.order, dtype=bool)
+    member[elems] = True
+    return bool(member[group.mul[np.ix_(elems, elems)]].all())
+
+
+def subgroup_elements(group: CayleyGroup, subset) -> list[int]:
+    """``subset`` sorted; StructureError unless it is a subgroup."""
+    sub = sorted(int(x) for x in subset)
+    if not is_subgroup(group, sub):
+        raise StructureError("the given subset is not a subgroup")
+    return sub
 
 
 def double_cosets(group: CayleyGroup, left, right) -> list[tuple[int, ...]]:
-    """Partition of the group into double cosets ``left * g * right``."""
+    """Double cosets ``L g R`` of two subgroups, ordered by least member, each sorted.
+
+    The least member of ``L g R`` is ``min_r min_l l (g r)``: the least
+    member of each ``L x`` first, then the least of those over ``x`` in
+    ``g R``.  Since L and R are subgroups, the double cosets partition
+    the group, so equal least members mean equal double cosets.
+    O(|G| (|L| + |R|)) time and memory.
+    """
     mul = group.mul
-    lefts = sorted(int(x) for x in left)
-    rights = sorted(int(x) for x in right)
-    seen = [False] * group.order
-    cosets = []
-    for g in range(group.order):
-        if seen[g]:
-            continue
-        coset = {int(mul[mul[h1, g], h2]) for h1 in lefts for h2 in rights}
-        for x in coset:
-            seen[x] = True
-        cosets.append(tuple(sorted(coset)))
-    return cosets
+    least_left = mul[[int(x) for x in left]].min(axis=0)
+    return _orbits(least_left[mul[:, [int(x) for x in right]]].min(axis=1))
+
+
+def _part_of(group: CayleyGroup, parts) -> np.ndarray:
+    """Entry g is the index of the part that holds g.
+
+    Raises StructureError unless ``parts`` partition the group.
+    """
+    flat = [int(x) for part in parts for x in part]
+    if not all(parts) or sorted(flat) != list(range(group.order)):
+        raise StructureError("parts do not partition the group")
+    part_of = np.empty(group.order, dtype=np.int64)
+    part_of[flat] = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+    return part_of
+
+
+def _star(group: CayleyGroup, parts, back) -> tuple[int, ...]:
+    """For each part of ``parts``, the index of the part of ``back`` that holds its inverses."""
+    inv = np.asarray(inverses(group))
+    return tuple(_part_of(group, back)[inv[[part[0] for part in parts]]].tolist())
 
 
 def indicator_product_coefficients(
@@ -170,15 +198,8 @@ def indicator_product_coefficients(
     """
     parts_b = parts_a if parts_b is None else parts_b
     parts_c = parts_a if parts_c is None else parts_c
-    assigned = []
-    for parts in (parts_a, parts_b, parts_c):
-        flat = [int(x) for part in parts for x in part]
-        if not all(parts) or sorted(flat) != list(range(group.order)):
-            raise StructureError("parts do not partition the group")
-        part_of = np.empty(group.order, dtype=np.int64)
-        part_of[flat] = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
-        assigned.append((part_of, len(parts)))
-    (pa, na), (pb, nb), (pc, nc) = assigned
+    na, nb, nc = len(parts_a), len(parts_b), len(parts_c)
+    pa, pb, pc = (_part_of(group, parts) for parts in (parts_a, parts_b, parts_c))
     cell = (pa[:, None] * nb + pb[None, :]) * nc + pc[group.mul]
     counts = np.bincount(cell.ravel(), minlength=na * nb * nc).reshape(na, nb, nc)
     sizes_a = np.bincount(pa, minlength=na)
@@ -187,17 +208,13 @@ def indicator_product_coefficients(
 
 
 def _partition_hypergroup(group, parts, labels) -> HypergroupTable:
-    inv = inverses(group)
-    part_of = {x: p for p, part in enumerate(parts) for x in part}
-    unit = part_of[group.identity]
-    involution = tuple(part_of[inv[part[0]]] for part in parts)
+    unit = int(_part_of(group, parts)[group.identity])
     lam = indicator_product_coefficients(group, parts)
-    return HypergroupTable(labels, unit, involution, lam)
+    return HypergroupTable(labels, unit, _star(group, parts, parts), lam)
 
 
 def group_hypergroup(group: CayleyGroup) -> HypergroupTable:
     """The group itself as a hypergroup: every product is a point mass."""
-    validate_cayley(group)
     lam = np.eye(group.order)[group.mul]  # lam[i, j] is the point mass at i*j
     labels = tuple(group.label(i) for i in range(group.order))
     return HypergroupTable(labels, group.identity, inverses(group), lam)
@@ -205,7 +222,6 @@ def group_hypergroup(group: CayleyGroup) -> HypergroupTable:
 
 def conjugacy_class_hypergroup(group: CayleyGroup) -> HypergroupTable:
     """Hypergroup of normalized conjugacy-class sums ``(1/|C|) sum_{g in C} g``."""
-    validate_cayley(group)
     classes = conjugacy_classes(group)
     labels = tuple(f"C{group.label(c[0])}" for c in classes)
     return _partition_hypergroup(group, classes, labels)
@@ -213,10 +229,7 @@ def conjugacy_class_hypergroup(group: CayleyGroup) -> HypergroupTable:
 
 def double_coset_hypergroup(group: CayleyGroup, subgroup) -> HypergroupTable:
     """Hypergroup of normalized double-coset sums with respect to a subgroup."""
-    validate_cayley(group)
-    sub = sorted(int(x) for x in subgroup)
-    if not is_subgroup(group, sub):
-        raise StructureError("the given subset is not a subgroup")
+    sub = subgroup_elements(group, subgroup)
     cosets = double_cosets(group, sub, sub)
     labels = tuple(f"D{group.label(c[0])}" for c in cosets)
     return _partition_hypergroup(group, cosets, labels)

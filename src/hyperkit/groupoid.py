@@ -49,13 +49,16 @@ from .core import (
 )
 from .constructions import (
     CayleyGroup,
+    _part_of,
+    _star,
     double_cosets,
     indicator_product_coefficients,
-    inverses,
-    is_subgroup,
-    validate_cayley,
+    subgroup_elements,
 )
 from .errors import PreconditionError, StructureError
+
+#: arrow label prefix of each hom-space Mor(y -> x) of ``double_coset_groupoid``
+_ARROW_PREFIXES = (("g", "u"), ("v", "h"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,56 +319,34 @@ def from_hypergroup(table: HypergroupTable, object_label: str = "B") -> Hypergro
     )
 
 
-def double_coset_groupoid(
-    group: CayleyGroup,
-    subgroup,
-    object_labels: tuple[str, str] = ("X0", "X1"),
-    arrow_prefixes: tuple[tuple[str, str], tuple[str, str]] = (("g", "u"), ("v", "h")),
-) -> Hypergroupoid:
+def double_coset_groupoid(group: CayleyGroup, subgroup) -> Hypergroupoid:
     """Two-object hypergroupoid from a group with a chosen subgroup.
 
-    Object 0 carries the trivial subgroup, object 1 the given one; the
-    arrows of Mor(y -> x) are the double cosets ``H_x g H_y`` and
+    Object ``X0`` carries the trivial subgroup, ``X1`` the given one;
+    the arrows of Mor(y -> x) are the double cosets ``H_x g H_y`` and
     composition convolves their uniform indicator measures
     (``indicator_product_coefficients``).  Arrow labels are
-    ``prefix + index`` with a distinct prefix per hom-space so that
-    names stay globally unique.
+    ``prefix + index`` with a distinct prefix per hom-space (``g``,
+    ``u``, ``v``, ``h`` for Mor(0 -> 0), Mor(1 -> 0), Mor(0 -> 1),
+    Mor(1 -> 1)) so that names stay globally unique.
     """
-    validate_cayley(group)
-    sub = sorted(int(x) for x in subgroup)
-    if not is_subgroup(group, sub):
-        raise StructureError("the given subset is not a subgroup")
-    inv = inverses(group)
-    subgroups = [[group.identity], sub]
-    cosets = {
-        (x, y): double_cosets(group, subgroups[x], subgroups[y])
-        for x in range(2)
-        for y in range(2)
-    }
-    part_of = {
-        (x, y): {e: p for p, part in enumerate(parts) for e in part}
-        for (x, y), parts in cosets.items()
-    }
+    subgroups = [[group.identity], subgroup_elements(group, subgroup)]
+    objs = range(len(subgroups))
+    cosets = {(x, y): double_cosets(group, subgroups[x], subgroups[y]) for x in objs for y in objs}
     comp = tuple(
         tuple(
             tuple(
                 indicator_product_coefficients(group, cosets[x, y], cosets[y, z], cosets[x, z])
-                for z in range(2)
+                for z in objs
             )
-            for y in range(2)
+            for y in objs
         )
-        for x in range(2)
+        for x in objs
     )
-    star = tuple(
-        tuple(tuple(part_of[y, x][inv[part[0]]] for part in cosets[x, y]) for y in range(2))
-        for x in range(2)
-    )
-    units = tuple(part_of[x, x][group.identity] for x in range(2))
+    star = tuple(tuple(_star(group, cosets[x, y], cosets[y, x]) for y in objs) for x in objs)
+    units = tuple(int(_part_of(group, cosets[x, x])[group.identity]) for x in objs)
     mor = tuple(
-        tuple(
-            tuple(f"{arrow_prefixes[x][y]}{i}" for i in range(len(cosets[x, y])))
-            for y in range(2)
-        )
-        for x in range(2)
+        tuple(tuple(f"{_ARROW_PREFIXES[x][y]}{i}" for i in range(len(cosets[x, y]))) for y in objs)
+        for x in objs
     )
-    return Hypergroupoid(tuple(object_labels), mor, comp, star, units)
+    return Hypergroupoid(tuple(f"X{x}" for x in objs), mor, comp, star, units)

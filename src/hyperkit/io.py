@@ -261,13 +261,21 @@ def _load(document) -> dict:
     raise StructureError("document must be JSON text or a parsed object")
 
 
-def _expect_kind(doc: dict, kind: str) -> None:
+def _expect_kind(doc: dict, kind: str, fields, noun: str | None = None) -> None:
+    """Check the kind, the format version, and that every field is present.
+
+    A missing field is reported as ``<noun> document is missing``; the
+    noun defaults to the kind.
+    """
     got = doc.get("kind")
     if got != kind:
         raise StructureError(f"expected a {kind!r} document, found kind {got!r}")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise StructureError(f"unsupported format_version {version!r}")
+    for field in fields:
+        if field not in doc:
+            raise StructureError(f"{noun or kind} document is missing {field!r}")
 
 
 def _int_field(value, where: str, bound: int) -> int:
@@ -377,10 +385,7 @@ def parse_hypergroup(
 ) -> HypergroupTable:
     """Parse (and by default validate) a hypergroup document."""
     doc = _load(document)
-    _expect_kind(doc, "hypergroup")
-    for field in ("labels", "unit", "lambda"):
-        if field not in doc:
-            raise StructureError(f"hypergroup document is missing {field!r}")
+    _expect_kind(doc, "hypergroup", ("labels", "unit", "lambda"))
     labels = _label_list(doc["labels"])
     lam = _scalar_tensor(doc["lambda"], "lambda")
     n = len(labels)
@@ -419,10 +424,7 @@ def serialize_hypergroup(table: HypergroupTable) -> str:
 
 def parse_fusion_ring(document, check: bool = True) -> FusionRing:
     doc = _load(document)
-    _expect_kind(doc, "fusion_ring")
-    for field in ("labels", "unit", "N"):
-        if field not in doc:
-            raise StructureError(f"fusion ring document is missing {field!r}")
+    _expect_kind(doc, "fusion_ring", ("labels", "unit", "N"), "fusion ring")
     labels = _label_list(doc["labels"])
     unit = _int_field(doc["unit"], "unit", len(labels))
     tensor = _int_tensor(doc["N"], 3, "N")
@@ -448,18 +450,15 @@ def serialize_fusion_ring(ring: FusionRing) -> str:
 # ---------------------------------------------------------------------------
 # group documents
 
-def parse_group(document, check: bool = True) -> CayleyGroup:
+def parse_group(document) -> CayleyGroup:
     doc = _load(document)
-    _expect_kind(doc, "group")
-    for field in ("unit", "mul"):
-        if field not in doc:
-            raise StructureError(f"group document is missing {field!r}")
+    _expect_kind(doc, "group", ("unit", "mul"))
     mul = _int_tensor(doc["mul"], 2, "mul")
     unit = _int_field(doc["unit"], "unit", len(mul))
     labels = doc.get("labels")
     if labels is not None:
         labels = _label_list(labels)
-    return cayley_group(mul, unit, labels=labels, check=check)
+    return cayley_group(mul, unit, labels=labels)
 
 
 def serialize_group(group: CayleyGroup) -> str:
@@ -479,10 +478,7 @@ def serialize_group(group: CayleyGroup) -> str:
 
 def parse_groupoid(document, tol: float = DEFAULT_TOL) -> Hypergroupoid:
     doc = _load(document)
-    _expect_kind(doc, "groupoid")
-    for field in ("objects", "mor", "comp", "star", "unit"):
-        if field not in doc:
-            raise StructureError(f"groupoid document is missing {field!r}")
+    _expect_kind(doc, "groupoid", ("objects", "mor", "comp", "star", "unit"))
     objects = _label_list(doc["objects"], "objects")
     k = len(objects)
     mor = doc["mor"]
@@ -556,10 +552,10 @@ def _number_list(value, n: int, where: str) -> np.ndarray:
 
 def parse_character_table(document) -> CharacterTable:
     doc = _load(document)
-    _expect_kind(doc, "character_table")
-    for field in ("labels", "chars", "haar_weights", "dual_weights"):
-        if field not in doc:
-            raise StructureError(f"character table document is missing {field!r}")
+    _expect_kind(
+        doc, "character_table", ("labels", "chars", "haar_weights", "dual_weights"),
+        "character table",
+    )
     labels = _label_list(doc["labels"])
     n = len(labels)
     rows = doc["chars"]
@@ -666,9 +662,6 @@ def parse_document(document):
     if kind in _PARSERS:
         return _PARSERS[kind](doc)
     if kind in _REPORT_FIELDS:
-        _expect_kind(doc, kind)
-        for field in _REPORT_FIELDS[kind]:
-            if field not in doc:
-                raise StructureError(f"{kind} document is missing {field!r}")
+        _expect_kind(doc, kind, _REPORT_FIELDS[kind])
         return doc
     raise StructureError(f"unknown document kind {kind!r}")

@@ -27,7 +27,6 @@ from .constructions import (
     fusion_ring,
     group_hypergroup,
     two_element,
-    validate_cayley,
     validate_fusion_ring,
 )
 from .core import HypergroupTable, validate, with_labels
@@ -169,8 +168,6 @@ def _groups() -> dict[str, CayleyGroup]:
     groups["s4"] = symmetric_group(4)
     groups["d4"] = dihedral_square_group()
     groups["q8"] = quaternion_group()
-    for group in groups.values():
-        validate_cayley(group)
     return groups
 
 

@@ -92,6 +92,38 @@ class TestCayley:
         with pytest.raises(hk.StructureError):
             hk.cayley_group(mul, 0)
 
+    def test_constructor_rejects_non_latin_table(self):
+        with pytest.raises(hk.StructureError, match="not a Latin square"):
+            hk.CayleyGroup([[0, 0], [1, 1]], 0)
+
+    def test_constructor_rejects_non_associative_table(self):
+        mul = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0],
+        ]
+        with pytest.raises(hk.StructureError, match="not associative"):
+            hk.CayleyGroup(mul, 0)
+
+    def test_group_axioms_checked_once(self, groups, monkeypatch):
+        calls = []
+        check = hk.constructions.validate_cayley
+
+        def counting(group):
+            calls.append(group.order)
+            check(group)
+
+        for module in (hk.constructions, hk.groupoid, hk.registry, hk.io):
+            if hasattr(module, "validate_cayley"):
+                monkeypatch.setattr(module, "validate_cayley", counting)
+        group = hk.parse_group(hk.serialize_group(groups["s3"]))
+        hk.conjugacy_class_hypergroup(group)
+        hk.double_coset_hypergroup(group, (0, 2))
+        hk.double_coset_groupoid(group, (0, 2))
+        assert calls == [6]
+
     def test_conjugacy_classes_of_s3(self, groups):
         classes = hk.conjugacy_classes(groups["s3"])
         assert [len(c) for c in classes] == [1, 3, 2]
@@ -101,6 +133,61 @@ class TestCayley:
         assert hk.constructions.is_subgroup(s3, (0, 2))
         assert not hk.constructions.is_subgroup(s3, (0, 3))
         assert not hk.constructions.is_subgroup(s3, (2, 3))
+
+
+def relabel_group(group, perm):
+    """The same group with element ``i`` renamed to index ``perm[i]``."""
+    perm = np.asarray(perm)
+    mul = np.empty_like(group.mul)
+    mul[np.ix_(perm, perm)] = perm[group.mul]
+    return hk.CayleyGroup(mul, int(perm[group.identity]))
+
+
+def partition_cases(groups):
+    """Builtin groups, seeded relabelings of them, and a few direct products."""
+    rng = np.random.default_rng(2024)
+    cases = dict(groups)
+    for name, group in groups.items():
+        cases[f"{name}-relabelled"] = relabel_group(group, rng.permutation(group.order))
+    for left, right in (("z2", "s3"), ("s3", "z3"), ("q8", "z2"), ("d4", "z3")):
+        cases[f"{left}x{right}"] = oracles.direct_product(groups[left], groups[right])
+    return cases
+
+
+class TestGroupPartitions:
+    def test_classes_against_orbit_loop(self, groups):
+        for name, group in partition_cases(groups).items():
+            assert hk.conjugacy_classes(group) == oracles._classes(group), name
+
+    def test_double_cosets_against_orbit_loop(self, groups):
+        for name, group in partition_cases(groups).items():
+            subs = [sorted(s) for s in oracles.cyclic_subgroups(group)]
+            assert [group.identity] in subs
+            for left in subs:
+                for right in subs:
+                    got = hk.double_cosets(group, left, right)
+                    assert got == oracles._double_cosets(group, left, right), (name, left, right)
+
+    def test_inverses_against_loop(self, groups):
+        for name, group in partition_cases(groups).items():
+            want = tuple(oracles._inverse(group, i) for i in range(group.order))
+            assert hk.constructions.inverses(group) == want, name
+
+    def test_is_subgroup_edge_cases(self, groups):
+        s3 = groups["s3"]
+        is_subgroup = hk.constructions.is_subgroup
+        assert not is_subgroup(s3, [])
+        assert not is_subgroup(s3, [0, -1])
+        assert not is_subgroup(s3, [0, 6])
+        assert is_subgroup(s3, [2, 0, 2, 0])
+        assert not is_subgroup(s3, [0, 2, 2, 1])  # two transpositions, not closed
+        assert is_subgroup(s3, range(6))
+
+    def test_is_subgroup_against_cyclic_subgroups(self, groups):
+        group = groups["s4"]
+        for sub in oracles.cyclic_subgroups(group):
+            assert hk.constructions.is_subgroup(group, sub)
+            assert not hk.constructions.is_subgroup(group, sorted(sub)[1:])
 
 
 class TestGroupHypergroup:
