@@ -157,11 +157,12 @@ def double_cosets(group: CayleyGroup, left, right) -> list[tuple[int, ...]]:
     member of each ``L x`` first, then the least of those over ``x`` in
     ``g R``.  Since L and R are subgroups, the double cosets partition
     the group, so equal least members mean equal double cosets.
-    O(|G| (|L| + |R|)) time and memory.
+    O(|G| (|L| + |R|)) time and memory.  Raises StructureError unless
+    both are subgroups.
     """
     mul = group.mul
-    least_left = mul[[int(x) for x in left]].min(axis=0)
-    return _orbits(least_left[mul[:, [int(x) for x in right]]].min(axis=1))
+    least_left = mul[subgroup_elements(group, left)].min(axis=0)
+    return _orbits(least_left[mul[:, subgroup_elements(group, right)]].min(axis=1))
 
 
 def _part_of(group: CayleyGroup, parts) -> np.ndarray:
@@ -285,10 +286,11 @@ def validate_fusion_ring(ring: FusionRing) -> None:
 
     Associativity runs on the kernel of ``validate`` in float64 and is
     exact: ``FusionRing`` keeps ``n * max(N)**2`` below 2**53, so every
-    partial sum is an integer that float64 holds.  So a commutative ring
-    screens with margin 0, in n^5 multiply-adds when it passes; a
-    non-commutative one takes 2 n^5.  Memory is O(n^3).  The error's
-    ``report`` lists every violation.
+    partial sum is an integer that float64 holds.  So a ring whose
+    conjugation is an involution and obeys ``N[i, j, l] == N[conj(j),
+    conj(i), conj(l)]`` screens with margin 0, in n^5 multiply-adds when
+    it passes, commutative or not; any other takes 2 n^5.  Memory is
+    O(n^3).  The error's ``report`` lists every violation.
     """
     N = ring.N
     unit = ring.unit
@@ -304,7 +306,7 @@ def validate_fusion_ring(ring: FusionRing) -> None:
         warnings.warn("fusion ring lacks Frobenius symmetry N[i,j,l] = N[conj(i),l,j]")
     Nf = N.astype(np.float64)
     vios = []
-    _associativity_violations(Nf, Nf, Nf, Nf, (), 0.0, vios, exact=True)
+    _associativity_violations(Nf, Nf, Nf, Nf, (), 0.0, vios, exact=True, star=ring.conj)
     if vios:
         report = ValidationReport(False, tuple(vios))
         raise AxiomError(f"fusion ring is not associative at {vios[0].indices}", report=report)

@@ -58,7 +58,8 @@ class HypergroupTable:
     Attributes:
         labels: one name per basis element.
         unit: index of the neutral element.
-        involution: permutation of indices with ``inv(inv(i)) == i``.
+        involution: one index per element, ``inv(i)``; that it is an
+            involution fixing the unit is an axiom, checked by ``validate``.
         lam: tensor of shape (n, n, n); ``lam[i, j, l]`` is the
             coefficient of ``k_l`` in ``k_i * k_j``.
 
@@ -217,82 +218,131 @@ def _unit_violations(left, right, lu, ru, endo, prefix, tol, vios) -> None:
             vios.append(Violation("unit", (*prefix, int(a), ru, int(c)), float(dev[a, c])))
 
 
-def _screen_cut(t, tol, exact, buf):
-    """Largest screened deviation that proves a slice and its mirror clean, or None.
+def _cut(tol, n, big, delta, exact):
+    """``tol - margin`` if ``margin < tol`` or ``margin == 0``, else None.
 
-    ``margin = 5 n M delta + 2 e`` with ``delta = max|t - t^T|`` (the
-    first two indices swapped), ``M = max|t|`` and ``e = 2 (gamma_n +
-    eps)(1 + gamma_n) n M^2``, or ``e = 0`` under ``exact`` arithmetic.
-    Returns ``tol - margin`` if ``margin < tol`` or ``margin == 0``.
-    ``buf``, of ``t``'s shape, is overwritten.
+    ``margin = 5 n M delta + 2 e`` with ``M = big`` and ``e = 2 (gamma_n +
+    eps)(1 + gamma_n) n M^2``, or ``e = 0`` under ``exact`` arithmetic;
+    ``_associativity_violations`` derives it.
     """
-    n = t.shape[0]
-    np.subtract(t, t.transpose(1, 0, 2), out=buf)
-    np.abs(buf, out=buf)
-    delta = float(np.maximum.reduce(buf, axis=None))  # NaN on NaN input: no screen
-    big = max(float(np.maximum.reduce(t, axis=None)), -float(np.minimum.reduce(t, axis=None)))
     gamma = n * _EPS / (1.0 - n * _EPS)
     e = 0.0 if exact else 2.0 * (gamma + _EPS) * (1.0 + gamma) * n * big * big
     margin = 5.0 * n * big * delta + 2.0 * e
     return tol - margin if margin < tol or margin == 0.0 else None
 
 
-def _first_failing_slice(t, cut, dev, right) -> int:
-    """First ``a`` whose screen ``max |S[a, b, c, p]|`` over ``c >= a`` exceeds cut, else n.
+def _star_defect(t, u, stars, buf, spare) -> float:
+    """``max |t[a, b, c] - u[b*, a*, c*]|``, where ``stars`` maps a, b, c to a*, b*, c*.
 
-    ``dev`` and ``right`` are the kernel's two n^3 buffers.
+    One gather of the rows ``u[b*, a*, :]`` into ``buf``, one of their
+    entries ``c*`` into ``spare`` (both flat, of ``t.size`` or more), so
+    O(t.size) time and nothing of that size allocated.  0.0 on an empty ``t``.
+    """
+    if t.size == 0:
+        return 0.0
+    sa, sb, sc = (np.asarray(s, dtype=np.intp) for s in stars)
+    rows = (sb[None, :] * u.shape[1] + sa[:, None]).ravel()  # u[b*, a*] at (a, b)
+    nc = t.shape[2]
+    gathered, dev = buf[: t.size].reshape(-1, nc), spare[: t.size].reshape(-1, nc)
+    # mode "clip" writes into out unbuffered; every index is in range
+    np.take(u.reshape(-1, nc), rows, axis=0, out=gathered, mode="clip")
+    np.take(gathered, sc, axis=1, out=dev, mode="clip")
+    np.subtract(t.reshape(-1, nc), dev, out=dev)
+    np.abs(dev, out=dev)
+    return float(np.maximum.reduce(dev, axis=None))
+
+
+def _screen_cut(t, tol, exact, buf, star=None, spare=None):
+    """Largest screened deviation that proves a slice and its mirror clean, or None.
+
+    ``_cut`` of ``delta = max|t[a, b, c] - t[b*, a*, c*]|`` and ``M =
+    max|t|`` for ``b* = star[b]``.  The identity star (``None``) takes
+    ``delta = max|t - t^T|`` (the first two indices swapped), formed in
+    ``buf``, of ``t``'s shape; any other star also overwrites ``spare``,
+    of ``t``'s size.
+    """
+    if star is None:
+        np.subtract(t, t.transpose(1, 0, 2), out=buf)
+        np.abs(buf, out=buf)
+        delta = float(np.maximum.reduce(buf, axis=None))  # NaN on NaN input: no screen
+    else:
+        delta = _star_defect(t, t, (star, star, star), buf.reshape(-1), spare.reshape(-1))
+    big = max(float(np.maximum.reduce(t, axis=None)), -float(np.minimum.reduce(t, axis=None)))
+    return _cut(tol, t.shape[0], big, delta, exact)
+
+
+def _first_failing_step(t, cut, dev, right, star=None) -> int:
+    """First step ``i`` whose screen ``max |S[a, b, c, p]|`` exceeds cut, else n.
+
+    Step i screens the columns ``c >= i`` of slice ``a = star[i]`` (``a =
+    i`` under the identity, ``None``).  ``dev`` and ``right`` are the
+    kernel's two n^3 buffers; both products read views of ``t``.
     """
     n = t.shape[0]
-    t_flat, t_swapped = t.reshape(n, n * n), t.transpose(1, 0, 2)
-    left_flat, mirror_flat = dev.reshape(-1), right.reshape(-1)
-    for a in range(n):
-        size = n * (n - a) * n
-        left = left_flat[:size].reshape(n, -1)                 # (ab)c, columns c >= a
-        mirror = mirror_flat[:size].reshape(n, -1, n)          # sum_q t[c,b,q] t[a,q,p]
-        np.matmul(t[a], t_flat[:, a * n :], out=left)
-        np.matmul(t_swapped[:, a:], t[a], out=mirror)
-        np.subtract(left, mirror.reshape(n, -1), out=left)
+    t_flat = t.reshape(n, n * n)
+    bc = t.transpose(1, 0, 2) if star is None else t  # [b, c, q]: t[c,b,q], else t[b,c,q]
+    left_flat, right_flat = dev.reshape(-1), right.reshape(-1)
+    for i in range(n):
+        a = i if star is None else int(star[i])
+        size = n * (n - i) * n
+        left = left_flat[:size].reshape(n, -1)                 # (ab)c, columns c >= i
+        slab = right_flat[:size].reshape(n, -1, n)             # sum_q bc[b,c,q] t[a,q,p]
+        np.matmul(t[a], t_flat[:, i * n :], out=left)
+        np.matmul(bc[:, i:], t[a], out=slab)
+        np.subtract(left, slab.reshape(n, -1), out=left)
         np.abs(left, out=left)
         if not np.maximum.reduce(left, axis=None) <= cut:  # NaN fails the screen
-            return a
+            return i
     return n
 
 
-def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, exact=False) -> None:
+def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, exact=False, star=None) -> float:
     """Report ``|sum_m ab[a,b,m] mc[m,c,p] - sum_q bc[b,c,q] aq[a,q,p]| > tol``.
 
     Violations come in (a, b, c, p) order.  One first index ``a`` at a
     time, with two matrix products into two reused buffers, so for basis
     sizes up to n this takes 2 n^5 multiply-adds and O(n^3) memory.  The
     deviations of a slice are formed in place, and only a slice whose
-    largest deviation exceeds tol is scanned for its indices.
+    largest deviation exceeds tol is scanned for its indices.  Returns
+    the largest deviation of the slices scanned in full (0.0 if none;
+    NaN is skipped, as the comparison with tol skips it).
 
-    When all four operands are one tensor ``t`` of a nearly commutative
-    table on ``_SCREEN_MIN_N`` or more elements, a screen first halves
-    the work, for n^5 multiply-adds on a commutative table that passes.
-    Write ``L`` for ``(ab)c``, ``R`` for ``a(bc)`` and ``D = L - R``.  If ``t[i,j,l] == t[j,i,l]``, each term
-    of ``L[a,b,c,p]`` is a term of ``R[c,b,a,p]`` and conversely, so
-    ``D[c,b,a,p] = -D[a,b,c,p]``.  Slice ``a`` of the screen covers
-    ``c >= a`` only, with ``S[a,b,c,p] = L[a,b,c,p] - sum_q t[c,b,q]
-    t[a,q,p]`` (``t[c,b,q]`` for ``t[b,c,q]``, so no transposed copy is
-    made).  With ``delta = max|t - t^T|`` and ``M = max|t|``, exactly
-    ``|S - D[a,b,c,p]| <= n M delta`` and ``|D[c,b,a,p] + D[a,b,c,p]|
-    <= 4 n M delta``.  A dot product of length n computed in any order
-    is off by at most ``gamma_n sum|x_i y_i|``, ``gamma_n = n eps / (1 -
-    n eps)`` (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., 2002, section 3.1); with the rounding of the subtraction, a
-    computed ``S`` or ``D`` is off by at most ``e = 2 (gamma_n + eps)(1
-    + gamma_n) n M^2``.  So a slice whose computed ``|S|`` stays within
-    ``tol - margin``, ``margin = 5 n M delta + 2 e``, has no computed
-    ``|D|`` above tol at ``(a, b, c, p)`` or at ``(c, b, a, p)`` for any
-    ``c >= a``.  ``exact`` says the arithmetic is exact (integer
-    entries with ``n max|t|^2 < 2**53``), so ``e = 0`` and a commutative
-    table screens with margin 0.  The screen runs while ``margin < tol``
-    (or ``margin == 0``).  If slice ``a*`` is the first whose screen
-    fails, every full slice before it is clean (its ``c >= a`` half by
-    its own screen, its ``c < a`` half as the mirror of slice ``c``), so
-    the full scan runs from ``a*`` on and reports exactly what it
-    reports without the screen, at the cost of one screened slice more.
+    When all four operands are one tensor ``t`` on ``_SCREEN_MIN_N`` or
+    more elements and ``star`` (``b -> b*``; None is the identity) is an
+    involution, a screen first halves the work, for n^5 multiply-adds on
+    a table that passes and nearly obeys the star law ``t[a,b,c] ==
+    t[b*,a*,c*]`` (a hypergroup's involution is an anti-automorphism; a
+    commutative table obeys the law under the identity).  Write ``L``
+    for ``(ab)c``, ``R`` for ``a(bc)`` and ``D = L - R``.  Under the star
+    law each term ``t[c*,b*,m] t[m,a*,p*]`` of ``L[c*,b*,a*,p*]`` is the
+    term ``t[b,c,m*] t[a,m*,p]`` of ``R[a,b,c,p]``, and the terms of
+    ``R[c*,b*,a*,p*]`` are those of ``L[a,b,c,p]``, so ``D[c*,b*,a*,p*]
+    = -D[a,b,c,p]``.  Step ``i`` of the screen covers the columns ``c >=
+    i`` of slice ``a = i*`` only, with ``S[a,b,c,p] = L[a,b,c,p] - sum_q
+    t[b,c,q] t[a,q,p]``, so ``S = D`` there; the identity star keeps the
+    commutative screen's ``t[c,b,q]`` for ``t[b,c,q]``, off by ``|S -
+    D[a,b,c,p]| <= n M delta``.  Both products read views of ``t``, no
+    copy.  With ``delta = max|t[a,b,c] - t[b*,a*,c*]|`` and ``M =
+    max|t|``, exactly ``|D[c*,b*,a*,p*] + D[a,b,c,p]| <= 4 n M delta``.
+    A dot product of length n computed in any order is off by at most
+    ``gamma_n sum|x_i y_i|``, ``gamma_n = n eps / (1 - n eps)`` (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    section 3.1); with the rounding of the subtraction, a computed ``S``
+    or ``D`` is off by at most ``e = 2 (gamma_n + eps)(1 + gamma_n) n
+    M^2``.  So a step whose computed ``|S|`` stays within ``tol -
+    margin``, ``margin = 5 n M delta + 2 e``, has no computed ``|D|``
+    above tol at ``(a, b, c, p)`` or at ``(c*, b*, a*, p*)`` for any ``c
+    >= a*``.  ``exact`` says the arithmetic is exact (integer entries
+    with ``n max|t|^2 < 2**53``), so ``e = 0`` and a table that obeys the
+    star law screens with margin 0.  The screen runs while ``margin <
+    tol`` (or ``margin == 0``).  If step ``i0`` is the first whose screen
+    fails, every slice ``a`` screened before it (``a* < i0``) is clean:
+    its columns ``c >= a*`` by its own step, the others as the mirrors of
+    column ``a*`` of slice ``c*``, which step ``c < a*`` screened (``c**
+    = c`` since ``star`` is an involution).  So the full scan takes the
+    other slices, ``a* >= i0``, and reports exactly what it reports
+    without the screen, at the cost of one screened step more.  Memory:
+    the two n^3 buffers, which ``delta``'s two gathers reuse.
     """
     nm, nc, np_ = mc.shape
     nb, nq = bc.shape[0], bc.shape[2]
@@ -300,22 +350,34 @@ def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, exact=False) ->
     bc_flat = bc.reshape(nb * nc, nq)
     dev = np.empty((nb, nc * np_))
     right = np.empty((nb * nc, np_))
-    start = 0
+    slices = range(ab.shape[0])
     if ab is mc is bc is aq and nm >= _SCREEN_MIN_N:
-        cut = _screen_cut(ab, tol, exact, dev.reshape(ab.shape))
-        if cut is not None:
-            start = _first_failing_slice(ab, cut, dev, right)
-    for a in range(start, ab.shape[0]):
+        ident = np.arange(nm)
+        s = ident if star is None else np.asarray(star, dtype=np.intp)
+        if np.array_equal(s[s], ident):
+            s = None if np.array_equal(s, ident) else s
+            cut = _screen_cut(ab, tol, exact, dev.reshape(ab.shape), s, right)
+            if cut is not None:
+                steps = _first_failing_step(ab, cut, dev, right, s)
+                slices = sorted((ident if s is None else s)[steps:].tolist())  # not cleared
+    worst = 0.0
+    for a in slices:
         np.matmul(ab[a], mc_flat, out=dev)
         np.matmul(bc_flat, aq[a], out=right)
         dev -= right.reshape(nb, nc * np_)
         np.abs(dev, out=dev)
-        if dev.size == 0 or not np.fmax.reduce(dev, axis=None) > tol:
-            continue  # fmax skips NaN, as the comparison below does
+        if dev.size == 0:
+            continue
+        largest = np.fmax.reduce(dev, axis=None)  # skips NaN, as the comparisons do
+        if largest > worst:
+            worst = float(largest)
+        if not largest > tol:
+            continue
         slab = dev.reshape(nb, nc, np_)
         for b, c, p in zip(*np.where(slab > tol)):
             where = (*prefix, a, int(b), int(c), int(p))
             vios.append(Violation("associativity", where, float(slab[b, c, p])))
+    return worst
 
 
 def _involution_violations(t, unit, star, prefix, tol, vios) -> None:
@@ -345,9 +407,11 @@ def validate(table: HypergroupTable, tol: float = DEFAULT_TOL) -> ValidationRepo
     involution fixing the unit, and unit mass appears exactly on
     conjugate pairs), and symmetry of the unit coefficients across each
     conjugate pair (equal weights for ``i`` and ``inv(i)``).
-    Associativity dominates: n^5 multiply-adds on a commutative table
-    that passes (from 16 elements on, see ``_associativity_violations``),
-    2 n^5 otherwise, and O(n^3) memory.
+    Associativity dominates: n^5 multiply-adds on a table that passes
+    and whose involution is one and obeys the star law ``lam[a, b, c] ==
+    lam[inv(b), inv(a), inv(c)]`` within the screen's margin (from 16
+    elements on, see ``_associativity_violations``), 2 n^5 otherwise,
+    and 2 n^3 floats of memory.
     """
     lam = table.lam
     unit = table.unit
@@ -356,7 +420,7 @@ def validate(table: HypergroupTable, tol: float = DEFAULT_TOL) -> ValidationRepo
 
     _row_violations(lam, (), tol, vios)
     _unit_violations(lam, lam, unit, unit, True, (), tol, vios)
-    _associativity_violations(lam, lam, lam, lam, (), tol, vios)
+    _associativity_violations(lam, lam, lam, lam, (), tol, vios, star=inv)
 
     if inv[unit] != unit:
         vios.append(Violation("involution-permutation", (unit,), 1.0))

@@ -41,9 +41,12 @@ from .core import (
     HypergroupTable,
     ValidationReport,
     Violation,
+    _SCREEN_MIN_N,
     _associativity_violations,
+    _cut,
     _involution_violations,
     _row_violations,
+    _star_defect,
     _unit_violations,
     _weight_symmetry_violations,
 )
@@ -216,16 +219,99 @@ def _groupoids_equal(g1: Hypergroupoid, g2: Hypergroupoid) -> bool:
     )
 
 
+def _associativity_by_quadruple(g: Hypergroupoid, tol: float, vios: list) -> None:
+    """Associativity violations in object-quadruple order, the mirror of a clean one skipped.
+
+    Quadruple ``(x, y, z, w)`` checks ``(a . b) . c`` against ``a . (b .
+    c)`` for ``a`` in Mor(y -> x), ``b`` in Mor(z -> y) and ``c`` in
+    Mor(w -> z); its mirror is ``(w, z, y, x)``.  Under the star law
+    ``comp[x][y][z][a, b, c] == comp[z][y][x][b*, a*, c*]`` the defects
+    of the two obey ``D[c*, b*, a*, p*] = -D[a, b, c, p]``, term for term
+    as on a hypergroup (``core._associativity_violations``).  With
+    ``delta`` the largest star-law defect of the pair's eight tensors,
+    ``M`` their largest entry and ``n`` the longer of the two sums,
+    exactly ``|D[c*, b*, a*, p*] + D[a, b, c, p]| <= 4 n M delta``, and
+    each computed defect is off by at most ``e``.  So once one member's
+    full scan ends with its largest deviation at or below ``tol -
+    margin``, ``margin = 5 n M delta + 2 e`` as for the screen (``_cut``),
+    no computed defect of the other exceeds ``tol - n M delta``, and the
+    other is skipped.  Otherwise both run, so every quadruple reports
+    exactly what it reports alone.  The member with fewer first arrows
+    (slices) runs first.  Pairs are tried only when the star is an
+    involution and some arrow basis of the pair has ``_SCREEN_MIN_N`` or
+    more elements; ``delta`` and ``M`` are found once per pair of
+    tensors, in time linear in their size, and only after a first member
+    within tol.  An endo quadruple is its own mirror; it takes the
+    kernel's screen under ``star[x][x]``.
+    """
+    objs = range(g.n_objects)
+    c, star = g.comp, g.star
+    size = [[len(arrows) for arrows in row] for row in g.mor]
+    pairs = max(map(max, size)) >= _SCREEN_MIN_N and all(
+        star[y][x][sa] == a for x in objs for y in objs for a, sa in enumerate(star[x][y])
+    )
+    ahead: dict[tuple[int, ...], list[Violation]] = {}  # mirrors checked before their turn
+    laws: dict[tuple[int, int, int], tuple[float, float]] = {}
+
+    def run(q, out):
+        x, y, z, w = q
+        endo = star[x][x] if x == y == z == w else None
+        return _associativity_violations(
+            c[x][y][z], c[x][z][w], c[y][z][w], c[x][y][w], q, tol, out, star=endo
+        )
+
+    def star_law(x, y, z):
+        """(star-law defect, largest entry) of comp[x][y][z] and comp[z][y][x]."""
+        key = (min(x, z), y, max(x, z))
+        if key not in laws:
+            t, u = c[x][y][z], c[z][y][x]
+            stars = (star[x][y], star[y][z], star[x][z])
+            delta = _star_defect(t, u, stars, np.empty(t.size), np.empty(t.size))
+            big = max(max(v.max(initial=0.0), -v.min(initial=0.0)) for v in (t, u))
+            laws[key] = (delta, float(big))
+        return laws[key]
+
+    def mirror_is_clean(x, y, z, w, worst):
+        if not worst <= tol:
+            return False
+        triples = ((x, y, z), (y, z, w), (x, y, w), (x, z, w))
+        delta, big = map(max, zip(*(star_law(*t) for t in triples)))
+        cut = _cut(tol, max(size[x][z], size[y][w]), big, delta, False)
+        return cut is not None and worst <= cut
+
+    for q in itertools.product(objs, repeat=4):
+        if not pairs:
+            run(q, vios)
+            continue
+        if q in ahead:
+            vios += ahead.pop(q)
+            continue
+        x, y, z, w = q
+        mirror = (w, z, y, x)
+        bases = (size[x][y], size[y][z], size[z][w], size[x][z], size[y][w], size[x][w])
+        if mirror == q or max(bases) < _SCREEN_MIN_N:
+            run(q, vios)
+            continue
+        ahead[mirror] = []
+        out = {q: vios, mirror: ahead[mirror]}
+        first, second = sorted((q, mirror), key=lambda p: size[p[0]][p[1]])
+        if not mirror_is_clean(x, y, z, w, run(first, out[first])):
+            run(second, out[second])
+
+
 def validate_groupoid(g: Hypergroupoid, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check all hypergroupoid axioms; violations carry object indices first.
 
     Runs the hypergroup checks of ``core.validate`` once per object
     tuple, so each defect is reported once.  Associativity over the k^4
     object quadruples dominates: at most 2 k^4 n^5 multiply-adds and
-    O(n^3) memory for arrow bases of size up to n.  An endo quadruple
-    ``(x, x, x, x)`` is ``core.validate``'s check on Mor(x -> x), with
-    its screen: n^5 multiply-adds there when that hypergroup is
-    commutative and passes.
+    O(n^3) memory for arrow bases of size up to n.  Where the star law
+    holds within the margin and a quadruple passes, its mirror is not
+    checked (``_associativity_by_quadruple``), so a groupoid that passes
+    takes about half of that.  An endo quadruple ``(x, x, x, x)`` is
+    ``core.validate``'s check on Mor(x -> x), with its screen: n^5
+    multiply-adds there when that hypergroup passes and obeys the star
+    law.
     """
     objs = range(g.n_objects)
     c, u, star = g.comp, g.units, g.star
@@ -235,10 +321,7 @@ def validate_groupoid(g: Hypergroupoid, tol: float = DEFAULT_TOL) -> ValidationR
         _row_violations(c[x][y][z], (x, y, z), tol, vios)
     for x, y in itertools.product(objs, repeat=2):
         _unit_violations(c[x][x][y], c[x][y][y], u[x], u[y], x == y, (x, y), tol, vios)
-    for x, y, z, w in itertools.product(objs, repeat=4):
-        _associativity_violations(
-            c[x][y][z], c[x][z][w], c[y][z][w], c[x][y][w], (x, y, z, w), tol, vios
-        )
+    _associativity_by_quadruple(g, tol, vios)
 
     for x in objs:
         for y in objs:

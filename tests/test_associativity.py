@@ -11,6 +11,8 @@ slice writes its ``a(bc)`` half into a 3-d buffer, a full slice into an
 """
 
 import contextlib
+import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 import hyperkit as hk
 import oracles
 from hyperkit import core
-from test_core import assert_matches_reference, su2_table
+from test_core import assert_matches_reference, associativity_found, su2_table
 
 EPS = np.finfo(np.float64).eps
 
@@ -352,3 +354,312 @@ def test_commutative_tables_match_the_unscreened_kernel(k, seed, kind, size, tol
     # fall on either side of it; only draws clear of that band compare
     clear = np.all(np.abs(deviations(lam)[0] - tol) > 1e-14)
     assert_kernel_matches(lam, tol, einsum=clear)
+
+
+def star_kernel_run(lam, star, tol):
+    """The kernel on (lam, lam, lam, lam) under ``star``.
+
+    Returns its violations, the output shapes of its matrix products and
+    the slices it scanned in full, read off the ``lam[a]`` operand of
+    each full slice's ``a(bc)`` product.
+    """
+    n = len(lam)
+    vios, shapes, full = [], [], []
+    matmul = np.matmul
+
+    def recording(x, y, out=None):
+        shapes.append(out.shape)
+        if out.shape == (n * n, n):
+            full.append((y.ctypes.data - lam.ctypes.data) // y.nbytes)
+        return matmul(x, y, out=out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core.np, "matmul", recording)
+        core._associativity_violations(lam, lam, lam, lam, (), tol, vios, star=star)
+    return [(v.indices, v.magnitude) for v in vios], shapes, full
+
+
+def group_table(group, seed):
+    """The group as a hypergroup, relabeled: point masses, star = inverse."""
+    table = hk.group_hypergroup(group)
+    return oracles.relabel(table, np.random.default_rng(seed).permutation(table.n))
+
+
+def star_pair(table, seed, amount):
+    """``table.lam`` with ``lam[a, b, c]`` and ``lam[b*, a*, c*]`` raised alike.
+
+    The star law still holds exactly.
+    """
+    n, inv = table.n, table.involution
+    rng = np.random.default_rng(seed)
+    a, b = next(
+        (a, b) for a, b in rng.integers(n, size=(50, 2))
+        if (a, b) != (inv[b], inv[a]) and table.unit not in (a, b)
+    )
+    c = int(np.argmax(table.lam[a, b]))
+    lam = np.array(table.lam)
+    lam[a, b, c] += amount
+    lam[inv[b], inv[a], inv[c]] += amount
+    return lam
+
+
+def star_law_defect(lam, star):
+    return core._star_defect(lam, lam, (star, star, star), np.empty(lam.size), np.empty(lam.size))
+
+
+class TestStarScreen:
+    """Non-commutative tables screen through their involution, ``lam[a,b,c] == lam[b*,a*,c*]``."""
+
+    @pytest.fixture(scope="class")
+    def group_tables(self, groups):
+        z2_s4 = oracles.direct_product(groups["z2"], groups["s4"])
+        return [group_table(group, seed) for group in (groups["s4"], z2_s4) for seed in (1, 2)]
+
+    def check(self, table, lam, tol=hk.DEFAULT_TOL):
+        """Kernel under the table's star == unscreened kernel == ``validate``.
+
+        Returns the violations, the (screened, full) counts and the full slices.
+        """
+        reference = oracles.associativity_kernel_reference(lam, lam, lam, lam, tol)
+        found, shapes, full_slices = star_kernel_run(lam, table.involution, tol)
+        screened, full = paths(shapes, len(lam))
+        assert found == reference
+        broken = hk.HypergroupTable(table.labels, table.unit, table.involution, lam)
+        report = hk.validate(broken, tol)
+        assert associativity_found(report) == reference
+        return found, screened, full, full_slices
+
+    def test_star_defect_against_a_loop(self):
+        rng = np.random.default_rng(11)
+        for na, nb, nc in ((5, 5, 5), (3, 4, 6), (7, 2, 1)):
+            t, u = rng.random((na, nb, nc)), rng.random((nb, na, nc))
+            stars = [rng.permutation(size) for size in (na, nb, nc)]
+            want = max(
+                abs(t[a, b, c] - u[stars[1][b], stars[0][a], stars[2][c]])
+                for a in range(na) for b in range(nb) for c in range(nc)
+            )
+            got = core._star_defect(t, u, stars, np.empty(t.size), np.empty(t.size))
+            assert got == want
+
+    def test_group_tables_are_screened_only(self, group_tables):
+        for table in group_tables:
+            assert not hk.is_commutative(table)
+            assert table.involution != tuple(range(table.n))
+            lam = np.array(table.lam)
+            assert star_law_defect(lam, table.involution) == 0.0
+            assert self.check(table, lam) == ([], table.n, 0, [])
+            # the identity star is the commutative screen, which these tables fail
+            found, shapes, _ = star_kernel_run(lam, None, hk.DEFAULT_TOL)
+            assert (found, paths(shapes, table.n)) == ([], (0, table.n))
+
+    def test_one_raised_entry(self, group_tables):
+        for seed, table in enumerate(group_tables):
+            n, inv = table.n, table.involution
+            rng = np.random.default_rng(seed)
+            a, b = rng.integers(n, size=2)
+            c = int(np.argmax(table.lam[a, b]))
+            for amount, tol in ((1e-3, hk.DEFAULT_TOL), (1e-12, hk.DEFAULT_TOL), (1e-12, 1e-13)):
+                lam = np.array(table.lam)
+                lam[a, b, c] += amount  # breaks the star law by amount
+                buffers = np.empty_like(lam), np.array(inv), np.empty(lam.size)
+                cut = core._screen_cut(lam, tol, False, *buffers)
+                found, screened, full, _ = self.check(table, lam, tol)
+                # a wide margin declines the screen; a narrow one clears every step
+                assert (screened, full) == ((n, 0) if cut is not None else (0, n))
+                assert bool(found) == (amount > tol)
+
+    def test_star_symmetric_raised_pair(self, group_tables):
+        for seed, table in enumerate(group_tables):
+            n, inv = table.n, table.involution
+            lam = star_pair(table, seed, 1e-4)
+            assert star_law_defect(lam, inv) == 0.0
+            found, screened, full, full_slices = self.check(table, lam)
+            assert found and screened >= 1 and full == n - screened + 1
+            # step i screens slice inv[i], so these are the slices not cleared
+            assert full_slices == sorted(a for a in range(n) if inv[a] >= screened - 1)
+
+    def test_each_step_screens_the_starred_slice(self):
+        # step i covers the columns c >= i of slice star[i], where S = D exactly
+        rng = np.random.default_rng(5)
+        n = 20
+        lam = rng.random((n, n, n))
+        star = np.arange(n)
+        pairs = rng.permutation(n)[:12].reshape(6, 2)
+        star[pairs[:, 0]], star[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+        dev = np.abs(np.einsum("abm,mcp->abcp", lam, lam) - np.einsum("bcq,aqp->abcp", lam, lam))
+        per_step = np.array([dev[star[i], :, i:].max() for i in range(n)])
+        levels = np.sort(per_step)
+        assert np.min(np.diff(levels)) > 1e-9
+        for cut in (*(levels[:-1] + levels[1:]) / 2, levels[-1] + 1.0):
+            want = next((i for i in range(n) if per_step[i] > cut), n)
+            buffers = np.empty((n, n * n)), np.empty((n * n, n))
+            got = core._first_failing_step(lam, cut, *buffers, star)
+            assert got == want, cut
+
+    def test_full_scan_takes_the_slices_of_the_later_steps(self, group_tables, monkeypatch):
+        table = group_tables[2]
+        n, inv = table.n, table.involution
+        for first_failing in (0, 1, n // 2, n - 1):
+            monkeypatch.setattr(core, "_first_failing_step", lambda *args: first_failing)
+            _, _, full = star_kernel_run(np.array(table.lam), inv, hk.DEFAULT_TOL)
+            assert full == sorted(a for a in range(n) if inv[a] >= first_failing)
+
+    def test_non_involutive_star_skips_the_screen(self, group_tables):
+        # x* = g x^-1 g^-1 for g of order 3 obeys the star law, but x** = g^2 x g^-2
+        table = group_tables[0]
+        n, inv, lam = table.n, table.involution, np.array(table.lam)
+        mul = np.argmax(lam, axis=2)
+        g = next(g for g in range(n) if g != table.unit and mul[g, mul[g, g]] == table.unit)
+        star = [int(mul[mul[g, inv[x]], inv[g]]) for x in range(n)]
+        assert star_law_defect(lam, star) == 0.0
+        assert any(star[star[x]] != x for x in range(n))
+        found, shapes, full = star_kernel_run(lam, star, hk.DEFAULT_TOL)
+        assert (found, paths(shapes, n), full) == ([], (0, n), list(range(n)))
+        report = hk.validate(hk.HypergroupTable(table.labels, table.unit, star, lam))
+        assert [v.indices for v in report.violations if v.axiom == "involution-permutation"] == [
+            (x,) for x in range(n) if star[star[x]] != x
+        ]
+        assert not [v for v in report.violations if v.axiom == "associativity"]
+
+    def test_identity_star_takes_no_gather(self, monkeypatch):
+        def gather(*args):
+            raise AssertionError("the identity star needs no gather")
+
+        monkeypatch.setattr(core, "_star_defect", gather)
+        table = su2_table(20)  # its involution is the identity tuple
+        with recorded_products() as shapes:
+            assert hk.validate(table).passed
+        assert paths(shapes, table.n) == (table.n, 0)
+
+    def test_non_commutative_ring_screens_exactly(self, groups):
+        group = oracles.direct_product(groups["z2"], groups["s4"])
+        n = group.order
+        inv = hk.group_hypergroup(group).involution
+        N = np.zeros((n, n, n), dtype=np.int64)
+        N[np.arange(n)[:, None], np.arange(n)[None, :], group.mul] = 1
+        ring = hk.FusionRing(tuple(f"g{i}" for i in range(n)), group.identity, inv, N)
+        with recorded_products() as shapes:
+            hk.validate_fusion_ring(ring)
+        assert paths(shapes, n) == (n, 0)
+
+
+class TestMirroredQuadruples:
+    """``validate_groupoid`` skips the mirror ``(w, z, y, x)`` of a clean quadruple."""
+
+    @pytest.fixture(scope="class")
+    def base(self, groups):
+        from test_constructions import relabel_group
+
+        group = relabel_group(groups["s4"], np.random.default_rng(7).permutation(24))
+        subgroup = next(s for s in oracles.cyclic_subgroups(group) if len(s) == 2)
+        return hk.double_coset_groupoid(group, subgroup)
+
+    def run(self, g, tol=hk.DEFAULT_TOL):
+        """Associativity violations of ``validate_groupoid`` and the quadruples it checked."""
+        checked = []
+        kernel = hk.groupoid._associativity_violations
+
+        def recording(ab, mc, bc, aq, prefix, *args, **kwargs):
+            checked.append(prefix)
+            return kernel(ab, mc, bc, aq, prefix, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hk.groupoid, "_associativity_violations", recording)
+            report = hk.validate_groupoid(g, tol)
+        found = [(v.indices, v.magnitude) for v in report.violations if v.axiom == "associativity"]
+        assert_matches_reference(found, oracles.groupoid_associativity_reference(g, tol))
+        c = g.comp
+        kernel_found = [
+            ((x, y, z, w, *idx), m)
+            for x, y, z, w in itertools.product(range(g.n_objects), repeat=4)
+            for idx, m in oracles.associativity_kernel_reference(
+                c[x][y][z], c[x][z][w], c[y][z][w], c[x][y][w], tol
+            )
+        ]
+        assert found == kernel_found
+        return found, checked
+
+    def perturbed(self, g, changes):
+        comp = [[[np.array(t) for t in row] for row in grid] for grid in g.comp]
+        for (x, y, z, idx), amount in changes:
+            comp[x][y][z][idx] += amount
+        return hk.Hypergroupoid(g.objects, g.mor, comp, g.star, g.units)
+
+    def star_pair(self, g, a, b, c, amount):
+        """Raise comp[0][0][1][a, b, c] and its star image comp[1][0][0][b*, a*, c*] alike."""
+        s = g.star
+        image = (s[0][1][b], s[0][0][a], s[0][1][c])
+        return [((0, 0, 1, (a, b, c)), amount), ((1, 0, 0, image), amount)]
+
+    def worst(self, g, q):
+        x, y, z, w = q
+        c = g.comp
+        left = np.einsum("abm,mcp->abcp", c[x][y][z], c[x][z][w])
+        return np.abs(left - np.einsum("bcq,aqp->abcp", c[y][z][w], c[x][y][w])).max()
+
+    def test_clean_groupoid_checks_one_member_of_each_pair(self, base):
+        found, checked = self.run(base)
+        assert found == []
+        sizes = [[len(m) for m in row] for row in base.mor]
+        assert max(map(max, sizes)) >= core._SCREEN_MIN_N
+        for q in itertools.product(range(2), repeat=4):
+            mirror = q[::-1]
+            x, y, z, w = q
+            big = max(sizes[x][y], sizes[y][z], sizes[z][w], sizes[x][z], sizes[y][w], sizes[x][w])
+            if mirror == q or big < core._SCREEN_MIN_N:
+                assert checked.count(q) == 1
+            else:
+                assert checked.count(q) + checked.count(mirror) == 1
+        assert len(checked) < 16
+
+    def test_violations_in_one_member_only(self, base):
+        # comp[0][0][1] alone raised: the star law breaks.  Quadruple (0, 0, 0, 1)
+        # deviates by twice the amount, every other by at most the amount, so
+        # with tol between them its mirror (1, 0, 0, 0) passes, and it runs first
+        # (Mor(0 -> 1) has fewer arrows than Mor(0 -> 0)); the margin must keep
+        # (0, 0, 0, 1) from being skipped
+        for amount in (1e-6, 1e-9):
+            g = self.perturbed(base, [((0, 0, 1, (0, 0, 0)), amount)])
+            found, checked = self.run(g, 1.5 * amount)
+            assert {idx[:4] for idx, _ in found} == {(0, 0, 0, 1)}
+            assert checked.index((1, 0, 0, 0)) < checked.index((0, 0, 0, 1))
+
+    def test_star_symmetric_pair_in_both_members(self, base):
+        g = self.perturbed(base, self.star_pair(base, 5, 2, 1, 1e-4))
+        found, checked = self.run(g)
+        hit = {idx[:4] for idx, _ in found}
+        assert (0, 0, 0, 1) in hit and (1, 0, 0, 0) in hit
+        assert all(q in checked for q in hit)
+
+    def test_first_member_inside_the_margin_runs_the_mirror(self, base):
+        # a star-symmetric pair makes both members deviate by 1e-6; 1e-9 more
+        # in comp[0][0][1] (star law off by 1e-9) deepens only (0, 0, 0, 1).
+        # With tol between the two, the first member (1, 0, 0, 0) passes but
+        # lies within the margin of tol, so its mirror must still run
+        changes = [*self.star_pair(base, 5, 2, 1, 1e-6), ((0, 0, 1, (0, 1, 8)), 1e-9)]
+        g = self.perturbed(base, changes)
+        first, second = self.worst(g, (1, 0, 0, 0)), self.worst(g, (0, 0, 0, 1))
+        assert second - first > 0.5e-9
+        tol = (first + second) / 2
+        found, checked = self.run(g, tol)
+        assert (0, 0, 0, 1) in {idx[:4] for idx, _ in found}
+        assert checked.index((1, 0, 0, 0)) < checked.index((0, 0, 0, 1))
+
+
+class TestScreenMemory:
+    def peak(self, table):
+        hk.validate(table)
+        tracemalloc.start()
+        try:
+            report = hk.validate(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        return peak
+
+    def test_peak_of_validate_is_two_cubes(self, groups):
+        # the screen reads views of the table, under any star: no n^3 copy
+        group = oracles.direct_product(groups["z2"], groups["s4"])
+        for table in (su2_table(40), group_table(group, 3)):
+            assert self.peak(table) <= 2 * table.n**3 * 8 + 128 * 2**10

@@ -168,6 +168,19 @@ class TestGroupPartitions:
                     got = hk.double_cosets(group, left, right)
                     assert got == oracles._double_cosets(group, left, right), (name, left, right)
 
+    def test_double_cosets_need_subgroups(self, groups):
+        s3 = groups["s3"]
+        for bad in ([], [0, 1, 2]):
+            for left, right in ((bad, [0]), ([0], bad)):
+                with pytest.raises(hk.StructureError, match="^the given subset is not a subgroup$"):
+                    hk.double_cosets(s3, left, right)
+
+    def test_constructors_keep_their_subgroup_message(self, groups):
+        for build in (hk.double_coset_hypergroup, hk.double_coset_groupoid):
+            for bad in ([], [0, 1, 2], (0, 3)):
+                with pytest.raises(hk.StructureError, match="^the given subset is not a subgroup$"):
+                    build(groups["s3"], bad)
+
     def test_inverses_against_loop(self, groups):
         for name, group in partition_cases(groups).items():
             want = tuple(oracles._inverse(group, i) for i in range(group.order))
