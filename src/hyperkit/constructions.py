@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from .core import DEFAULT_TOL, HypergroupTable, ValidationReport, validate
-from .core import _associativity_violations
+from .core import _as_index_tuple, _associativity_violations, _grid
 from .errors import AxiomError, NumericalError, PreconditionError, StructureError
 
 
@@ -262,9 +262,7 @@ class FusionRing:
             raise StructureError("fusion multiplicities too large: n * max(N)**2 >= 2**53")
         if not 0 <= int(self.unit) < n:
             raise StructureError("unit index out of range")
-        conj = tuple(int(x) for x in self.conj)
-        if len(conj) != n or any(not 0 <= x < n for x in conj):
-            raise StructureError("conjugation must be a permutation of the basis")
+        conj = _as_index_tuple(_grid(self.conj, n, 1, "conjugation"), n, "conjugation")
         N.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "unit", int(self.unit))

@@ -51,6 +51,16 @@ def _as_index_tuple(seq, n, what):
     return out
 
 
+def _grid(value, k: int, depth: int, what: str) -> tuple:
+    """``value`` as nested tuples, each of its ``depth`` levels a list,
+    tuple, range or array of exactly ``k`` entries; StructureError otherwise."""
+    if not (isinstance(value, (list, tuple)) or np.ndim(value)) or len(value) != k:
+        raise StructureError(f"{what} must be a list of length {k}")
+    if depth == 1:
+        return tuple(value)
+    return tuple(_grid(v, k, depth - 1, f"{what}[{i}]") for i, v in enumerate(value))
+
+
 @dataclass(frozen=True, eq=False)
 class HypergroupTable:
     """Structure constants of a finite hypergroup.
@@ -88,9 +98,7 @@ class HypergroupTable:
         unit = int(self.unit)
         if not 0 <= unit < n:
             raise StructureError(f"unit index {unit} out of range [0, {n})")
-        involution = _as_index_tuple(self.involution, n, "involution")
-        if len(involution) != n:
-            raise StructureError("involution must have one entry per element")
+        involution = _as_index_tuple(_grid(self.involution, n, 1, "involution"), n, "involution")
         lam.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "unit", unit)

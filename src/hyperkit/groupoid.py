@@ -42,8 +42,10 @@ from .core import (
     ValidationReport,
     Violation,
     _SCREEN_MIN_N,
+    _as_index_tuple,
     _associativity_violations,
     _cut,
+    _grid,
     _involution_violations,
     _row_violations,
     _star_defect,
@@ -64,6 +66,23 @@ from .errors import PreconditionError, StructureError
 _ARROW_PREFIXES = (("g", "u"), ("v", "h"))
 
 
+def _composition_tensor(comp, size, x: int, y: int, z: int) -> np.ndarray:
+    """``comp[x][y][z]`` as a read-only float64 tensor of the shape ``size`` implies."""
+    want = (size[x][y], size[y][z], size[x][z])
+    try:
+        t = np.array(comp[x][y][z], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"composition tensor ({x},{y},{z}) is not a numeric array") from exc
+    if t.shape != want:
+        raise StructureError(
+            f"composition tensor ({x},{y},{z}) has shape {t.shape}, expected {want}"
+        )
+    if not np.all(np.isfinite(t)):
+        raise StructureError(f"composition tensor ({x},{y},{z}) contains non-finite entries")
+    t.setflags(write=False)
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class Hypergroupoid:
     """Objects, arrow bases per ordered pair, composition tensors, star.
@@ -72,6 +91,12 @@ class Hypergroupoid:
     ``comp[x][y][z]`` has shape (|Mor(y->x)|, |Mor(z->y)|, |Mor(z->x)|).
     ``star[x][y][a]`` is the index in Mor(x -> y) of the adjoint arrow.
     ``units[x]`` is the identity arrow index inside Mor(x -> x).
+
+    ``mor`` and ``star`` must be objects x objects grids, ``comp`` an
+    objects x objects x objects grid and ``units`` one entry per object:
+    every level a list, tuple or array of exactly k entries for k
+    objects.  A missing or extra entry, a tensor of the wrong shape, or
+    an index that is not an integer in range raises StructureError.
     """
 
     objects: tuple[str, ...]
@@ -85,55 +110,31 @@ class Hypergroupoid:
         k = len(objects)
         if k < 1:
             raise StructureError("a hypergroupoid needs at least one object")
-        mor = tuple(
-            tuple(tuple(str(a) for a in self.mor[x][y]) for y in range(k))
-            for x in range(k)
-        )
-        if len(self.mor) != k or any(len(row) != k for row in self.mor):
-            raise StructureError("mor must be an objects x objects grid")
+        objs = range(k)
+        mor = _grid(self.mor, k, 2, "mor")
+        mor = tuple(tuple(tuple(map(str, labels)) for labels in row) for row in mor)
         if any(len(set(labels)) != len(labels) for row in mor for labels in row):
             raise StructureError("arrow labels must be distinct within each hom-space")
-        if len(self.comp) != k or len(self.star) != k or len(self.units) != k:
-            raise StructureError("comp, star, and units must cover every object")
-        comp_rows = []
-        for x in range(k):
-            row = []
-            for y in range(k):
-                cell = []
-                for z in range(k):
-                    t = np.array(self.comp[x][y][z], dtype=np.float64)
-                    want = (len(mor[x][y]), len(mor[y][z]), len(mor[x][z]))
-                    if t.shape != want:
-                        raise StructureError(
-                            f"composition tensor ({x},{y},{z}) has shape {t.shape}, expected {want}"
-                        )
-                    if not np.all(np.isfinite(t)):
-                        raise StructureError(
-                            f"composition tensor ({x},{y},{z}) contains non-finite entries"
-                        )
-                    t.setflags(write=False)
-                    cell.append(t)
-                row.append(tuple(cell))
-            comp_rows.append(tuple(row))
-        star = []
-        for x in range(k):
-            row = []
-            for y in range(k):
-                s = tuple(int(v) for v in self.star[x][y])
-                if len(s) != len(mor[x][y]) or any(
-                    not 0 <= v < len(mor[y][x]) for v in s
-                ):
-                    raise StructureError(f"star ({x},{y}) is not a map into Mor({x}->{y})")
-                row.append(s)
-            star.append(tuple(row))
-        units = tuple(int(u) for u in self.units)
-        for x in range(k):
-            if not 0 <= units[x] < len(mor[x][x]):
-                raise StructureError(f"unit arrow of object {x} out of range")
+        size = [[len(labels) for labels in row] for row in mor]
+        comp = _grid(self.comp, k, 3, "comp")
+        comp = tuple(
+            tuple(tuple(_composition_tensor(comp, size, x, y, z) for z in objs) for y in objs)
+            for x in objs
+        )
+        star = tuple(
+            tuple(_as_index_tuple(s, size[y][x], f"star[{x}][{y}]") for y, s in enumerate(row))
+            for x, row in enumerate(_grid(self.star, k, 2, "star"))
+        )
+        for x, y in itertools.product(objs, repeat=2):
+            _grid(star[x][y], size[x][y], 1, f"star[{x}][{y}]")
+        units = tuple(
+            _as_index_tuple((u,), size[x][x], f"unit of object {x}")[0]
+            for x, u in enumerate(_grid(self.units, k, 1, "units"))
+        )
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "mor", mor)
-        object.__setattr__(self, "comp", tuple(comp_rows))
-        object.__setattr__(self, "star", tuple(star))
+        object.__setattr__(self, "comp", comp)
+        object.__setattr__(self, "star", star)
         object.__setattr__(self, "units", units)
 
     @property

@@ -8,7 +8,8 @@ Every document is a JSON object carrying a ``kind`` discriminator and
 * ``fusion_ring``: labels, unit, involution (the conjugation,
   optional on input), N (3d integer tensor)
 * ``group``: labels (optional), unit (the identity), mul (2d table)
-* ``groupoid``: objects, mor, comp, star, unit
+* ``groupoid``: objects, mor, comp, star, unit; ``mor`` and ``star``
+  are objects x objects grids, ``comp`` objects x objects x objects
 * ``character_table``: labels, chars (complex entries as
   ``{"re": .., "im": ..}``), haar_weights, dual_weights
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import CayleyGroup, FusionRing, cayley_group, fusion_ring
-from .core import DEFAULT_TOL, HypergroupTable, ValidationReport, validate
+from .core import DEFAULT_TOL, HypergroupTable, ValidationReport, _grid, validate
 from .errors import AxiomError, StructureError
 from .groupoid import BoundaryState, Hypergroupoid
 from .quantize import AdmissibleIndexSet
@@ -285,6 +286,13 @@ def _int_field(value, where: str, bound: int) -> int:
     return value
 
 
+def _index_list(value, where: str, bound: int) -> tuple[int, ...]:
+    """A list of indices, each a JSON integer in ``[0, bound)``."""
+    if not isinstance(value, list):
+        raise StructureError(f"{where} must be a list of indices")
+    return tuple(_int_field(v, where, bound) for v in value)
+
+
 def _label_list(value, where: str = "labels") -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise StructureError(f"{where} must be a list of strings")
@@ -481,50 +489,38 @@ def parse_groupoid(document, tol: float = DEFAULT_TOL) -> Hypergroupoid:
     _expect_kind(doc, "groupoid", ("objects", "mor", "comp", "star", "unit"))
     objects = _label_list(doc["objects"], "objects")
     k = len(objects)
-    mor = doc["mor"]
-    comp_doc = doc["comp"]
-    star = doc["star"]
-    units = _int_tensor(doc["unit"], 1, "unit")
-    try:
-        comp = tuple(
-            tuple(
-                tuple(
-                    _scalar_tensor(comp_doc[x][y][z], f"comp[{x}][{y}][{z}]")
-                    for z in range(k)
-                )
-                for y in range(k)
-            )
-            for x in range(k)
+    mor = tuple(
+        tuple(_label_list(labels, f"mor[{x}][{y}]") for y, labels in enumerate(row))
+        for x, row in enumerate(_grid(doc["mor"], k, 2, "mor"))
+    )
+    comp = tuple(
+        tuple(
+            tuple(_scalar_tensor(t, f"comp[{x}][{y}][{z}]") for z, t in enumerate(cell))
+            for y, cell in enumerate(plane)
         )
-        mor_t = tuple(
-            tuple(_label_list(mor[x][y], f"mor[{x}][{y}]") for y in range(k)) for x in range(k)
-        )
-        star_t = tuple(
-            tuple(
-                tuple(_int_field(a, f"star[{x}][{y}]", len(mor_t[y][x])) for a in star[x][y])
-                for y in range(k)
-            )
-            for x in range(k)
-        )
-    except (IndexError, KeyError, TypeError) as exc:
-        raise StructureError(f"groupoid document has inconsistent shapes: {exc}") from exc
-    return Hypergroupoid(objects, mor_t, comp, star_t, units)
+        for x, plane in enumerate(_grid(doc["comp"], k, 3, "comp"))
+    )
+    star = tuple(
+        tuple(_index_list(s, f"star[{x}][{y}]", len(mor[y][x])) for y, s in enumerate(row))
+        for x, row in enumerate(_grid(doc["star"], k, 2, "star"))
+    )
+    units = tuple(
+        _int_field(u, f"unit[{x}]", len(mor[x][x]))
+        for x, u in enumerate(_grid(doc["unit"], k, 1, "unit"))
+    )
+    return Hypergroupoid(objects, mor, comp, star, units)
 
 
 def serialize_groupoid(g: Hypergroupoid) -> str:
-    k = g.n_objects
     return canonical_text(
         {
             "format_version": FORMAT_VERSION,
             "kind": "groupoid",
-            "objects": list(g.objects),
-            "mor": [[list(g.mor[x][y]) for y in range(k)] for x in range(k)],
-            "comp": [
-                [[g.comp[x][y][z] for z in range(k)] for y in range(k)]
-                for x in range(k)
-            ],
-            "star": [[list(g.star[x][y]) for y in range(k)] for x in range(k)],
-            "unit": list(g.units),
+            "objects": g.objects,
+            "mor": g.mor,
+            "comp": g.comp,
+            "star": g.star,
+            "unit": g.units,
         }
     )
 
@@ -545,9 +541,7 @@ def _parse_complex(entry, where: str) -> complex:
 
 
 def _number_list(value, n: int, where: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != n:
-        raise StructureError(f"{where} must be a list of {n} numbers")
-    return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(value)])
+    return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(_grid(value, n, 1, where))])
 
 
 def parse_character_table(document) -> CharacterTable:
@@ -558,11 +552,7 @@ def parse_character_table(document) -> CharacterTable:
     )
     labels = _label_list(doc["labels"])
     n = len(labels)
-    rows = doc["chars"]
-    if not isinstance(rows, list) or len(rows) != n or any(
-        not isinstance(row, list) or len(row) != n for row in rows
-    ):
-        raise StructureError(f"chars must be a {n} x {n} list of lists")
+    rows = _grid(doc["chars"], n, 2, "chars")
     chars = np.array(
         [
             [_parse_complex(entry, f"chars[{m}][{a}]") for a, entry in enumerate(row)]

@@ -42,6 +42,7 @@ from .errors import AxiomError, NumericalError, PreconditionError
 DEFAULT_SEED = 0xC0FFEE
 
 _EIG_GAP = 1e-8
+_REL_EIG_GAP = 1e-5
 _MAX_RETRIES = 16
 _CHAR_TOL = 1e-7
 
@@ -61,8 +62,7 @@ class RegularRep:
 
 def regular_representation(table: HypergroupTable) -> RegularRep:
     """Transcribe the structure constants into dense matrices."""
-    mats = np.stack([table.lam[:, b, :].T for b in range(table.n)])
-    return RegularRep(table, mats)
+    return RegularRep(table, table.lam.transpose(1, 2, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +131,10 @@ def characters(
     matrices is diagonalized; for a commutative table its transpose has
     the character value vectors as eigenvectors.  Coefficients are
     drawn from a generator with the given seed, so results are
-    deterministic.  If the eigenvalues of Z collide within 1e-8 the
-    draw is retried (at most 16 times) before giving up.
+    deterministic.  Two eigenvalues of Z closer than ``max(1e-8, 1e-5 *
+    max|eigenvalue|)`` would mix their eigenvectors, and the dual would
+    inherit the mixing, so such a draw is retried (at most 16 times)
+    before giving up.
 
     Raises PreconditionError for non-commutative input and
     NumericalError on persistent degeneracy.
@@ -140,17 +142,16 @@ def characters(
     if not is_commutative(table, tol):
         raise PreconditionError("character analysis requires a commutative table")
     n = table.n
-    mats = regular_representation(table).matrices
     rng = np.random.default_rng(seed)
     rows = None
     for retries in range(1 + _MAX_RETRIES):
         coeffs = rng.standard_normal(n)
-        z = np.einsum("b,bca->ca", coeffs, mats)
-        eigvals, eigvecs = np.linalg.eig(z.T)
+        z = np.einsum("b,abc->ac", coeffs, table.lam)
+        eigvals, eigvecs = np.linalg.eig(z)
         gaps = np.abs(eigvals[:, None] - eigvals[None, :])
         np.fill_diagonal(gaps, np.inf)
         eigen_gap = float(gaps.min())
-        if eigen_gap < _EIG_GAP:
+        if eigen_gap < max(_EIG_GAP, _REL_EIG_GAP * np.abs(eigvals).max()):
             continue
         units = eigvecs[table.unit, :]
         if np.min(np.abs(units)) < 1e-12:

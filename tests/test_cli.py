@@ -403,6 +403,22 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "extra",
+        [{"comp": [[[[[[1.0]]]]], [[[[[1.0]]]]]]}, {"mor": [[["e"], ["f"]]]}],
+        ids=["comp-plane", "mor-hom-space"],
+    )
+    def test_groupoid_grid_with_an_extra_entry_exits_two(self, capsys, tmp_path, extra):
+        # a one-object groupoid with one more entry than objects in one grid
+        document = {"format_version": 1, "kind": "groupoid", "objects": ["X"], "mor": [[["e"]]],
+                    "comp": [[[[[[1.0]]]]]], "star": [[[0]]], "unit": [0], **extra}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "compose", "e", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_huge_radicand_is_rejected_at_once(self, capsys, tmp_path):
         literal = {"a": 1, "b": 0, "c": 1, "d": 1000000000000000003}
         path = tmp_path / "input.json"

@@ -318,6 +318,11 @@ class TestFusionRings:
         with pytest.raises(hk.StructureError, match="at least one element"):
             hk.fusion_ring((), 0, np.zeros((0, 0, 0), dtype=np.int64))
 
+    @pytest.mark.parametrize("conj", [["a", "b"], [0, None], 0])
+    def test_non_numeric_conjugation_is_structural(self, conj):
+        with pytest.raises(hk.StructureError, match="conjugation"):
+            hk.FusionRing(("1", "x"), 0, conj, np.eye(2, dtype=np.int64)[[[0, 1], [1, 0]]])
+
     def test_inferred_conjugation_needs_unit_in_range(self):
         with pytest.raises(hk.StructureError, match="unit index"):
             hk.fusion_ring(("1",), 3, np.ones((1, 1, 1), dtype=np.int64))

@@ -20,6 +20,15 @@ def with_changes(g, comp=None, star=None):
     return hk.Hypergroupoid(g.objects, g.mor, new_comp, new_star, g.units)
 
 
+#: depth of each objects x objects grid of a ``Hypergroupoid``
+GRIDS = {"mor": 2, "comp": 3, "star": 2, "units": 1}
+
+
+def as_lists(grid, depth):
+    """The top ``depth`` levels of ``grid`` as nested lists, so they can be edited."""
+    return [as_lists(v, depth - 1) for v in grid] if depth else grid
+
+
 def order_two_subgroup(group):
     t = next(
         i for i in range(group.order) if i != group.identity and group.mul[i, i] == group.identity
@@ -183,6 +192,45 @@ class TestValidation:
             mor = ((mor[0][0], ("u0", "u0", "u2")), mor[1])
         with pytest.raises(hk.StructureError):
             hk.Hypergroupoid(g.objects, mor, comp, g.star, g.units)
+
+    @pytest.mark.parametrize("change", ["short", "long"])
+    @pytest.mark.parametrize(
+        "field, level",
+        [(field, level) for field, depth in GRIDS.items() for level in range(depth)],
+    )
+    def test_every_grid_level_holds_one_entry_per_object(self, groupoids, field, level, change):
+        g = groupoids["two-object"]
+        parts = {name: getattr(g, name) for name in GRIDS}
+        parts[field] = as_lists(parts[field], GRIDS[field])
+        node = parts[field]
+        for _ in range(level):
+            node = node[-1]
+        if change == "short":
+            node.pop()
+        else:
+            node.append(node[-1])
+        with pytest.raises(hk.StructureError):
+            hk.Hypergroupoid(g.objects, **parts)
+
+    def test_ragged_tensor_is_structural(self, groupoids):
+        g = groupoids["two-object"]
+        comp = as_lists(g.comp, 3)
+        comp[1][1][1] = np.array(comp[1][1][1]).tolist()
+        comp[1][1][1][0][0].pop()
+        with pytest.raises(hk.StructureError):
+            hk.Hypergroupoid(g.objects, g.mor, comp, g.star, g.units)
+
+    @pytest.mark.parametrize("field", ["star", "units"])
+    @pytest.mark.parametrize("index", ["a", None, 1.5j])
+    def test_non_numeric_index_is_structural(self, groupoids, field, index):
+        g = groupoids["two-object"]
+        star, units = as_lists(g.star, 3), list(g.units)
+        if field == "star":
+            star[0][1][0] = index
+        else:
+            units[1] = index
+        with pytest.raises(hk.StructureError):
+            hk.Hypergroupoid(g.objects, g.mor, g.comp, star, units)
 
     def test_endo_restrictions_validate(self, groupoids):
         for g in groupoids.values():

@@ -459,11 +459,12 @@ REPLACEMENTS = ("x", "", 0.5, 1e300, True, False, None, [], {})
 
 @st.composite
 def mutated_documents(draw):
-    """A builtin document and a copy of it with one field dropped, retyped or truncated.
+    """A builtin document and a copy of it with one field dropped, retyped, truncated or extended.
 
     The field is a top-level key, or an entry reached by descending
     into it through lists and objects.  Each kind is drawn equally often,
-    and each step down is taken with probability 3/4.
+    and each step down is taken with probability 3/4.  Extending a list
+    appends a copy of its last entry.
     """
     original = draw(st.sampled_from(draw(st.sampled_from(builtin_documents()))))
     doc = copy.deepcopy(original)
@@ -473,14 +474,18 @@ def mutated_documents(draw):
         parent, key = child, draw(st.sampled_from(sorted(child) if isinstance(child, dict)
                                                   else range(len(child))))
     value = parent[key]
-    actions = ["drop", "retype"] + (["truncate"] if isinstance(value, list) and value else [])
+    actions = ["drop", "retype"]
+    if isinstance(value, list) and value:
+        actions += ["truncate", "extend"]
     action = draw(st.sampled_from(actions))
     if action == "drop":
         del parent[key]
     elif action == "retype":
         parent[key] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
-    else:
+    elif action == "truncate":
         value.pop()
+    else:
+        value.append(copy.deepcopy(value[-1]))
     return original, doc
 
 
@@ -509,6 +514,26 @@ class TestDocumentMutations:
     @given(mutation=mutated_documents())
     def test_parse_raises_only_library_errors(self, mutation):
         parse_outcome(mutation[1])
+
+    def test_every_grown_list_is_refused(self):
+        # appending a copy of the last entry of any list, at any depth, leaves
+        # no builtin document whole: a grid, tensor or label list is one too long
+        def lists(node, path=()):
+            if isinstance(node, dict):
+                for key, child in node.items():
+                    yield from lists(child, path + (key,))
+            elif isinstance(node, list) and node:
+                yield path
+                for key, child in enumerate(node):
+                    yield from lists(child, path + (key,))
+
+        for original in itertools.chain.from_iterable(builtin_documents()):
+            for path in lists(original):
+                doc = copy.deepcopy(original)
+                node = functools.reduce(lambda parent, key: parent[key], path, doc)
+                node.append(copy.deepcopy(node[-1]))
+                with pytest.raises(hk.StructureError):
+                    hk.parse_document(doc)
 
     @settings(
         max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

@@ -245,6 +245,25 @@ class TestDualHypergroup:
         dual = hk.dual_hypergroup(tables["z3"])
         assert dual.involution == (0, 2, 1)
 
+    @pytest.mark.parametrize(
+        "k, seed",
+        [(27, None), (81, None), (36, 1003), (36, 2349)],
+        ids=["27", "81", "36-1003", "36-2349"],
+    )
+    def test_su2_dual_with_close_eigenvalues(self, k, seed):
+        # SU(2)_27 and SU(2)_81 in level order, and SU(2)_36 in two seeded
+        # orders: the solver's first draw has two eigenvalues closer than
+        # 1e-5 of its spectral radius.  Accepting it mixed their
+        # eigenvectors, and the dual had structure constants near -1e-9.
+        labels = tuple(f"j{j}" for j in range(k + 1))
+        table = hk.from_fusion_ring(
+            hk.FusionRing(labels, 0, range(k + 1), oracles.su2_fusion_tensor(k))
+        )
+        if seed is not None:
+            table = oracles.relabel(table, np.random.default_rng(seed).permutation(k + 1))
+        dual = hk.dual_hypergroup(table)
+        assert hk.validate(dual, tol=1e-7).passed
+
     def test_every_commutative_builtin_has_a_dual(self, tables):
         for name in COMMUTATIVE_BUILTINS:
             dual = hk.dual_hypergroup(tables[name])
