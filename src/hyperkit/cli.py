@@ -4,11 +4,16 @@ Subcommands: validate, build (group | classes | double-cosets |
 fusion | two-element), characters, compose, indices.  Exit codes:
 0 success, 1 validation/axiom failure, 2 usage or input error,
 3 numerical failure.
+
+``hyperkit.cli.main(argv)`` may be called repeatedly in one process: it
+builds its parser on the first call and reads ``HYPERKIT_TOL`` on every
+call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -395,12 +400,16 @@ def _env_tol() -> float:
         raise StructureError(f"HYPERKIT_TOL is not a number: {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process and shared, so callers
+    must not change it.  Nothing in it varies between calls: ``main``
+    fills in the ``--tol`` default, and each subcommand names its
+    handler, so a rebound handler is the one run."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--tol",
         type=float,
-        default=_env_tol(),
         help="absolute comparison tolerance (env HYPERKIT_TOL, default 1e-9)",
     )
     common.add_argument(
@@ -420,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[common], help="check all hypergroup axioms")
     _add_input_arguments(p)
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func="cmd_validate")
 
     build = sub.add_parser("build", help="construct a hypergroup table")
     build_sub = build.add_subparsers(dest="build_kind", required=True)
@@ -428,12 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = build_sub.add_parser("group", parents=[common], help="from a Cayley table")
     _add_input_arguments(p, "group document")
     _add_output_argument(p)
-    p.set_defaults(func=cmd_build_group)
+    p.set_defaults(func="cmd_build_group")
 
     p = build_sub.add_parser("classes", parents=[common], help="from conjugacy classes")
     _add_input_arguments(p, "group document")
     _add_output_argument(p)
-    p.set_defaults(func=cmd_build_classes)
+    p.set_defaults(func="cmd_build_classes")
 
     p = build_sub.add_parser(
         "double-cosets", parents=[common], help="from double cosets of a subgroup"
@@ -445,14 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated element indices forming a subgroup",
     )
     _add_output_argument(p)
-    p.set_defaults(func=cmd_build_double_cosets)
+    p.set_defaults(func="cmd_build_double_cosets")
 
     p = build_sub.add_parser(
         "fusion", parents=[common], help="rescale a fusion ring by its dimensions"
     )
     _add_input_arguments(p, "fusion ring document")
     _add_output_argument(p)
-    p.set_defaults(func=cmd_build_fusion)
+    p.set_defaults(func="cmd_build_fusion")
 
     p = build_sub.add_parser(
         "two-element", parents=[common], help="the family k1^2 = L*k0 + (1-L)*k1"
@@ -464,34 +473,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="unit coefficient in (0, 1]; decimal or quadratic literal a,b,c,d",
     )
     _add_output_argument(p)
-    p.set_defaults(func=cmd_build_two_element)
+    p.set_defaults(func="cmd_build_two_element")
 
     p = sub.add_parser(
         "characters", parents=[common], help="character table of a commutative hypergroup"
     )
     _add_input_arguments(p)
     p.add_argument("--dual", action="store_true", help="also compute the dual hypergroup")
-    p.set_defaults(func=cmd_characters)
+    p.set_defaults(func="cmd_characters")
 
     p = sub.add_parser("compose", parents=[common], help="juxtapose boundary conditions")
     p.add_argument("arrows", nargs="+", help="chain of arrow names, left to right")
     p.add_argument("--builtin", metavar="NAME", help="use a builtin groupoid")
     p.add_argument("--file", metavar="PATH", help="path to a groupoid document")
     p.add_argument("--steps", action="store_true", help="print intermediate mixtures")
-    p.set_defaults(func=cmd_compose)
+    p.set_defaults(func="cmd_compose")
 
     p = sub.add_parser("indices", parents=[common], help="enumerate admissible index values")
     p.add_argument("--bound", type=float, required=True, help="largest value to list (> 1)")
     p.add_argument("--nmax", type=int, default=100, help="discrete spectrum cutoff (default 100)")
-    p.set_defaults(func=cmd_indices)
+    p.set_defaults(func="cmd_indices")
 
     return parser
 
 
 def main(argv=None) -> int:
     try:
+        tol = _env_tol()
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        if args.tol is None:
+            args.tol = tol
+        return globals()[args.func](args)
     except StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -46,7 +46,10 @@ class CayleyGroup:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        mul = np.array(self.mul, dtype=np.int64)
+        try:
+            mul = np.array(self.mul, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise StructureError("Cayley table must be a square array of integers") from exc
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise StructureError("Cayley table must be square")
         n = mul.shape[0]
@@ -54,8 +57,7 @@ class CayleyGroup:
             raise StructureError("a group needs at least one element")
         if mul.min() < 0 or mul.max() >= n:
             raise StructureError("Cayley table entries out of range")
-        if not 0 <= int(self.identity) < n:
-            raise StructureError("identity index out of range")
+        (identity,) = _as_index_tuple((self.identity,), n, "identity index")
         labels = self.labels
         if labels is not None:
             labels = tuple(str(x) for x in labels)
@@ -63,7 +65,7 @@ class CayleyGroup:
                 raise StructureError("label count does not match group order")
         mul.setflags(write=False)
         object.__setattr__(self, "mul", mul)
-        object.__setattr__(self, "identity", int(self.identity))
+        object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "labels", labels)
         validate_cayley(self)
 
@@ -254,18 +256,19 @@ class FusionRing:
             N = np.array(self.N, dtype=np.int64)
         except OverflowError as exc:
             raise StructureError("fusion multiplicities must fit in int64") from exc
+        except (TypeError, ValueError) as exc:
+            raise StructureError("fusion tensor must be a rectangular array of integers") from exc
         if N.shape != (n, n, n):
             raise StructureError(f"fusion tensor has shape {N.shape}, expected {(n, n, n)}")
         if N.min() < 0:
             raise StructureError("fusion multiplicities must be nonnegative")
         if n * int(N.max()) ** 2 >= 2**53:
             raise StructureError("fusion multiplicities too large: n * max(N)**2 >= 2**53")
-        if not 0 <= int(self.unit) < n:
-            raise StructureError("unit index out of range")
+        (unit,) = _as_index_tuple((self.unit,), n, "unit index")
         conj = _as_index_tuple(_grid(self.conj, n, 1, "conjugation"), n, "conjugation")
         N.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "unit", int(self.unit))
+        object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "conj", conj)
         object.__setattr__(self, "N", N)
 

@@ -88,16 +88,17 @@ class HypergroupTable:
             raise StructureError("a hypergroup needs at least one element")
         if len(set(labels)) != n:
             raise StructureError("element labels must be distinct")
-        lam = np.array(self.lam, dtype=np.float64)
+        try:
+            lam = np.array(self.lam, dtype=np.float64)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise StructureError("lambda tensor must be a rectangular array of finite numbers") from exc
         if lam.shape != (n, n, n):
             raise StructureError(
                 f"lambda tensor has shape {lam.shape}, expected {(n, n, n)}"
             )
         if not np.all(np.isfinite(lam)):
             raise StructureError("lambda tensor contains non-finite entries")
-        unit = int(self.unit)
-        if not 0 <= unit < n:
-            raise StructureError(f"unit index {unit} out of range [0, {n})")
+        (unit,) = _as_index_tuple((self.unit,), n, "unit index")
         involution = _as_index_tuple(_grid(self.involution, n, 1, "involution"), n, "involution")
         lam.setflags(write=False)
         object.__setattr__(self, "labels", labels)

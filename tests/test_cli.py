@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hyperkit as hk
-from hyperkit.cli import main
+from hyperkit.cli import build_parser, main
 
 SQRT3 = math.sqrt(3.0)
 
@@ -322,6 +322,72 @@ class TestGlobalFlags:
     def test_seed_flag_accepted(self, capsys):
         code, _, _ = run(capsys, "characters", "--builtin", "ghj", "--seed", "0xBEEF")
         assert code == 0
+
+
+class TestRepeatedCalls:
+    """``main`` reuses one parser, yet every call reads its own environment and flags."""
+
+    @pytest.fixture
+    def noisy(self, tmp_path):
+        # passes validation at --tol 1e-5, fails at the default 1e-9
+        doc = {
+            "format_version": 1,
+            "kind": "hypergroup",
+            "labels": ["e", "g"],
+            "unit": 0,
+            "involution": [0, 1],
+            "lambda": [[[1, 0], [0, 1]], [[0, 1], [1.0 + 5e-7, -5e-7]]],
+        }
+        path = tmp_path / "noisy.hg"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "values, codes",
+        [((None, "1e-5"), (1, 0)), ((None, "1e-5", None), (1, 0, 1))],
+        ids=["set", "set-back"],
+    )
+    def test_env_tolerance_is_read_on_every_call(self, capsys, monkeypatch, noisy, values, codes):
+        got = []
+        for value in values:
+            if value is None:
+                monkeypatch.delenv("HYPERKIT_TOL", raising=False)
+            else:
+                monkeypatch.setenv("HYPERKIT_TOL", value)
+            got.append(run(capsys, "validate", noisy)[0])
+        assert tuple(got) == codes
+
+    def test_bad_env_tolerance_beats_an_explicit_flag(self, capsys, monkeypatch):
+        monkeypatch.delenv("HYPERKIT_TOL", raising=False)
+        first, _, _ = run(capsys, "validate", "--builtin", "ghj", "--tol", "1e-5")
+        monkeypatch.setenv("HYPERKIT_TOL", "abc")
+        code, out, err = run(capsys, "validate", "--builtin", "ghj", "--tol", "1e-5")
+        assert first == 0
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_no_parse_leaks_into_the_next(self, capsys):
+        first, _, _ = run(capsys, "compose", "--builtin", "ising", "dual", "dual", "--steps")
+        code, out, _ = run(capsys, "compose", "--builtin", "ising", "dual", "fermionic")
+        assert first == 0 and code == 0
+        assert out == (
+            "composed boundary condition from 'ising' to 'ising':\n"
+            "  trivial    0\n"
+            "  fermionic  0\n"
+            "  dual       1\n"
+        )
+
+    def test_a_rebound_handler_is_called(self, capsys, monkeypatch):
+        assert run(capsys, "indices", "--bound", "2", "--json")[0] == 0
+        monkeypatch.setattr("hyperkit.cli.cmd_indices", lambda args: 7)
+        assert run(capsys, "indices", "--bound", "2", "--json")[0] == 7
+
+    def test_parser_is_built_once(self, capsys):
+        build_parser.cache_clear()
+        for argv in (["validate", "--builtin", "z2"], ["indices", "--bound", "2", "--json"],
+                     ["compose", "--builtin", "ising", "dual", "dual"]):
+            assert run(capsys, *argv)[0] == 0
+        info = build_parser.cache_info()
+        assert info.misses == 1 and info.hits == 2
 
 
 class TestMalformedInput:

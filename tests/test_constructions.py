@@ -96,6 +96,16 @@ class TestCayley:
         with pytest.raises(hk.StructureError, match="not a Latin square"):
             hk.CayleyGroup([[0, 0], [1, 1]], 0)
 
+    @pytest.mark.parametrize(
+        "mul, identity, match",
+        [([[0, 1], [1]], 0, "Cayley table"), ([[0, 1], [1, 0]], "a", "identity index"),
+         ([[0, 1], [1, 0]], [0], "identity index")],
+        ids=["ragged-mul", "non-integer-identity", "list-identity"],
+    )
+    def test_constructor_rejects_malformed_input(self, mul, identity, match):
+        with pytest.raises(hk.StructureError, match=match):
+            hk.CayleyGroup(mul, identity)
+
     def test_constructor_rejects_non_associative_table(self):
         mul = [
             [0, 1, 2, 3, 4],
@@ -322,6 +332,16 @@ class TestFusionRings:
     def test_non_numeric_conjugation_is_structural(self, conj):
         with pytest.raises(hk.StructureError, match="conjugation"):
             hk.FusionRing(("1", "x"), 0, conj, np.eye(2, dtype=np.int64)[[[0, 1], [1, 0]]])
+
+    @pytest.mark.parametrize(
+        "labels, unit, conj, N, match",
+        [(("1",), "a", (0,), [[[1]]], "unit index"),
+         (("1", "x"), 0, (0, 1), [[[1, 0], [0, 1]], [[0, 1]]], "fusion tensor")],
+        ids=["non-integer-unit", "ragged-N"],
+    )
+    def test_malformed_unit_or_tensor_is_structural(self, labels, unit, conj, N, match):
+        with pytest.raises(hk.StructureError, match=match):
+            hk.FusionRing(labels, unit, conj, N)
 
     def test_inferred_conjugation_needs_unit_in_range(self):
         with pytest.raises(hk.StructureError, match="unit index"):

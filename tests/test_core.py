@@ -159,6 +159,18 @@ class TestValidate:
         with pytest.raises(hk.StructureError):
             hk.HypergroupTable(("a", "b"), 0, (0, 1), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "unit, lam, match",
+        [("a", np.ones((2, 2, 2)), "unit index"),
+         (0, [[[1, 0], [0, 1]], [[0, 1]]], "lambda tensor"),
+         (0, [[[1, 0], [0, 1]], [[0, 1], [1, "x"]]], "lambda tensor"),
+         (0, [[[1, 0], [0, 1]], [[0, 1], [1, 10**400]]], "lambda tensor")],
+        ids=["non-integer-unit", "ragged-lambda", "non-numeric-lambda", "huge-lambda"],
+    )
+    def test_malformed_unit_or_lambda_is_structural(self, unit, lam, match):
+        with pytest.raises(hk.StructureError, match=match):
+            hk.HypergroupTable(("e", "g"), unit, (0, 1), lam)
+
     def test_weight_symmetry_reported(self, tables):
         # unit masses of a conjugate pair must agree; skew one side
         lam = np.array(tables["z3"].lam)
