@@ -145,7 +145,7 @@ def _resolve_groupoid(args):
     if args.builtin:
         return _load_builtin(args.builtin, registry.builtin_groupoids(), "groupoid")
     if args.file:
-        return hio.parse_groupoid(_read_path(args.file), tol=args.tol)
+        return hio.parse_groupoid(_read_path(args.file))
     raise StructureError("a groupoid is required: --builtin NAME or --file PATH")
 
 
@@ -301,19 +301,24 @@ def _resolve_chain(g, names: list[str]):
             raise PreconditionError(f"no arrow named {name!r} in the groupoid")
         candidate_lists.append(candidates)
 
-    paths = [[c] for c in candidate_lists[0]]
-    for candidates in candidate_lists[1:]:
-        paths = [
-            path + [c]
-            for path in paths
-            for c in candidates
-            if path[-1][1] == c[0]  # previous from-object is next to-object
-        ]
-    if not paths:
+    # one pass, left to right: per from-object of the last arrow, the number
+    # of composable paths so far (capped at 2) and one of them.  An arrow
+    # extends the paths that end at its to-object.
+    ends = None
+    for candidates in candidate_lists:
+        step = {}
+        for x, y, a in candidates:
+            count, path = (1, ()) if ends is None else ends.get(x, (0, ()))
+            if count:
+                total, witness = step.get(y, (0, path + ((x, y, a),)))
+                step[y] = (min(total + count, 2), witness)
+        ends = step
+    if not ends:
         raise PreconditionError("chain mismatch: the named arrows do not compose")
-    if len(paths) > 1:
+    if sum(count for count, _ in ends.values()) > 1:
         raise PreconditionError("chain is ambiguous; qualify arrows as to:from:name")
-    return [point_state(g, x, y, a) for x, y, a in paths[0]]
+    ((_, path),) = ends.values()
+    return [point_state(g, x, y, a) for x, y, a in path]
 
 
 def cmd_compose(args) -> int:

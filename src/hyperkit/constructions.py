@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from .core import DEFAULT_TOL, HypergroupTable, ValidationReport, validate
-from .core import _as_index_tuple, _associativity_violations, _grid
+from .core import _as_index_tuple, _associativity_violations, _float_tensor, _grid, _int_tensor
 from .errors import AxiomError, NumericalError, PreconditionError, StructureError
 
 
@@ -46,11 +46,8 @@ class CayleyGroup:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        try:
-            mul = np.array(self.mul, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise StructureError("Cayley table must be a square array of integers") from exc
-        if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
+        mul = _int_tensor(self.mul, 2, "Cayley table")
+        if mul.shape[0] != mul.shape[1]:
             raise StructureError("Cayley table must be square")
         n = mul.shape[0]
         if n < 1:
@@ -63,7 +60,6 @@ class CayleyGroup:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
                 raise StructureError("label count does not match group order")
-        mul.setflags(write=False)
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "labels", labels)
@@ -252,12 +248,7 @@ class FusionRing:
         n = len(labels)
         if n < 1:
             raise StructureError("a fusion ring needs at least one element")
-        try:
-            N = np.array(self.N, dtype=np.int64)
-        except OverflowError as exc:
-            raise StructureError("fusion multiplicities must fit in int64") from exc
-        except (TypeError, ValueError) as exc:
-            raise StructureError("fusion tensor must be a rectangular array of integers") from exc
+        N = _int_tensor(self.N, 3, "fusion tensor")
         if N.shape != (n, n, n):
             raise StructureError(f"fusion tensor has shape {N.shape}, expected {(n, n, n)}")
         if N.min() < 0:
@@ -266,7 +257,6 @@ class FusionRing:
             raise StructureError("fusion multiplicities too large: n * max(N)**2 >= 2**53")
         (unit,) = _as_index_tuple((self.unit,), n, "unit index")
         conj = _as_index_tuple(_grid(self.conj, n, 1, "conjugation"), n, "conjugation")
-        N.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "conj", conj)
@@ -341,9 +331,7 @@ class DimensionVector:
     defect: float
 
     def __post_init__(self):
-        dims = np.array(self.dims, dtype=np.float64)
-        dims.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", _float_tensor(self.dims, None, "dimensions"))
         object.__setattr__(self, "defect", float(self.defect))
 
 

@@ -25,6 +25,7 @@ pure function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ from .errors import AxiomError, PreconditionError, StructureError
 DEFAULT_TOL = 1e-9
 
 _EPS = float(np.finfo(np.float64).eps)
+_INT64_MAX = np.iinfo(np.int64).max
+_BOOL_TYPES = frozenset({bool, np.bool_})
 #: Smallest basis on which ``_associativity_violations`` screens.  Below
 #: it a slice's matrix products cost mostly call overhead, so halving
 #: their flops does not repay the screen's set-up.
@@ -42,13 +45,59 @@ _SCREEN_MIN_N = 16
 
 
 def _as_index_tuple(seq, n, what):
-    try:
-        out = tuple(int(x) for x in seq)
-    except (TypeError, ValueError) as exc:
-        raise StructureError(f"{what} must be a sequence of integers") from exc
-    if any(x < 0 or x >= n for x in out):
-        raise StructureError(f"{what} entries must lie in [0, {n})")
+    """``seq`` as a tuple of integers in ``[0, n)``; a float, a string or a
+    boolean raises StructureError instead of being cast."""
+    out = None
+    if _BOOL_TYPES.isdisjoint(map(type, seq)):  # operator.index takes True as 1
+        try:
+            out = tuple(map(operator.index, seq))
+        except TypeError:
+            pass
+    if out is None or (out and (min(out) < 0 or max(out) >= n)):
+        raise StructureError(f"{what}: expected integers in [0, {n})")
     return out
+
+
+def _int_tensor(data, ndim: int, what: str) -> np.ndarray:
+    """``data`` as a read-only int64 tensor with ``ndim`` axes, converted by
+    one dtype inference: a float or boolean tensor, or an entry beyond
+    int64, raises StructureError.  (A boolean among integers in a nested
+    list infers as an integer; refusing it would cost a type check of
+    every entry.)"""
+    try:
+        arr = np.array(data)
+    except ValueError as exc:
+        raise StructureError(f"{what}: expected a rectangular array of integers") from exc
+    if arr.dtype == object and all(type(x) is int for x in arr.flat) or (
+        arr.dtype.kind == "u" and arr.size and arr.max() > _INT64_MAX
+    ):
+        raise StructureError(f"{what}: entries must fit in int64")
+    if arr.dtype.kind not in "iu":
+        raise StructureError(f"{what}: expected a rectangular array of integers")
+    if arr.ndim != ndim:
+        raise StructureError(f"{what}: expected {ndim} axes, found {arr.ndim}")
+    arr = arr.astype(np.int64, copy=False)  # np.array copied it, so it is ours
+    arr.setflags(write=False)
+    return arr
+
+
+def _float_tensor(value, shape, what: str) -> np.ndarray:
+    """``value`` as a read-only float64 tensor of ``shape`` (any if None);
+    StructureError unless its inferred dtype is integer or float and its
+    entries are finite, so strings, booleans and complex entries are refused."""
+    try:
+        arr = np.array(value)
+    except (OverflowError, ValueError) as exc:
+        raise StructureError(f"{what}: expected a rectangular array of finite numbers") from exc
+    if arr.dtype.kind not in "iuf":
+        raise StructureError(f"{what}: expected a rectangular array of finite numbers")
+    if shape is not None and arr.shape != shape:
+        raise StructureError(f"{what}: shape {arr.shape}, expected {shape}")
+    arr = arr.astype(np.float64, copy=False)  # np.array copied it, so it is ours
+    if not np.isfinite(arr).all():
+        raise StructureError(f"{what}: non-finite entries")
+    arr.setflags(write=False)
+    return arr
 
 
 def _grid(value, k: int, depth: int, what: str) -> tuple:
@@ -88,19 +137,9 @@ class HypergroupTable:
             raise StructureError("a hypergroup needs at least one element")
         if len(set(labels)) != n:
             raise StructureError("element labels must be distinct")
-        try:
-            lam = np.array(self.lam, dtype=np.float64)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise StructureError("lambda tensor must be a rectangular array of finite numbers") from exc
-        if lam.shape != (n, n, n):
-            raise StructureError(
-                f"lambda tensor has shape {lam.shape}, expected {(n, n, n)}"
-            )
-        if not np.all(np.isfinite(lam)):
-            raise StructureError("lambda tensor contains non-finite entries")
+        lam = _float_tensor(self.lam, (n, n, n), "lambda tensor")
         (unit,) = _as_index_tuple((self.unit,), n, "unit index")
         involution = _as_index_tuple(_grid(self.involution, n, 1, "involution"), n, "involution")
-        lam.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "involution", involution)
@@ -141,12 +180,7 @@ class Mixture:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=np.float64)
-        if coeffs.shape != (self.table.n,):
-            raise StructureError(
-                f"mixture has {coeffs.shape} coefficients, table has {self.table.n} elements"
-            )
-        coeffs.setflags(write=False)
+        coeffs = _float_tensor(self.coeffs, (self.table.n,), "mixture coefficients")
         object.__setattr__(self, "coeffs", coeffs)
 
 
@@ -155,9 +189,7 @@ def mixture(table: HypergroupTable, coeffs, tol: float = DEFAULT_TOL) -> Mixture
 
     Raises PreconditionError if the vector is not convex within tol.
     """
-    c = np.array(coeffs, dtype=np.float64)
-    if c.shape != (table.n,):
-        raise StructureError("coefficient count does not match the table")
+    c = _float_tensor(coeffs, (table.n,), "mixture coefficients")
     if np.any(c < -tol):
         raise PreconditionError("mixture has a negative coefficient beyond tolerance")
     c = np.where((c < 0.0) & (c >= -tol), 0.0, c)

@@ -45,6 +45,7 @@ from .core import (
     _as_index_tuple,
     _associativity_violations,
     _cut,
+    _float_tensor,
     _grid,
     _involution_violations,
     _row_violations,
@@ -64,23 +65,6 @@ from .errors import PreconditionError, StructureError
 
 #: arrow label prefix of each hom-space Mor(y -> x) of ``double_coset_groupoid``
 _ARROW_PREFIXES = (("g", "u"), ("v", "h"))
-
-
-def _composition_tensor(comp, size, x: int, y: int, z: int) -> np.ndarray:
-    """``comp[x][y][z]`` as a read-only float64 tensor of the shape ``size`` implies."""
-    want = (size[x][y], size[y][z], size[x][z])
-    try:
-        t = np.array(comp[x][y][z], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise StructureError(f"composition tensor ({x},{y},{z}) is not a numeric array") from exc
-    if t.shape != want:
-        raise StructureError(
-            f"composition tensor ({x},{y},{z}) has shape {t.shape}, expected {want}"
-        )
-    if not np.all(np.isfinite(t)):
-        raise StructureError(f"composition tensor ({x},{y},{z}) contains non-finite entries")
-    t.setflags(write=False)
-    return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,23 +94,25 @@ class Hypergroupoid:
         k = len(objects)
         if k < 1:
             raise StructureError("a hypergroupoid needs at least one object")
-        objs = range(k)
         mor = _grid(self.mor, k, 2, "mor")
         mor = tuple(tuple(tuple(map(str, labels)) for labels in row) for row in mor)
         if any(len(set(labels)) != len(labels) for row in mor for labels in row):
             raise StructureError("arrow labels must be distinct within each hom-space")
         size = [[len(labels) for labels in row] for row in mor]
-        comp = _grid(self.comp, k, 3, "comp")
-        comp = tuple(
-            tuple(tuple(_composition_tensor(comp, size, x, y, z) for z in objs) for y in objs)
-            for x in objs
-        )
-        star = tuple(
-            tuple(_as_index_tuple(s, size[y][x], f"star[{x}][{y}]") for y, s in enumerate(row))
-            for x, row in enumerate(_grid(self.star, k, 2, "star"))
-        )
-        for x, y in itertools.product(objs, repeat=2):
-            _grid(star[x][y], size[x][y], 1, f"star[{x}][{y}]")
+        objs = range(k)
+        comp_grid = _grid(self.comp, k, 3, "comp")
+        star_grid = _grid(self.star, k, 2, "star")
+
+        def tensor(x, y, z):
+            want = (size[x][y], size[y][z], size[x][z])
+            return _float_tensor(comp_grid[x][y][z], want, f"composition tensor ({x},{y},{z})")
+
+        def adjoints(x, y):
+            where = f"star[{x}][{y}]"
+            return _as_index_tuple(_grid(star_grid[x][y], size[x][y], 1, where), size[y][x], where)
+
+        comp = tuple(tuple(tuple(tensor(x, y, z) for z in objs) for y in objs) for x in objs)
+        star = tuple(tuple(adjoints(x, y) for y in objs) for x in objs)
         units = tuple(
             _as_index_tuple((u,), size[x][x], f"unit of object {x}")[0]
             for x, u in enumerate(_grid(self.units, k, 1, "units"))
@@ -174,15 +160,12 @@ class BoundaryState:
 
     def __post_init__(self):
         g = self.groupoid
-        if not (0 <= self.to_object < g.n_objects and 0 <= self.from_object < g.n_objects):
-            raise StructureError("boundary state references unknown objects")
-        coeffs = np.array(self.coeffs, dtype=np.float64)
-        want = len(g.mor[self.to_object][self.from_object])
-        if coeffs.shape != (want,):
-            raise StructureError(
-                f"boundary state has {coeffs.shape} coefficients, arrow basis has {want}"
-            )
-        coeffs.setflags(write=False)
+        to, frm = _as_index_tuple(
+            (self.to_object, self.from_object), g.n_objects, "boundary state objects"
+        )
+        coeffs = _float_tensor(self.coeffs, (len(g.mor[to][frm]),), "boundary state coefficients")
+        object.__setattr__(self, "to_object", to)
+        object.__setattr__(self, "from_object", frm)
         object.__setattr__(self, "coeffs", coeffs)
 
 

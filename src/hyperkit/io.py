@@ -21,6 +21,13 @@ time.  A tensor of plain numbers converts in one pass (O(N)); one with
 literals or other entries is checked entry by entry.  A number beyond
 the float64 range is a ``StructureError``.
 
+The parsers check labels and numeric literals; the index and integer
+fields ``unit``, ``involution``, ``star``, ``N`` and ``mul`` pass
+straight to the types, which check each field once and raise
+``StructureError`` on non-integral or boolean indices, non-integer
+``N`` or ``mul`` and non-finite coefficients, from documents and from
+the library API alike.
+
 Serialization is canonical: keys sorted, floats printed with 17
 significant digits, identical objects always produce identical bytes.
 Arrays are emitted in bulk: O(N log N) to sort the N entries, and one
@@ -37,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import CayleyGroup, FusionRing, cayley_group, fusion_ring
-from .core import DEFAULT_TOL, HypergroupTable, ValidationReport, _grid, validate
+from .core import DEFAULT_TOL, HypergroupTable, ValidationReport, _as_index_tuple, _grid, validate
 from .errors import AxiomError, StructureError
 from .groupoid import BoundaryState, Hypergroupoid
 from .quantize import AdmissibleIndexSet
@@ -279,37 +286,10 @@ def _expect_kind(doc: dict, kind: str, fields, noun: str | None = None) -> None:
             raise StructureError(f"{noun or kind} document is missing {field!r}")
 
 
-def _int_field(value, where: str, bound: int) -> int:
-    """An index: a JSON integer in ``[0, bound)``."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < bound:
-        raise StructureError(f"{where} must be an index in [0, {bound})")
-    return value
-
-
-def _index_list(value, where: str, bound: int) -> tuple[int, ...]:
-    """A list of indices, each a JSON integer in ``[0, bound)``."""
-    if not isinstance(value, list):
-        raise StructureError(f"{where} must be a list of indices")
-    return tuple(_int_field(v, where, bound) for v in value)
-
-
 def _label_list(value, where: str = "labels") -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise StructureError(f"{where} must be a list of strings")
     return tuple(value)
-
-
-def _int_tensor(data, ndim: int, where: str) -> np.ndarray:
-    """A rectangular tensor of JSON integers with ``ndim`` axes."""
-    try:
-        arr = np.array(data)
-    except ValueError as exc:
-        raise StructureError(f"{where}: ragged tensor") from exc
-    if arr.dtype.kind not in "iu":
-        raise StructureError(f"{where}: entries must be integers")
-    if arr.ndim != ndim:
-        raise StructureError(f"{where}: expected {ndim} axes, found {arr.ndim}")
-    return arr
 
 
 def _number(value, where: str) -> float:
@@ -396,15 +376,15 @@ def parse_hypergroup(
     _expect_kind(doc, "hypergroup", ("labels", "unit", "lambda"))
     labels = _label_list(doc["labels"])
     lam = _scalar_tensor(doc["lambda"], "lambda")
-    n = len(labels)
-    if lam.shape != (n, n, n):
-        raise StructureError(f"lambda tensor has shape {lam.shape}, expected {(n, n, n)}")
-    unit = _int_field(doc["unit"], "unit", n)
     if "involution" in doc:
-        involution = _int_tensor(doc["involution"], 1, "involution")
-    else:
+        involution = doc["involution"]
+    else:  # the inference reads lam[:, :, unit], so it needs both checked first
+        n = len(labels)
+        if lam.shape != (n, n, n):
+            raise StructureError(f"lambda tensor has shape {lam.shape}, expected {(n, n, n)}")
+        (unit,) = _as_index_tuple((doc["unit"],), n, "unit index")
         involution = infer_involution(lam, unit, tol)
-    table = HypergroupTable(labels, unit, involution, lam)
+    table = HypergroupTable(labels, doc["unit"], involution, lam)
     if check:
         report = validate(table, tol)
         if not report.passed:
@@ -434,12 +414,7 @@ def parse_fusion_ring(document, check: bool = True) -> FusionRing:
     doc = _load(document)
     _expect_kind(doc, "fusion_ring", ("labels", "unit", "N"), "fusion ring")
     labels = _label_list(doc["labels"])
-    unit = _int_field(doc["unit"], "unit", len(labels))
-    tensor = _int_tensor(doc["N"], 3, "N")
-    conj = doc.get("involution")
-    if conj is not None:
-        conj = _int_tensor(conj, 1, "involution")
-    return fusion_ring(labels, unit, tensor, conj=conj, check=check)
+    return fusion_ring(labels, doc["unit"], doc["N"], conj=doc.get("involution"), check=check)
 
 
 def serialize_fusion_ring(ring: FusionRing) -> str:
@@ -461,12 +436,10 @@ def serialize_fusion_ring(ring: FusionRing) -> str:
 def parse_group(document) -> CayleyGroup:
     doc = _load(document)
     _expect_kind(doc, "group", ("unit", "mul"))
-    mul = _int_tensor(doc["mul"], 2, "mul")
-    unit = _int_field(doc["unit"], "unit", len(mul))
     labels = doc.get("labels")
     if labels is not None:
         labels = _label_list(labels)
-    return cayley_group(mul, unit, labels=labels)
+    return cayley_group(doc["mul"], doc["unit"], labels=labels)
 
 
 def serialize_group(group: CayleyGroup) -> str:
@@ -484,7 +457,7 @@ def serialize_group(group: CayleyGroup) -> str:
 # ---------------------------------------------------------------------------
 # groupoid documents
 
-def parse_groupoid(document, tol: float = DEFAULT_TOL) -> Hypergroupoid:
+def parse_groupoid(document) -> Hypergroupoid:
     doc = _load(document)
     _expect_kind(doc, "groupoid", ("objects", "mor", "comp", "star", "unit"))
     objects = _label_list(doc["objects"], "objects")
@@ -500,15 +473,7 @@ def parse_groupoid(document, tol: float = DEFAULT_TOL) -> Hypergroupoid:
         )
         for x, plane in enumerate(_grid(doc["comp"], k, 3, "comp"))
     )
-    star = tuple(
-        tuple(_index_list(s, f"star[{x}][{y}]", len(mor[y][x])) for y, s in enumerate(row))
-        for x, row in enumerate(_grid(doc["star"], k, 2, "star"))
-    )
-    units = tuple(
-        _int_field(u, f"unit[{x}]", len(mor[x][x]))
-        for x, u in enumerate(_grid(doc["unit"], k, 1, "unit"))
-    )
-    return Hypergroupoid(objects, mor, comp, star, units)
+    return Hypergroupoid(objects, mor, comp, doc["star"], doc["unit"])
 
 
 def serialize_groupoid(g: Hypergroupoid) -> str:
@@ -540,8 +505,8 @@ def _parse_complex(entry, where: str) -> complex:
     raise StructureError(f"{where}: expected a number or a re/im record")
 
 
-def _number_list(value, n: int, where: str) -> np.ndarray:
-    return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(_grid(value, n, 1, where))])
+def _number_list(value, n: int, where: str) -> list[float]:
+    return [_number(v, f"{where}[{i}]") for i, v in enumerate(_grid(value, n, 1, where))]
 
 
 def parse_character_table(document) -> CharacterTable:

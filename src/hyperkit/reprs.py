@@ -31,6 +31,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     HypergroupTable,
+    _float_tensor,
     _isomorphism_search,
     is_commutative,
     validate,
@@ -55,9 +56,8 @@ class RegularRep:
     matrices: np.ndarray  # shape (n, n, n); matrices[b] is R_b
 
     def __post_init__(self):
-        matrices = np.array(self.matrices, dtype=np.float64)
-        matrices.setflags(write=False)
-        object.__setattr__(self, "matrices", matrices)
+        n = self.table.n
+        object.__setattr__(self, "matrices", _float_tensor(self.matrices, (n, n, n), "matrices"))
 
 
 def regular_representation(table: HypergroupTable) -> RegularRep:
@@ -97,11 +97,11 @@ class CharacterTable:
     orthogonality: float | None = None
 
     def __post_init__(self):
+        n = len(self.labels)
         chars = np.array(self.chars, dtype=np.complex128)
-        hw = np.array(self.haar_weights, dtype=np.float64)
-        dw = np.array(self.dual_weights, dtype=np.float64)
-        for arr in (chars, hw, dw):
-            arr.setflags(write=False)
+        hw = _float_tensor(self.haar_weights, (n,), "haar weights")
+        dw = _float_tensor(self.dual_weights, (n,), "dual weights")
+        chars.setflags(write=False)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "chars", chars)
         object.__setattr__(self, "haar_weights", hw)

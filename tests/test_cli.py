@@ -517,3 +517,42 @@ class TestDeterminismAcrossProcesses:
         first = subprocess.run(cmd, capture_output=True, check=True).stdout
         second = subprocess.run(cmd, capture_output=True, check=True).stdout
         assert first == second
+
+
+#: two objects, and one arrow named ``a`` in each of the four hom-spaces
+ALL_NAMED_A = {
+    "format_version": 1, "kind": "groupoid", "objects": ["X", "Y"],
+    "mor": [[["a"], ["a"]], [["a"], ["a"]]],
+    "comp": [[[[[[1.0]]]] * 2] * 2] * 2,
+    "star": [[[0], [0]], [[0], [0]]], "unit": [0, 0],
+}
+
+#: runs ``hyperkit`` on its arguments and prints the seconds that ``main`` took
+TIMED_MAIN = (
+    "import sys, time\n"
+    "from hyperkit.cli import main\n"
+    "start = time.perf_counter()\n"
+    "code = main(sys.argv[1:])\n"
+    "print(time.perf_counter() - start)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [(["a"] * 40, "chain is ambiguous"),
+     (["a"] * 38 + ["X:X:a", "Y:Y:a"], "chain mismatch")],
+    ids=["ambiguous-40", "mismatch-40"],
+)
+def test_long_chain_of_repeated_names_exits_two_at_once(tmp_path, names, message):
+    # 2**41 candidate paths: a fresh process, so that enumerating them
+    # is stopped by the timeout instead of filling memory
+    path = tmp_path / "groupoid.json"
+    path.write_text(json.dumps(ALL_NAMED_A))
+    done = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, "compose", "--file", str(path), *names],
+        capture_output=True, text=True, timeout=3,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: {message}")
+    assert float(done.stdout) < 1.0

@@ -574,3 +574,35 @@ class TestFusionRealizability:
             hk.fusion_realizable_two_element(0.0, 64)
         with pytest.raises(hk.PreconditionError):
             hk.fusion_realizable_two_element(0.5, 0)
+
+
+@pytest.mark.parametrize(
+    "mul, identity",
+    [([[0, 1], [1.9, 0]], 0), ([[False, True], [True, False]], 0),
+     (np.array([[False, True], [True, False]]), 0), ([[0, 1], [1, 0]], 0.7),
+     ([[0, 1], [1, 0]], False), ([[0, 1], [1, 0]], "0")],
+    ids=["float-entry", "bool-entries", "bool-array", "float-identity", "bool-identity",
+         "string-identity"],
+)
+def test_cayley_fields_must_be_integers(mul, identity):
+    with pytest.raises(hk.StructureError, match="Cayley table|identity index"):
+        hk.CayleyGroup(mul, identity)
+
+
+@pytest.mark.parametrize(
+    "unit, conj, N",
+    [(0, (0,), [[[1.7]]]), (0, (0,), [[[True]]]), (0, (0,), np.ones((1, 1, 1), dtype=bool)),
+     (0.5, (0,), [[[1]]]), (False, (0,), [[[1]]]), (0, (0.0,), [[[1]]]), (0, (False,), [[[1]]])],
+    ids=["float-N", "bool-N", "bool-array-N", "float-unit", "bool-unit", "float-conj",
+         "bool-conj"],
+)
+def test_fusion_ring_fields_must_be_integers(unit, conj, N):
+    with pytest.raises(hk.StructureError, match="fusion tensor|unit index|conjugation"):
+        hk.FusionRing(("1",), unit, conj, N)
+
+
+@pytest.mark.parametrize("entry", [2**63, 2**64 - 1], ids=["2**63", "2**64-1"])
+def test_unsigned_multiplicities_beyond_int64_are_refused(entry):
+    # a plain astype would wrap them to negative int64 values
+    with pytest.raises(hk.StructureError, match="int64"):
+        hk.FusionRing(("1",), 0, (0,), np.full((1, 1, 1), entry, dtype=np.uint64))

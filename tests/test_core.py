@@ -444,3 +444,29 @@ def test_two_element_haar_absorbs_random_mixtures(lam, seed):
     p = hk.Mixture(table, raw / raw.sum())
     out = hk.multiply_mixtures(table, p, h)
     assert np.max(np.abs(out.coeffs - h.coeffs)) < 1e-9
+
+
+Z2_LAMBDA = [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "unit, involution",
+    [("0", (0, 1)), (True, (0, 1)), (np.True_, (0, 1)), (0.0, (0, 1)),
+     (0, (0, 1.9)), (0, (0, True)), (0, ("0", 1))],
+    ids=["string-unit", "bool-unit", "numpy-bool-unit", "float-unit",
+         "float-involution", "bool-involution", "string-involution"],
+)
+def test_table_indices_must_be_integers(unit, involution):
+    with pytest.raises(hk.StructureError, match="unit index|involution"):
+        hk.HypergroupTable(("e", "g"), unit, involution, Z2_LAMBDA)
+
+
+@pytest.mark.parametrize("build", [hk.mixture, hk.Mixture], ids=["mixture", "Mixture"])
+@pytest.mark.parametrize(
+    "coeffs",
+    [[math.nan, 1.0], [math.inf, 0.0], [[1.0], 0.0], ["x", 1.0], ["0.5", "0.5"], [True, False]],
+    ids=["nan", "inf", "ragged", "non-numeric", "numeric-string", "bool"],
+)
+def test_mixture_coefficients_must_be_finite_numbers(tables, build, coeffs):
+    with pytest.raises(hk.StructureError, match="mixture coefficients"):
+        build(tables["z2"], coeffs)

@@ -412,3 +412,28 @@ class TestFromHypergroup:
     def test_endo_table_round_trips(self, tables):
         g = hk.from_hypergroup(tables["ghj"])
         assert hk.tables_equal(g.endo_table(0), tables["ghj"], tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "star, units",
+    [([[(0, "1")]], (0,)), ([[(0.0, 1)]], (0,)), ([[(0, True)]], (0,)), ([[(0, 1)]], (0.5,)),
+     ([[(0, 1)]], (True,)), ([[(0, 1)]], ("0",))],
+    ids=["string-star", "float-star", "bool-star", "float-unit", "bool-unit", "string-unit"],
+)
+def test_groupoid_indices_must_be_integers(tables, star, units):
+    g = hk.from_hypergroup(tables["z2"])
+    with pytest.raises(hk.StructureError, match="star|unit of object"):
+        hk.Hypergroupoid(g.objects, g.mor, g.comp, star, units)
+
+
+@pytest.mark.parametrize(
+    "to_object, coeffs",
+    [(0, [math.nan, 1.0]), (0, [math.inf, 0.0]), (0, [[1.0], 0.0]), (0, ["x", 1.0]),
+     (0, ["1", "0"]), (0, [True, False]), (0.5, [1.0, 0.0]), ("0", [1.0, 0.0])],
+    ids=["nan", "inf", "ragged", "non-numeric", "numeric-string", "bool", "float-object",
+         "string-object"],
+)
+def test_boundary_state_fields_are_checked(tables, to_object, coeffs):
+    g = hk.from_hypergroup(tables["z2"])
+    with pytest.raises(hk.StructureError, match="boundary state"):
+        hk.BoundaryState(g, to_object, 0, coeffs)

@@ -584,3 +584,12 @@ class TestRegistryCompleteness:
         assert orders["s4"] == 24 and orders["d4"] == 8 and orders["q8"] == 8
         assert all(orders[f"z{n}"] == n for n in range(2, 13))
         assert max(orders.values()) <= 24
+
+
+@pytest.mark.parametrize("entry", [2**63, 2**70], ids=["2**63", "2**70"])
+def test_fusion_multiplicities_beyond_int64_are_named(entry):
+    # numpy infers uint64 for 2**63 and an object array for 2**70
+    doc = {"format_version": 1, "kind": "fusion_ring", "labels": ["1"], "unit": 0,
+           "N": [[[entry]]]}
+    with pytest.raises(hk.StructureError, match="int64"):
+        hk.parse_fusion_ring(json.dumps(doc))
