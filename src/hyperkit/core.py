@@ -58,6 +58,17 @@ def _as_index_tuple(seq, n, what):
     return out
 
 
+def _as_index(i, n, what):
+    """``i`` as an integer in ``[0, n)``: a float, a string or a boolean
+    raises StructureError, as in ``_as_index_tuple``, and an integer out
+    of range raises IndexError."""
+    if type(i) in _BOOL_TYPES or not hasattr(type(i), "__index__"):
+        raise StructureError(f"{what}: expected an integer, got {i!r}")
+    if not 0 <= i < n:
+        raise IndexError(f"{what} {i} out of range [0, {n})")
+    return operator.index(i)
+
+
 def _int_tensor(data, ndim: int, what: str) -> np.ndarray:
     """``data`` as a read-only int64 tensor with ``ndim`` axes, converted by
     one dtype inference: a float or boolean tensor, or an entry beyond
@@ -200,8 +211,7 @@ def mixture(table: HypergroupTable, coeffs, tol: float = DEFAULT_TOL) -> Mixture
 
 def point_mass(table: HypergroupTable, i: int) -> Mixture:
     """The mixture concentrated on basis element ``i``."""
-    if not 0 <= i < table.n:
-        raise IndexError(f"element index {i} out of range [0, {table.n})")
+    i = _as_index(i, table.n, "element index")
     c = np.zeros(table.n)
     c[i] = 1.0
     return Mixture(table, c)
@@ -293,20 +303,21 @@ def _star_defect(t, u, stars, buf, spare) -> float:
     return float(np.maximum.reduce(dev, axis=None))
 
 
-def _screen_cut(t, tol, exact, buf, star=None, spare=None):
+def _screen_cut(t, tol, exact, buf, star=None, spare=None, delta=None):
     """Largest screened deviation that proves a slice and its mirror clean, or None.
 
     ``_cut`` of ``delta = max|t[a, b, c] - t[b*, a*, c*]|`` and ``M =
-    max|t|`` for ``b* = star[b]``.  The identity star (``None``) takes
-    ``delta = max|t - t^T|`` (the first two indices swapped), formed in
-    ``buf``, of ``t``'s shape; any other star also overwrites ``spare``,
-    of ``t``'s size.
+    max|t|`` for ``b* = star[b]``.  A caller that has ``delta`` passes
+    it.  Otherwise the identity star (``None``) takes ``delta =
+    max|t - t^T|`` (the first two indices swapped), formed in ``buf``,
+    of ``t``'s shape; any other star also overwrites ``spare``, of
+    ``t``'s size.
     """
-    if star is None:
+    if delta is None and star is None:
         np.subtract(t, t.transpose(1, 0, 2), out=buf)
         np.abs(buf, out=buf)
         delta = float(np.maximum.reduce(buf, axis=None))  # NaN on NaN input: no screen
-    else:
+    elif delta is None:
         delta = _star_defect(t, t, (star, star, star), buf.reshape(-1), spare.reshape(-1))
     big = max(float(np.maximum.reduce(t, axis=None)), -float(np.minimum.reduce(t, axis=None)))
     return _cut(tol, t.shape[0], big, delta, exact)
@@ -337,7 +348,9 @@ def _first_failing_step(t, cut, dev, right, star=None) -> int:
     return n
 
 
-def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, exact=False, star=None) -> float:
+def _associativity_violations(
+    ab, mc, bc, aq, prefix, tol, vios, exact=False, star=None, delta=None
+) -> float:
     """Report ``|sum_m ab[a,b,m] mc[m,c,p] - sum_q bc[b,c,q] aq[a,q,p]| > tol``.
 
     Violations come in (a, b, c, p) order.  One first index ``a`` at a
@@ -383,7 +396,9 @@ def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, exact=False, st
     = c`` since ``star`` is an involution).  So the full scan takes the
     other slices, ``a* >= i0``, and reports exactly what it reports
     without the screen, at the cost of one screened step more.  Memory:
-    the two n^3 buffers, which ``delta``'s two gathers reuse.
+    the two n^3 buffers, which ``delta``'s two gathers reuse.  A caller
+    that has computed ``delta`` (``_star_defect(t, t, (star, star,
+    star))``) passes it, and the gathers are skipped.
     """
     nm, nc, np_ = mc.shape
     nb, nq = bc.shape[0], bc.shape[2]
@@ -397,7 +412,7 @@ def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, exact=False, st
         s = ident if star is None else np.asarray(star, dtype=np.intp)
         if np.array_equal(s[s], ident):
             s = None if np.array_equal(s, ident) else s
-            cut = _screen_cut(ab, tol, exact, dev.reshape(ab.shape), s, right)
+            cut = _screen_cut(ab, tol, exact, dev.reshape(ab.shape), s, right, delta)
             if cut is not None:
                 steps = _first_failing_step(ab, cut, dev, right, s)
                 slices = sorted((ident if s is None else s)[steps:].tolist())  # not cleared
@@ -476,8 +491,7 @@ def validate(table: HypergroupTable, tol: float = DEFAULT_TOL) -> ValidationRepo
 
 def multiply(table: HypergroupTable, a: int, b: int) -> Mixture:
     """The product ``k_a * k_b`` as a mixture (row lam[a][b][.])."""
-    if not (0 <= a < table.n and 0 <= b < table.n):
-        raise IndexError(f"element indices ({a}, {b}) out of range [0, {table.n})")
+    a, b = (_as_index(i, table.n, "element index") for i in (a, b))
     return Mixture(table, table.lam[a, b])
 
 

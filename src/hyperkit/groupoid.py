@@ -42,6 +42,7 @@ from .core import (
     ValidationReport,
     Violation,
     _SCREEN_MIN_N,
+    _as_index,
     _as_index_tuple,
     _associativity_violations,
     _cut,
@@ -173,11 +174,13 @@ def point_state(
     g: Hypergroupoid, to_object: int, from_object: int, arrow: int | str
 ) -> BoundaryState:
     """The state concentrated on a single arrow."""
+    to_object, from_object = _as_index_tuple(
+        (to_object, from_object), g.n_objects, "boundary state objects"
+    )
     if isinstance(arrow, str):
         arrow = g.arrow_index(to_object, from_object, arrow)
     n = len(g.mor[to_object][from_object])
-    if not 0 <= arrow < n:
-        raise IndexError(f"arrow index {arrow} out of range [0, {n})")
+    arrow = _as_index(arrow, n, "arrow index")
     c = np.zeros(n)
     c[arrow] = 1.0
     return BoundaryState(g, to_object, from_object, c)
@@ -226,7 +229,8 @@ def _associativity_by_quadruple(g: Hypergroupoid, tol: float, vios: list) -> Non
     more elements; ``delta`` and ``M`` are found once per pair of
     tensors, in time linear in their size, and only after a first member
     within tol.  An endo quadruple is its own mirror; it takes the
-    kernel's screen under ``star[x][x]``.
+    kernel's screen under ``star[x][x]``, with the delta of ``comp[x][x][x]``
+    found here once for the screen and the pairs alike.
     """
     objs = range(g.n_objects)
     c, star = g.comp, g.star
@@ -240,8 +244,11 @@ def _associativity_by_quadruple(g: Hypergroupoid, tol: float, vios: list) -> Non
     def run(q, out):
         x, y, z, w = q
         endo = star[x][x] if x == y == z == w else None
+        delta = None  # the kernel's screen of a large endo tensor shares the pairs' delta
+        if endo is not None and pairs and size[x][x] >= _SCREEN_MIN_N:
+            delta = star_law(x, x, x)[0]
         return _associativity_violations(
-            c[x][y][z], c[x][z][w], c[y][z][w], c[x][y][w], q, tol, out, star=endo
+            c[x][y][z], c[x][z][w], c[y][z][w], c[x][y][w], q, tol, out, star=endo, delta=delta
         )
 
     def star_law(x, y, z):

@@ -36,6 +36,7 @@ formatting call per distinct value.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -114,6 +115,49 @@ def _is_squarefree(d: int) -> bool:
     return True
 
 
+#: Buckets of the fractional parts of the roots ``b * sqrt(d)``.
+_ROOT_BUCKETS = 4096
+
+
+@functools.lru_cache(maxsize=8)
+def _root_index(max_coeff: int, max_radicand: int):
+    """The roots ``b * sqrt(d)`` of the box, bucketed by fractional part.
+
+    Returns ``(radicands, bs, roots, order, start)``: the square-free d
+    in ``2..max_radicand``, the float ``b != 0`` in ``[-max_coeff,
+    max_coeff]``, the products ``b * sqrt(d)`` flattened in (d, b)
+    order, and CSR arrays of the buckets ``floor(frac(root) *
+    _ROOT_BUCKETS)``: bucket k holds the roots ``order[start[k]:start[k
+    + 1]]``.  ``order`` and ``start`` run through the buckets twice, so
+    a run of buckets that wraps past the last is one slice too.  The
+    arrays are read-only.
+    """
+    radicands = tuple(d for d in range(2, max_radicand + 1) if _is_squarefree(d))
+    bs = np.arange(-max_coeff, max_coeff + 1, dtype=np.float64)
+    bs = bs[bs != 0]
+    roots = (np.sqrt(np.array(radicands, dtype=np.float64))[:, None] * bs).ravel()
+    bucket = ((roots - np.floor(roots)) * _ROOT_BUCKETS).astype(np.intp)  # both steps exact
+    order = np.tile(np.argsort(bucket, kind="stable"), 2)
+    start = np.zeros(2 * _ROOT_BUCKETS + 1, dtype=np.intp)
+    np.cumsum(np.tile(np.bincount(bucket, minlength=_ROOT_BUCKETS), 2), out=start[1:])
+    for arr in (bs, roots, order, start):
+        arr.flags.writeable = False
+    return radicands, bs, roots, order, start
+
+
+def _window_candidates(frac, w, start, order):
+    """The roots held by the buckets that cover ``[frac[c] - w, frac[c] +
+    w]`` modulo 1, for each c, as index arrays ``(c, j)`` into ``frac``
+    and the roots of ``_root_index`` (CSR arrays ``start``, ``order``)."""
+    lo = np.floor((frac - w) * _ROOT_BUCKETS).astype(np.intp)
+    last = np.floor((frac + w) * _ROOT_BUCKETS).astype(np.intp) - lo  # buckets after lo
+    lo %= _ROOT_BUCKETS
+    first = start[lo]
+    count = start[lo + np.minimum(last, _ROOT_BUCKETS - 1) + 1] - first  # each bucket once
+    j = order[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)]
+    return np.repeat(np.arange(len(frac)), count), j
+
+
 def match_quadratic(
     value: float,
     tol: float = DEFAULT_TOL,
@@ -123,34 +167,54 @@ def match_quadratic(
     """Bounded search for an exact quadratic literal matching ``value``.
 
     The box is ``|a|, |b|, c <= max_coeff`` and square-free
-    ``d <= max_radicand``.  Radicands are scanned in increasing order
-    (0 first, so rationals win), then denominators, then the root
-    coefficient b; the first match within tol is returned.  Each
-    radicand is one numpy pass over the whole (c, b) grid with
-    ``a = round(value * c - b * sqrt(d))`` (half to even), so a miss
-    costs about forty such passes.
+    ``d <= max_radicand``; the result is the first match within tol in
+    (d, c, b) order (d = 0 first, so rationals win), with ``a =
+    round(value * c - b * sqrt(d))`` (half to even).  A root ``b *
+    sqrt(d)`` can match only if its fractional part lies within ``w =
+    tol * max_coeff`` of ``frac(value * c)`` modulo 1 (w is widened by
+    1e-9 per unit of the box bound, far above the float round-off).
+    So each c looks up the buckets of ``_root_index`` that cover its
+    window, and tests their roots with the float expressions of a full
+    scan, whose result it returns: on the default box at tol 1e-9, about
+    a hundred candidates and 70 us for a miss, against 2.5 ms.
+    Once a c's window would touch as many buckets and roots as one
+    radicand has b (from tol 1.1e-4 on the default box), the radicands
+    are scanned in order instead, one pass over the (c, b) grid each,
+    as a match then usually lies at a small d.
     """
     if not math.isfinite(value):
         return None
-    if abs(value) > max_coeff * (1.0 + math.sqrt(max_radicand)) + tol:
+    bound = max_coeff * (1.0 + math.sqrt(max_radicand))
+    if abs(value) > bound + tol:
         return None  # beyond every literal in the box
     cs = np.arange(1, max_coeff + 1, dtype=np.float64)
-    a = np.round(value * cs)
+    scaled = value * cs
+    a = np.round(scaled)
     hits = (np.abs(a) <= max_coeff) & (np.abs(a / cs - value) <= tol)
     if hits.any():
         c = int(hits.argmax())
         return QuadraticLiteral(int(a[c]), 0, c + 1, 0)
-    bs = np.arange(-max_coeff, max_coeff + 1, dtype=np.float64)
-    bs = bs[bs != 0]
-    scaled = (value * cs)[:, None]
-    for d in filter(_is_squarefree, range(2, max_radicand + 1)):
-        roots = bs * math.sqrt(d)
-        a = np.round(scaled - roots)
-        hits = (np.abs(a) <= max_coeff) & (np.abs((a + roots) / cs[:, None] - value) <= tol)
-        if hits.any():
-            c, b = divmod(int(hits.argmax()), len(bs))
-            return QuadraticLiteral(int(a[c, b]), int(bs[b]), c + 1, d)
-    return None
+    radicands, bs, roots, order, start = _root_index(max_coeff, max_radicand)
+    w = tol * max_coeff + 1e-9 * max(1.0, bound)
+    if not radicands or not w >= 0.0:
+        return None  # no roots, or tol < 0 or NaN, which nothing lies within
+    if 2.0 * w * (_ROOT_BUCKETS + len(roots)) >= len(bs):
+        for d, row in zip(radicands, roots.reshape(len(radicands), len(bs))):
+            a = np.round(scaled[:, None] - row)
+            hits = (np.abs(a) <= max_coeff) & (np.abs((a + row) / cs[:, None] - value) <= tol)
+            if hits.any():
+                c, b = divmod(int(hits.argmax()), len(bs))
+                return QuadraticLiteral(int(a[c, b]), int(bs[b]), c + 1, d)
+        return None
+    c_of, j = _window_candidates(scaled - np.floor(scaled), w, start, order)
+    r = roots[j]
+    a = np.round(scaled[c_of] - r)
+    hits = (np.abs(a) <= max_coeff) & (np.abs((a + r) / cs[c_of] - value) <= tol)
+    if not hits.any():
+        return None
+    a, c_of, (d, b) = a[hits], c_of[hits], np.divmod(j[hits], len(bs))
+    best = np.lexsort((b, c_of, d))[0]
+    return QuadraticLiteral(int(a[best]), int(bs[b[best]]), int(c_of[best]) + 1, radicands[d[best]])
 
 
 # ---------------------------------------------------------------------------

@@ -663,3 +663,28 @@ class TestScreenMemory:
         group = oracles.direct_product(groups["z2"], groups["s4"])
         for table in (su2_table(40), group_table(group, 3)):
             assert self.peak(table) <= 2 * table.n**3 * 8 + 128 * 2**10
+
+
+def test_validate_groupoid_gathers_each_star_defect_once(groups):
+    # the endo quadruple's screen and the mirrored pairs share the star-law
+    # defect of comp[0][0][0] (24 arrows, star the group inverse)
+    from test_constructions import relabel_group
+
+    group = relabel_group(groups["s4"], np.random.default_rng(7).permutation(24))
+    subgroup = next(s for s in oracles.cyclic_subgroups(group) if len(s) == 2)
+    g = hk.double_coset_groupoid(group, subgroup)
+    gathers = []
+    real = core._star_defect
+
+    def recording(t, u, stars, *buffers):
+        gathers.append((id(t), id(u), tuple(tuple(np.asarray(s).tolist()) for s in stars)))
+        return real(t, u, stars, *buffers)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_star_defect", recording)
+        mp.setattr(hk.groupoid, "_star_defect", recording)
+        assert hk.validate_groupoid(g).passed
+    endo = g.comp[0][0][0]
+    assert endo.shape[0] >= core._SCREEN_MIN_N
+    assert sum(t == u == id(endo) for t, u, _ in gathers) == 1
+    assert len(gathers) == len(set(gathers))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hyperkit as hk
+import oracles
 from hyperkit.cli import build_parser, main
 
 SQRT3 = math.sqrt(3.0)
@@ -556,3 +557,28 @@ def test_long_chain_of_repeated_names_exits_two_at_once(tmp_path, names, message
     assert done.returncode == 2
     assert done.stderr.startswith(f"error: {message}")
     assert float(done.stdout) < 1.0
+
+
+class TestHumanLiterals:
+    """The human formatter marks values that match a quadratic literal."""
+
+    def test_two_element_weights_and_haar_measure(self, capsys):
+        code, out, _ = run(capsys, "build", "two-element", "--lambda", "2,-1,1,3")
+        assert code == 0
+        assert "3.73205080757 (2+√3)" in out
+        assert "0.211324865405 ((3-√3)/6)" in out
+
+    def test_cubic_weights_take_no_literal(self, capsys, tmp_path):
+        # SU(2)_5: its weights, such as 4cos^2(pi/7), have degree 3
+        k = 5
+        labels = [f"j{i}" for i in range(k + 1)]
+        doc = {"format_version": 1, "kind": "fusion_ring", "labels": labels, "unit": 0,
+               "N": oracles.su2_fusion_tensor(k).tolist()}
+        path = tmp_path / "su2_5.fr"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "build", "fusion", str(path))
+        assert code == 0
+        weights = out.split("weights:\n")[1].split("haar measure:")[0].splitlines()
+        assert [line.split()[0] for line in weights] == labels
+        assert weights[1].split() == ["j1", "3.24697960372"]  # the value, no literal
+        assert all(len(line.split()) == 2 for line in weights)

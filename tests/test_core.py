@@ -470,3 +470,26 @@ def test_table_indices_must_be_integers(unit, involution):
 def test_mixture_coefficients_must_be_finite_numbers(tables, build, coeffs):
     with pytest.raises(hk.StructureError, match="mixture coefficients"):
         build(tables["z2"], coeffs)
+
+
+@pytest.mark.parametrize(
+    "index", [True, np.bool_(False), 1.5, np.float64(1.0), "1", None],
+    ids=["bool", "numpy-bool", "float", "numpy-float", "string", "none"],
+)
+def test_element_index_must_be_an_integer(tables, index):
+    z3 = tables["z3"]
+    with pytest.raises(hk.StructureError, match="element index"):
+        hk.point_mass(z3, index)
+    with pytest.raises(hk.StructureError, match="element index"):
+        hk.multiply(z3, 0, index)
+    with pytest.raises(hk.StructureError, match="element index"):
+        hk.multiply(z3, index, 0)
+
+
+def test_element_index_range_and_integer_types(tables):
+    z3 = tables["z3"]
+    for index in (-1, 3):
+        with pytest.raises(IndexError):
+            hk.point_mass(z3, index)
+    assert hk.point_mass(z3, np.int64(2)).coeffs.tolist() == [0.0, 0.0, 1.0]
+    assert hk.multiply(z3, np.int32(1), 1).coeffs.tolist() == [0.0, 0.0, 1.0]

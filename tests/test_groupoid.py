@@ -437,3 +437,26 @@ def test_boundary_state_fields_are_checked(tables, to_object, coeffs):
     g = hk.from_hypergroup(tables["z2"])
     with pytest.raises(hk.StructureError, match="boundary state"):
         hk.BoundaryState(g, to_object, 0, coeffs)
+
+
+@pytest.mark.parametrize(
+    "to_object, arrow",
+    [(0, True), (0, np.bool_(True)), (0, 1.5), (0, np.float64(0.0)), (0, None), (True, 0),
+     (0.0, 0)],
+    ids=["bool-arrow", "numpy-bool-arrow", "float-arrow", "numpy-float-arrow", "none-arrow",
+         "bool-object", "float-object"],
+)
+def test_point_state_indices_must_be_integers(groupoids, to_object, arrow):
+    with pytest.raises(hk.StructureError, match="arrow index|boundary state objects"):
+        hk.point_state(groupoids["two-object"], to_object, 0, arrow)
+
+
+def test_point_state_arrow_range_and_names(groupoids):
+    g = groupoids["two-object"]
+    n = len(g.mor[0][0])
+    for arrow in (-1, n):
+        with pytest.raises(IndexError):
+            hk.point_state(g, 0, 0, arrow)
+    state = hk.point_state(g, 0, 0, np.int64(1))
+    assert state.coeffs.tolist() == [float(i == 1) for i in range(n)]
+    assert hk.point_state(g, 0, 0, g.mor[0][0][1]).coeffs.tolist() == state.coeffs.tolist()

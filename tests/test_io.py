@@ -118,6 +118,154 @@ class TestQuadraticLiteral:
                 assert hk.match_quadratic(value) is None
 
 
+def _box_matches(value, tol, max_coeff=64, max_radicand=64):
+    """Every literal of the box within tol of value, in (d, c, b) order, by one
+    numpy pass per radicand (the reference's expressions, without its early exit)."""
+    cs = np.arange(1, max_coeff + 1, dtype=np.float64)[:, None]
+    found = []
+    for d in oracles.squarefree_radicands(max_radicand):
+        bs = np.arange(-max_coeff, max_coeff + 1) if d else np.zeros(1, dtype=np.int64)
+        bs = bs[bs != 0] if d else bs
+        roots = bs * math.sqrt(d)
+        a = np.round(value * cs - roots)
+        ok = (np.abs(a) <= max_coeff) & (np.abs((a + roots) / cs - value) <= tol)
+        for c, b in zip(*np.nonzero(ok)):
+            found.append(hk.QuadraticLiteral(int(a[c, b]), int(bs[b]), int(c) + 1, d))
+    return found
+
+
+def _wrapping_roots(count):
+    """The ``count`` roots b sqrt(d) of the default box (b of both signs) whose
+    fractional parts lie nearest to 0 or 1, as (b, d, fractional part)."""
+    roots = [
+        (min(frac, 1.0 - frac), b, d, frac)
+        for d in oracles.squarefree_radicands(64)
+        for b in range(-64, 65)
+        if d and b
+        for frac in [(b * math.sqrt(d)) % 1.0]
+    ]
+    return [(b, d, frac) for _, b, d, frac in sorted(roots)[:count]]
+
+
+class TestQuadraticIndex:
+    """The bucketed lookup of ``match_quadratic`` against the scalar reference."""
+
+    def check(self, cases, **box):
+        found = [hk.match_quadratic(v, tol=t, **box) for v, t in cases]
+        assert found == [oracles.match_quadratic_reference(v, tol=t, **box) for v, t in cases]
+        return found
+
+    def test_index_buckets_every_root_once(self):
+        radicands, bs, roots, order, start = hio._root_index(64, 64)
+        assert radicands == tuple(d for d in oracles.squarefree_radicands(64) if d)
+        expected = np.concatenate([bs * math.sqrt(d) for d in radicands])
+        assert np.array_equal(roots, expected)  # the scan's products, bit for bit
+        assert sorted(order.tolist()) == sorted(2 * list(range(len(roots))))  # twice through
+        assert start[0] == 0 and start[-1] == 2 * len(roots) and np.all(np.diff(start) >= 0)
+        for k in (0, 1, 2047, 4095, 4096, 8191):
+            chunk = roots[order[start[k] : start[k + 1]]]
+            assert np.all(np.floor((chunk - np.floor(chunk)) * 4096) == k % 4096)
+        assert not roots.flags.writeable
+        assert hio._root_index(64, 64)[2] is roots  # built once per box
+
+    def test_fractional_parts_next_to_zero_and_one(self):
+        # the window of c is frac(value * c) +- 64 tol (mod 1), so it wraps past
+        # 0 or 1 for these values: each lies next to a root whose fractional
+        # part does (within 3.2e-3, the window at tol 5e-5), or next to an integer
+        roots = _wrapping_roots(4)
+        assert {frac < 0.5 for _, _, frac in roots} == {True, False}
+        assert all(min(frac, 1.0 - frac) < 3.2e-3 for _, _, frac in roots)
+        cases = []
+        for b, d, _ in roots:
+            for a, c in ((5, 1), (-64, 7), (0, 64)):
+                value = hk.QuadraticLiteral(a, b, c, d).value()
+                cases += [(value, 1e-9), (value + 4e-10, 1e-9), (value, 5e-5)]
+        found = self.check(cases)
+        assert None not in found and sum(f.d > 0 for f in found) >= 30
+        found = self.check([(-3 + 3e-5, 1e-5), (-3e-5, 1e-5), (2 + 3e-6, 1e-6), (41 - 3e-6, 1e-6)])
+        assert found[0] == hk.QuadraticLiteral(10, -60, 63, 11) and found[1:] == [None] * 3
+
+    def test_windows_hold_every_root_within_w(self):
+        # the lookup is exact only if each window's buckets hold every root
+        # whose fractional part lies within w of frac(value * c), modulo 1
+        radicands, bs, roots, order, start = hio._root_index(64, 64)
+        root_frac = roots - np.floor(roots)
+        rng = np.random.default_rng(3)
+        fracs = np.concatenate([[0.0, 1e-9, 2.0**-12, 0.5, 1 - 2.0**-12, 1 - 1e-9],
+                                rng.uniform(0, 1e-3, 4), rng.uniform(1 - 1e-3, 1, 4),
+                                rng.uniform(0, 1, 4)])
+        for w in (0.0, 1e-9, 1e-4, 3e-3, 0.2, 0.49999):
+            c_of, j = hio._window_candidates(fracs, w, start, order)
+            got = set(zip(c_of.tolist(), j.tolist()))
+            assert len(got) == len(c_of)  # no root twice
+            gap = np.abs(fracs[:, None] - root_frac[None, :])
+            near = np.minimum(gap, 1.0 - gap) <= w
+            assert set(zip(*map(np.ndarray.tolist, np.nonzero(near)))) <= got
+            assert np.all(np.minimum(gap, 1.0 - gap)[c_of, j] <= w + 2.0**-12)  # and little more
+
+    @pytest.mark.parametrize("tol", [1e-4, 1.2e-4, 1e-3, 1e-2, 0.1])
+    def test_wide_tolerances(self, tol):
+        # from tol 1.1e-4 the windows would touch more than one radicand's
+        # pass of the scan, and the radicands are scanned in order instead
+        values = np.random.default_rng(round(-math.log10(tol) * 10)).uniform(-70, 70, 12)
+        found = self.check([(float(v), tol) for v in values])
+        assert any(f is not None and f.d > 0 for f in found)
+
+    def test_ties_take_the_first_in_d_c_b_order(self):
+        rng = np.random.default_rng(29)
+        ties = 0
+        for tol in (1e-5, 1e-4, 1e-3):
+            for value in rng.uniform(-6, 6, 10):
+                matches = _box_matches(float(value), tol)
+                if len(matches) < 2:
+                    continue
+                ties += len({m.d for m in matches}) > 1 or matches[0].d > 0
+                assert hk.match_quadratic(float(value), tol) == matches[0]
+                assert oracles.match_quadratic_reference(float(value), tol) == matches[0]
+        assert ties >= 10
+
+    def test_negative_values_and_the_box_bound(self):
+        top = hk.QuadraticLiteral(64, 64, 1, 62).value()  # the largest literal
+        bound = 64 * (1 + math.sqrt(64))
+        cases = [(-top, 1e-9), (top, 1e-9), (top + 5e-10, 1e-9), (-top + 1e-6, 1e-9),
+                 (-bound, 1e-9), (bound, 1e-3), (-(bound + 2e-3), 1e-3)]
+        lits = [hk.QuadraticLiteral(-3, -5, 7, 13), hk.QuadraticLiteral(0, -1, 64, 2),
+                hk.QuadraticLiteral(-64, 1, 1, 61), hk.QuadraticLiteral(-1, -1, 2, 5)]
+        cases += [(lit.value(), 1e-9) for lit in lits]
+        found = self.check(cases)
+        assert found[0] == hk.QuadraticLiteral(-64, -64, 1, 62)
+        assert found[-4:] == lits
+        assert found[6] is None
+
+    @pytest.mark.parametrize(
+        "max_coeff, max_radicand",
+        [(0, 64), (5, 0), (5, 1), (7, 2), (3, 30), (12, 64)],
+    )
+    def test_other_boxes(self, max_coeff, max_radicand):
+        rng = np.random.default_rng(max_coeff * 100 + max_radicand)
+        radicands = list(oracles.squarefree_radicands(max_radicand))
+        cases = [(0.0, 1e-9), (-0.0, 0.0)]
+        for _ in range(8):
+            d = int(rng.choice(radicands))
+            a, b = (int(x) for x in rng.integers(-max_coeff, max_coeff + 1, 2))
+            c = int(rng.integers(1, max(max_coeff, 1) + 1))
+            cases.append((hk.QuadraticLiteral(a, b if d else 0, c, d).value(), 1e-9))
+        cases += [(float(v), t) for v in rng.uniform(-9, 9, 4) for t in (1e-9, 1e-2)]
+        found = self.check(cases, max_coeff=max_coeff, max_radicand=max_radicand)
+        if max_coeff == 0:
+            assert found == [None] * len(cases)
+        if max_radicand < 2:
+            assert all(f is None or f.d == 0 for f in found)
+            radicands, bs, roots, order, start = hio._root_index(max_coeff, max_radicand)
+            assert radicands == () and roots.size == order.size == 0 and not start.any()
+
+    def test_negative_or_nan_tol_matches_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tol in (-1e-9, -1.0, math.nan):
+                assert hk.match_quadratic(2 - SQRT3, tol=tol) is None
+
+
 class TestHypergroupDocuments:
     def test_parse_ghj_with_quadratic_literals(self, tables):
         table = hk.parse_hypergroup(GHJ_DOCUMENT)
