@@ -44,15 +44,21 @@ _BOOL_TYPES = frozenset({bool, np.bool_})
 _SCREEN_MIN_N = 16
 
 
+def _integers(seq):
+    """``seq`` as a tuple of integers, or None if an entry is a float, a
+    string, a boolean or anything else that is not an integer."""
+    if not _BOOL_TYPES.isdisjoint(map(type, seq)):  # operator.index takes True as 1
+        return None
+    try:
+        return tuple(map(operator.index, seq))
+    except TypeError:
+        return None
+
+
 def _as_index_tuple(seq, n, what):
     """``seq`` as a tuple of integers in ``[0, n)``; a float, a string or a
     boolean raises StructureError instead of being cast."""
-    out = None
-    if _BOOL_TYPES.isdisjoint(map(type, seq)):  # operator.index takes True as 1
-        try:
-            out = tuple(map(operator.index, seq))
-        except TypeError:
-            pass
+    out = _integers(seq)
     if out is None or (out and (min(out) < 0 or max(out) >= n)):
         raise StructureError(f"{what}: expected integers in [0, {n})")
     return out
@@ -62,11 +68,12 @@ def _as_index(i, n, what):
     """``i`` as an integer in ``[0, n)``: a float, a string or a boolean
     raises StructureError, as in ``_as_index_tuple``, and an integer out
     of range raises IndexError."""
-    if type(i) in _BOOL_TYPES or not hasattr(type(i), "__index__"):
+    out = _integers((i,))
+    if out is None:
         raise StructureError(f"{what}: expected an integer, got {i!r}")
-    if not 0 <= i < n:
+    if not 0 <= out[0] < n:
         raise IndexError(f"{what} {i} out of range [0, {n})")
-    return operator.index(i)
+    return out[0]
 
 
 def _int_tensor(data, ndim: int, what: str) -> np.ndarray:

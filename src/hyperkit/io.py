@@ -123,14 +123,15 @@ _ROOT_BUCKETS = 4096
 def _root_index(max_coeff: int, max_radicand: int):
     """The roots ``b * sqrt(d)`` of the box, bucketed by fractional part.
 
-    Returns ``(radicands, bs, roots, order, start)``: the square-free d
-    in ``2..max_radicand``, the float ``b != 0`` in ``[-max_coeff,
-    max_coeff]``, the products ``b * sqrt(d)`` flattened in (d, b)
-    order, and CSR arrays of the buckets ``floor(frac(root) *
-    _ROOT_BUCKETS)``: bucket k holds the roots ``order[start[k]:start[k
-    + 1]]``.  ``order`` and ``start`` run through the buckets twice, so
-    a run of buckets that wraps past the last is one slice too.  The
-    arrays are read-only.
+    Returns ``(radicands, bs, order, start, bucketed)``: the square-free
+    d in ``2..max_radicand``, the float ``b != 0`` in ``[-max_coeff,
+    max_coeff]``, and CSR arrays of the products ``b * sqrt(d)`` in
+    the buckets ``floor(frac(root) * _ROOT_BUCKETS)``.  Bucket k holds
+    the roots ``bucketed[start[k]:start[k + 1]]``, and ``order`` gives
+    their positions in the (d, b) order of a scan, ``d_index * len(bs)
+    + b_index``.  ``order``, ``start`` and ``bucketed`` run through the
+    buckets twice, so a run of buckets that wraps past the last is one
+    slice too.  The arrays are read-only.
     """
     radicands = tuple(d for d in range(2, max_radicand + 1) if _is_squarefree(d))
     bs = np.arange(-max_coeff, max_coeff + 1, dtype=np.float64)
@@ -140,22 +141,24 @@ def _root_index(max_coeff: int, max_radicand: int):
     order = np.tile(np.argsort(bucket, kind="stable"), 2)
     start = np.zeros(2 * _ROOT_BUCKETS + 1, dtype=np.intp)
     np.cumsum(np.tile(np.bincount(bucket, minlength=_ROOT_BUCKETS), 2), out=start[1:])
-    for arr in (bs, roots, order, start):
+    bucketed = roots[order]
+    for arr in (bs, order, start, bucketed):
         arr.flags.writeable = False
-    return radicands, bs, roots, order, start
+    return radicands, bs, order, start, bucketed
 
 
-def _window_candidates(frac, w, start, order):
-    """The roots held by the buckets that cover ``[frac[c] - w, frac[c] +
-    w]`` modulo 1, for each c, as index arrays ``(c, j)`` into ``frac``
-    and the roots of ``_root_index`` (CSR arrays ``start``, ``order``)."""
+def _window_candidates(frac, w, start):
+    """Where the roots lie whose buckets cover ``[frac[c] - w[c], frac[c] +
+    w[c]]`` modulo 1, for each c, in the CSR arrays of ``_root_index``:
+    their positions in c order, and how many each c has.  A window with
+    ``w >= 0.5`` holds every bucket once."""
     lo = np.floor((frac - w) * _ROOT_BUCKETS).astype(np.intp)
     last = np.floor((frac + w) * _ROOT_BUCKETS).astype(np.intp) - lo  # buckets after lo
     lo %= _ROOT_BUCKETS
     first = start[lo]
-    count = start[lo + np.minimum(last, _ROOT_BUCKETS - 1) + 1] - first  # each bucket once
-    j = order[np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)]
-    return np.repeat(np.arange(len(frac)), count), j
+    count = start[lo + np.minimum(last, _ROOT_BUCKETS - 1) + 1] - first
+    pos = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
+    return pos, count
 
 
 def match_quadratic(
@@ -170,17 +173,16 @@ def match_quadratic(
     ``d <= max_radicand``; the result is the first match within tol in
     (d, c, b) order (d = 0 first, so rationals win), with ``a =
     round(value * c - b * sqrt(d))`` (half to even).  A root ``b *
-    sqrt(d)`` can match only if its fractional part lies within ``w =
-    tol * max_coeff`` of ``frac(value * c)`` modulo 1 (w is widened by
-    1e-9 per unit of the box bound, far above the float round-off).
-    So each c looks up the buckets of ``_root_index`` that cover its
-    window, and tests their roots with the float expressions of a full
-    scan, whose result it returns: on the default box at tol 1e-9, about
-    a hundred candidates and 70 us for a miss, against 2.5 ms.
-    Once a c's window would touch as many buckets and roots as one
-    radicand has b (from tol 1.1e-4 on the default box), the radicands
-    are scanned in order instead, one pass over the (c, b) grid each,
-    as a match then usually lies at a small d.
+    sqrt(d)`` can match at c only if its fractional part lies within
+    ``c * tol`` of ``frac(value * c)`` modulo 1 (widened by 1e-9 per
+    unit of the box bound, far above the float round-off).  So each c
+    looks up the buckets of ``_root_index`` that cover its window, and
+    tests their roots with the float expressions of a full scan, whose
+    result it returns.  The cost grows with the windows: on the default
+    box a miss at tol 1e-9 tests about eighty candidates in about 60 us,
+    against 2.5 ms for the scan; at tol 1e-3 the windows hold about 7%
+    of the box's roots (0.7 ms), and from ``tol = 1 / (2 c)`` the window
+    of c holds all of them.
     """
     if not math.isfinite(value):
         return None
@@ -194,27 +196,21 @@ def match_quadratic(
     if hits.any():
         c = int(hits.argmax())
         return QuadraticLiteral(int(a[c]), 0, c + 1, 0)
-    radicands, bs, roots, order, start = _root_index(max_coeff, max_radicand)
-    w = tol * max_coeff + 1e-9 * max(1.0, bound)
-    if not radicands or not w >= 0.0:
+    radicands, bs, order, start, bucketed = _root_index(max_coeff, max_radicand)
+    if not radicands or not tol >= 0.0:
         return None  # no roots, or tol < 0 or NaN, which nothing lies within
-    if 2.0 * w * (_ROOT_BUCKETS + len(roots)) >= len(bs):
-        for d, row in zip(radicands, roots.reshape(len(radicands), len(bs))):
-            a = np.round(scaled[:, None] - row)
-            hits = (np.abs(a) <= max_coeff) & (np.abs((a + row) / cs[:, None] - value) <= tol)
-            if hits.any():
-                c, b = divmod(int(hits.argmax()), len(bs))
-                return QuadraticLiteral(int(a[c, b]), int(bs[b]), c + 1, d)
-        return None
-    c_of, j = _window_candidates(scaled - np.floor(scaled), w, start, order)
-    r = roots[j]
-    a = np.round(scaled[c_of] - r)
-    hits = (np.abs(a) <= max_coeff) & (np.abs((a + r) / cs[c_of] - value) <= tol)
+    w = np.minimum(tol * cs + 1e-9 * max(1.0, bound), 1.0)  # from 0.5 on, every bucket
+    pos, count = _window_candidates(scaled - np.floor(scaled), w, start)
+    r = bucketed[pos]
+    a = np.round(np.repeat(scaled, count) - r)
+    hits = (np.abs(a) <= max_coeff) & (np.abs((a + r) / np.repeat(cs, count) - value) <= tol)
     if not hits.any():
         return None
-    a, c_of, (d, b) = a[hits], c_of[hits], np.divmod(j[hits], len(bs))
-    best = np.lexsort((b, c_of, d))[0]
-    return QuadraticLiteral(int(a[best]), int(bs[b[best]]), int(c_of[best]) + 1, radicands[d[best]])
+    (at,) = np.nonzero(hits)
+    c = np.searchsorted(np.cumsum(count), at, side="right")
+    d, b = np.divmod(order[pos[at]], len(bs))
+    best = np.argmin((d * max_coeff + c) * len(bs) + b)  # first in (d, c, b) order
+    return QuadraticLiteral(int(a[at[best]]), int(bs[b[best]]), int(c[best]) + 1, radicands[d[best]])
 
 
 # ---------------------------------------------------------------------------

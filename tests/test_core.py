@@ -473,8 +473,10 @@ def test_mixture_coefficients_must_be_finite_numbers(tables, build, coeffs):
 
 
 @pytest.mark.parametrize(
-    "index", [True, np.bool_(False), 1.5, np.float64(1.0), "1", None],
-    ids=["bool", "numpy-bool", "float", "numpy-float", "string", "none"],
+    "index",
+    [True, np.bool_(False), 1.5, np.float64(1.0), np.array(1.5), np.array(True), "1", None],
+    ids=["bool", "numpy-bool", "float", "numpy-float", "0d-float-array", "0d-bool-array",
+         "string", "none"],
 )
 def test_element_index_must_be_an_integer(tables, index):
     z3 = tables["z3"]
@@ -493,3 +495,4 @@ def test_element_index_range_and_integer_types(tables):
             hk.point_mass(z3, index)
     assert hk.point_mass(z3, np.int64(2)).coeffs.tolist() == [0.0, 0.0, 1.0]
     assert hk.multiply(z3, np.int32(1), 1).coeffs.tolist() == [0.0, 0.0, 1.0]
+    assert hk.point_mass(z3, np.array(1)).coeffs.tolist() == [0.0, 1.0, 0.0]

@@ -441,10 +441,10 @@ def test_boundary_state_fields_are_checked(tables, to_object, coeffs):
 
 @pytest.mark.parametrize(
     "to_object, arrow",
-    [(0, True), (0, np.bool_(True)), (0, 1.5), (0, np.float64(0.0)), (0, None), (True, 0),
-     (0.0, 0)],
-    ids=["bool-arrow", "numpy-bool-arrow", "float-arrow", "numpy-float-arrow", "none-arrow",
-         "bool-object", "float-object"],
+    [(0, True), (0, np.bool_(True)), (0, 1.5), (0, np.float64(0.0)), (0, np.array(0.0)),
+     (0, None), (True, 0), (0.0, 0)],
+    ids=["bool-arrow", "numpy-bool-arrow", "float-arrow", "numpy-float-arrow",
+         "0d-float-array-arrow", "none-arrow", "bool-object", "float-object"],
 )
 def test_point_state_indices_must_be_integers(groupoids, to_object, arrow):
     with pytest.raises(hk.StructureError, match="arrow index|boundary state objects"):

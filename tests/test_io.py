@@ -156,17 +156,17 @@ class TestQuadraticIndex:
         return found
 
     def test_index_buckets_every_root_once(self):
-        radicands, bs, roots, order, start = hio._root_index(64, 64)
+        radicands, bs, order, start, bucketed = hio._root_index(64, 64)
         assert radicands == tuple(d for d in oracles.squarefree_radicands(64) if d)
-        expected = np.concatenate([bs * math.sqrt(d) for d in radicands])
-        assert np.array_equal(roots, expected)  # the scan's products, bit for bit
+        roots = np.concatenate([bs * math.sqrt(d) for d in radicands])  # the scan's products
+        assert np.array_equal(bucketed, roots[order])  # bit for bit
         assert sorted(order.tolist()) == sorted(2 * list(range(len(roots))))  # twice through
         assert start[0] == 0 and start[-1] == 2 * len(roots) and np.all(np.diff(start) >= 0)
         for k in (0, 1, 2047, 4095, 4096, 8191):
-            chunk = roots[order[start[k] : start[k + 1]]]
+            chunk = bucketed[start[k] : start[k + 1]]
             assert np.all(np.floor((chunk - np.floor(chunk)) * 4096) == k % 4096)
-        assert not roots.flags.writeable
-        assert hio._root_index(64, 64)[2] is roots  # built once per box
+        assert not bucketed.flags.writeable and not order.flags.writeable
+        assert hio._root_index(64, 64)[4] is bucketed  # built once per box
 
     def test_fractional_parts_next_to_zero_and_one(self):
         # the window of c is frac(value * c) +- 64 tol (mod 1), so it wraps past
@@ -188,25 +188,28 @@ class TestQuadraticIndex:
     def test_windows_hold_every_root_within_w(self):
         # the lookup is exact only if each window's buckets hold every root
         # whose fractional part lies within w of frac(value * c), modulo 1
-        radicands, bs, roots, order, start = hio._root_index(64, 64)
+        radicands, bs, order, start, bucketed = hio._root_index(64, 64)
+        roots = np.concatenate([bs * math.sqrt(d) for d in radicands])
         root_frac = roots - np.floor(roots)
         rng = np.random.default_rng(3)
         fracs = np.concatenate([[0.0, 1e-9, 2.0**-12, 0.5, 1 - 2.0**-12, 1 - 1e-9],
                                 rng.uniform(0, 1e-3, 4), rng.uniform(1 - 1e-3, 1, 4),
                                 rng.uniform(0, 1, 4)])
-        for w in (0.0, 1e-9, 1e-4, 3e-3, 0.2, 0.49999):
-            c_of, j = hio._window_candidates(fracs, w, start, order)
+        for w in (0.0, 1e-9, 1e-4, 3e-3, 0.2, 0.49999, 0.5, 1.0, np.linspace(0, 1, len(fracs))):
+            pos, count = hio._window_candidates(fracs, w, start)
+            c_of, j = np.repeat(np.arange(len(fracs)), count), order[pos]
             got = set(zip(c_of.tolist(), j.tolist()))
             assert len(got) == len(c_of)  # no root twice
             gap = np.abs(fracs[:, None] - root_frac[None, :])
-            near = np.minimum(gap, 1.0 - gap) <= w
-            assert set(zip(*map(np.ndarray.tolist, np.nonzero(near)))) <= got
-            assert np.all(np.minimum(gap, 1.0 - gap)[c_of, j] <= w + 2.0**-12)  # and little more
+            gap = np.minimum(gap, 1.0 - gap)
+            wc = np.broadcast_to(w, fracs.shape)
+            assert set(zip(*map(np.ndarray.tolist, np.nonzero(gap <= wc[:, None])))) <= got
+            assert np.all(gap[c_of, j] <= wc[c_of] + 2.0**-12)  # and little more
+            assert np.all(count[wc >= 0.5] == len(roots))  # every bucket once
 
     @pytest.mark.parametrize("tol", [1e-4, 1.2e-4, 1e-3, 1e-2, 0.1])
     def test_wide_tolerances(self, tol):
-        # from tol 1.1e-4 the windows would touch more than one radicand's
-        # pass of the scan, and the radicands are scanned in order instead
+        # from tol 1e-3 the windows of the larger c cover every bucket
         values = np.random.default_rng(round(-math.log10(tol) * 10)).uniform(-70, 70, 12)
         found = self.check([(float(v), tol) for v in values])
         assert any(f is not None and f.d > 0 for f in found)
@@ -256,8 +259,8 @@ class TestQuadraticIndex:
             assert found == [None] * len(cases)
         if max_radicand < 2:
             assert all(f is None or f.d == 0 for f in found)
-            radicands, bs, roots, order, start = hio._root_index(max_coeff, max_radicand)
-            assert radicands == () and roots.size == order.size == 0 and not start.any()
+            radicands, bs, order, start, bucketed = hio._root_index(max_coeff, max_radicand)
+            assert radicands == () and bucketed.size == order.size == 0 and not start.any()
 
     def test_negative_or_nan_tol_matches_nothing(self):
         with warnings.catch_warnings():
