@@ -28,8 +28,9 @@ import warnings
 
 import numpy as np
 
-from .core import DEFAULT_TOL, HypergroupTable, ValidationReport, validate
-from .core import _as_index_tuple, _associativity_violations, _float_tensor, _grid, _int_tensor
+from .core import DEFAULT_TOL, HypergroupTable, ValidationReport
+from .core import _EPS, _SCREEN_MIN_N, _as_index_tuple, _associativity_violations, _dot_error
+from .core import _float_tensor, _grid, _int_tensor, _report
 from .errors import AxiomError, NumericalError, PreconditionError, StructureError
 
 
@@ -77,9 +78,22 @@ def validate_cayley(group: CayleyGroup) -> None:
     """Raise StructureError unless ``mul`` is a genuine group table.
 
     Checks the Latin-square property, both identity laws and
-    associativity over all triples, in O(|G|^3) time and O(|G|^2)
-    memory.  Inverses follow: every row of a Latin square holds the
-    identity.  ``CayleyGroup`` runs it once, on construction.
+    associativity.  Inverses follow: every row of a Latin square holds
+    the identity.  ``CayleyGroup`` runs it once, on construction.
+
+    From ``_SCREEN_MIN_N`` elements on, associativity is certified from
+    a generating set S, as in ``validate_fusion_ring``: the elements g
+    with ``(x g) y = x (g y)`` for all x, y are closed under products,
+    and the identity is one.  Each greedy generator (the least element
+    outside the subgroup certified so far) is tested with two gathers,
+    ``mul[mul[:, g]] == mul[:, mul[g]]``, O(|G|^2), and |S| <= log2 |G|.
+    The certified set is then closed under products, one gather of all
+    products of certified elements a round, so a word in the generators
+    certifies in about log2 of its length rounds rather than one round a
+    letter.  If a generator fails, the scan of all triples (O(|G|^3))
+    runs and names the first failing ``(i, j, k)``, so the message is
+    the same as without the certificate; smaller groups take that scan
+    alone.  Memory is O(|G|^2).
     """
     mul = group.mul
     n = group.order
@@ -92,12 +106,30 @@ def validate_cayley(group: CayleyGroup) -> None:
         raise StructureError(f"Cayley table is not a Latin square at row/column {i}")
     if not (np.array_equal(mul[e], rng) and np.array_equal(mul[:, e], rng)):
         raise StructureError("identity element does not act trivially")
+    if n >= _SCREEN_MIN_N and _group_certificate(mul, e):
+        return
     for i in range(n):
         # (i j) k against i (j k), one i at a time
         bad = mul[mul[i]] != mul[i][mul]
         if bad.any():
             j, k = (int(x[0]) for x in np.where(bad))
             raise StructureError(f"Cayley table is not associative at ({i}, {j}, {k})")
+
+
+def _group_certificate(mul: np.ndarray, e: int) -> bool:
+    """Whether greedy generators, each passing its middle law, certify ``mul``."""
+    certified = np.zeros(mul.shape[0], dtype=bool)
+    certified[e] = True
+    while not certified.all():
+        g = int(np.argmin(certified))  # the least element outside the certified subgroup
+        if not np.array_equal(mul[mul[:, g]], mul[:, mul[g]]):
+            return False
+        certified[g] = True
+        members = np.empty(0)
+        while members.size < np.count_nonzero(certified):  # products of certified elements
+            members = np.flatnonzero(certified)
+            certified[mul[np.ix_(members, members)]] = True
+    return True
 
 
 def cayley_group(mul, identity, labels=None) -> CayleyGroup:
@@ -267,6 +299,55 @@ class FusionRing:
         return len(self.labels)
 
 
+def _generator_certificate(Nf: np.ndarray, unit: int) -> bool:
+    """Whether a generating set proves the integer tensor ``Nf`` associative.
+
+    The set A = {a : (x a) y = x (a y) for all x, y} is closed under
+    products: for a, b in A, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) =
+    x((ab)y) (Light's test; Clifford & Preston, Algebraic Theory of
+    Semigroups I, 1961, section 1.2).  The unit is in A by the unit laws,
+    which are checked here.  If c is the only uncertified element in the
+    support of a product ``a g`` of a certified element and a generator,
+    then ``N[a, g, c] f_c`` is ``a g`` minus certified elements, so c is
+    in A.  When no such product remains, the least uncertified element
+    becomes a generator; its middle law is tested with two matrix
+    products, 2 n^4 multiply-adds into two n^3 buffers, exactly, since
+    ``FusionRing`` keeps ``n * max(N)**2`` below 2**53.  SU(2)_k needs
+    one generator.  False, for the caller to run the kernel, when a unit
+    law or a middle law fails, or when one more generator would bring
+    the tests above a quarter of the screened kernel's n^5 multiply-adds.
+    """
+    n = Nf.shape[0]
+    eye = np.eye(n)
+    if not (np.array_equal(Nf[unit], eye) and np.array_equal(Nf[:, unit, :], eye)):
+        return False
+    flat = Nf.reshape(n, n * n)
+    left, right = np.empty((n, n * n)), np.empty((n, n, n))
+    certified = np.zeros(n, dtype=bool)
+    certified[unit] = True
+    support = np.zeros((n, 0, n), dtype=bool)  # support[a, j, c]: N[a, gens[j], c] > 0
+    pending = np.zeros((n, 0), dtype=np.int64)  # uncertified elements in that support
+    while not certified.all():
+        a, j = np.nonzero(certified[:, None] & (pending == 1))
+        if a.size:
+            c = int(np.argmax(support[a[0], j[0]] & ~certified))
+        elif 8 * (support.shape[1] + 1) > n:  # 2 n^4 a generator, at most n^5 / 4
+            return False
+        else:
+            c = int(np.argmin(certified))
+            np.matmul(Nf[:, c, :], flat, out=left)  # (x c) y
+            np.matmul(Nf[c], Nf, out=right)  # x (c y)
+            np.subtract(right, left.reshape(n, n, n), out=right)  # in place: no n^3 mask
+            if right.any():
+                return False
+            column = Nf[:, c, :] > 0
+            support = np.concatenate((support, column[:, None, :]), axis=1)
+            pending = np.column_stack((pending, (column & ~certified).sum(axis=1)))
+        certified[c] = True
+        pending -= support[:, :, c]
+    return True
+
+
 def validate_fusion_ring(ring: FusionRing) -> None:
     """Raise AxiomError on hard violations; warn on Frobenius asymmetry.
 
@@ -275,13 +356,19 @@ def validate_fusion_ring(ring: FusionRing) -> None:
     reciprocity ``N[i, j, l] == N[conj(i), l, j]`` is reported as a
     warning only, since rescalings of group-like data may lack it.
 
-    Associativity runs on the kernel of ``validate`` in float64 and is
-    exact: ``FusionRing`` keeps ``n * max(N)**2`` below 2**53, so every
-    partial sum is an integer that float64 holds.  So a ring whose
-    conjugation is an involution and obeys ``N[i, j, l] == N[conj(j),
-    conj(i), conj(l)]`` screens with margin 0, in n^5 multiply-adds when
-    it passes, commutative or not; any other takes 2 n^5.  Memory is
-    O(n^3).  The error's ``report`` lists every violation.
+    From ``_SCREEN_MIN_N`` elements on, associativity is first certified
+    from a generating set (``_generator_certificate``): 2 n^4
+    multiply-adds a generator, one generator for SU(2)_k.  Otherwise,
+    when a generator fails or more than n / 8 would be needed, it runs on
+    the kernel of ``validate``, in float64 and exactly: ``FusionRing``
+    keeps ``n * max(N)**2`` below 2**53, so every partial sum is an
+    integer that float64 holds.  So a ring whose conjugation is an
+    involution and obeys ``N[i, j, l] == N[conj(j), conj(i), conj(l)]``
+    screens with margin 0, in n^5 multiply-adds when it passes,
+    commutative or not; any other takes 2 n^5.  The certificate passes
+    only an associative ring, and every failure ends in the kernel, so
+    the outcome and the report are the same as the kernel's alone.
+    Memory is O(n^3).  The error's ``report`` lists every violation.
     """
     N = ring.N
     unit = ring.unit
@@ -296,6 +383,8 @@ def validate_fusion_ring(ring: FusionRing) -> None:
     if not np.array_equal(N, frob):
         warnings.warn("fusion ring lacks Frobenius symmetry N[i,j,l] = N[conj(i),l,j]")
     Nf = N.astype(np.float64)
+    if ring.n >= _SCREEN_MIN_N and _generator_certificate(Nf, unit):
+        return
     vios = []
     _associativity_violations(Nf, Nf, Nf, Nf, (), 0.0, vios, exact=True, star=ring.conj)
     if vios:
@@ -381,11 +470,40 @@ def pf_dimensions(ring: FusionRing) -> DimensionVector:
 
 
 def from_fusion_ring(ring: FusionRing, tol: float = DEFAULT_TOL) -> HypergroupTable:
-    """Rescale ``k_i = f_i / dim_i``; weights of the result are ``dim_i**2``."""
+    """Rescale ``k_i = f_i / dim_i``; weights of the result are ``dim_i**2``.
+
+    The result is checked by ``validate`` at ``max(tol, 1e-9)``, with the
+    same report, though from ``_SCREEN_MIN_N`` elements on its n^5
+    associativity kernel is mostly skipped.  For any nonzero d, ``lam[a,
+    b, c] = N[a, b, c] d_c / (d_a d_b)`` gives ``lam[a, b, m] lam[m, c,
+    p] = N[a, b, m] N[m, c, p] d_p / (d_a d_b d_c)``: d_m cancels, and
+    likewise in ``a (b c)``, so lam is exactly associative whenever N
+    is.  Each stored entry is rounded three times (two products and a
+    quotient), so it is ``lam (1 + theta)`` with ``|theta| <= rho = (1 +
+    eps)^3 - 1``; an n-term sum of products of stored entries is then
+    off from the exact one by at most ``sigma n M^2``, ``sigma = ((1 +
+    rho)^2 - 1) / (1 - rho)^2``, ``M`` the largest entry, and the
+    kernel's own round-off is ``core._dot_error(n, M)``.  When ``margin
+    = 2 sigma n M^2 + _dot_error(n, M)`` is below tol, no computed
+    defect can exceed tol, so the kernel is skipped once the generator
+    certificate of ``validate_fusion_ring`` proves N associative; it runs
+    on ``ring.N`` itself, unit laws included, since a ring built with
+    ``check=False`` may be neither.  If it fails, the kernel runs.
+    """
     dims = pf_dimensions(ring).dims
     lam = ring.N * dims[None, None, :] / (dims[:, None, None] * dims[None, :, None])
     table = HypergroupTable(ring.labels, ring.unit, ring.conj, lam)
-    report = validate(table, tol=max(tol, 1e-9))
+    del lam  # HypergroupTable holds a copy
+    tol = max(tol, 1e-9)
+    n, big = ring.n, max(float(table.lam.max()), -float(table.lam.min()))
+    rho = (1.0 + _EPS) ** 3 - 1.0
+    sigma = ((1.0 + rho) ** 2 - 1.0) / (1.0 - rho) ** 2
+    skip = (
+        n >= _SCREEN_MIN_N
+        and 2.0 * sigma * n * big * big + _dot_error(n, big) < tol
+        and _generator_certificate(ring.N.astype(np.float64), ring.unit)
+    )
+    report = _report(table, tol, not skip)
     if not report.passed:
         raise AxiomError("rescaled fusion ring fails hypergroup axioms", report=report)
     return table

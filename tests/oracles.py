@@ -208,6 +208,21 @@ def cyclic_subgroups(group):
     return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
+def greedy_generators(mul, e):
+    """Generators of a group table: each the least element outside the
+    subgroup the earlier ones generate (the closure of ``e`` under right
+    multiplication by them)."""
+    n = len(mul)
+    gens, reached = [], {e}
+    while len(reached) < n:
+        gens.append(min(set(range(n)) - reached))
+        reached = frontier = {e}
+        while frontier:
+            frontier = {int(mul[a][g]) for a in frontier for g in gens} - reached
+            reached = reached | frontier
+    return gens
+
+
 def su2_fusion_tensor(k):
     """SU(2)_k multiplicities from the truncated Clebsch-Gordan rule."""
     n = k + 1

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import hyperkit as hk
 import oracles
 from hyperkit import core
+from test_constructions import assert_associativity_matches_reference, su2_ring
 from test_core import assert_matches_reference, associativity_found, su2_table
 
 EPS = np.finfo(np.float64).eps
@@ -254,9 +255,16 @@ class TestScreenedKernel:
         assert (screened, full) == (0, n)
 
 
+def certificate_products(n, generators):
+    """The products of ``constructions._generator_certificate``: two per generator."""
+    return [(n, n * n), (n, n, n)] * generators
+
+
 class TestFusionRingScreen:
     def check(self, N):
-        """``validate_fusion_ring``'s violations equal both references; returns its paths."""
+        """``validate_fusion_ring``'s violations equal both references.
+
+        Returns them and the shapes of the matrix products it made."""
         n = len(N)
         Nf = N.astype(float)
         reference = oracles.associativity_reference(Nf, 0.0)
@@ -270,16 +278,22 @@ class TestFusionRingScreen:
             except hk.AxiomError as exc:
                 found = [(v.indices, v.magnitude) for v in exc.report.violations]
         assert found == reference
-        return found, *paths(shapes, n)
+        return found, shapes
 
     def test_commutative_ring_is_screened_exactly(self):
-        assert self.check(oracles.su2_fusion_tensor(17)) == ([], 18, 0)
+        N = oracles.su2_fusion_tensor(17)
+        # validate_fusion_ring certifies it from the generator j1 alone, without the kernel
+        assert self.check(N) == ([], certificate_products(18, 1))
+        assert kernel_run(N.astype(float), 0.0, exact=True) == ([], (18, 0))
 
     def test_commutative_non_associative_rings(self):
         for i, j, l in ((1, 2, 3), (5, 5, 6), (16, 3, 17), (2, 9, 11)):
             N = oracles.su2_fusion_tensor(17).copy()
             raise_pair(N, i, j, l, 1)
-            found, screened, full = self.check(N)
+            found, shapes = self.check(N)
+            # the generator j1 fails its middle law, and the kernel runs
+            assert shapes[:2] == certificate_products(18, 1)
+            screened, full = paths(shapes[2:], 18)
             assert found and screened >= 1 and full == 18 - screened + 1
 
     def test_non_commutative_ring_takes_no_exact_screen(self, groups):
@@ -288,6 +302,156 @@ class TestFusionRingScreen:
         N = np.zeros((n, n, n))
         N[np.arange(n)[:, None], np.arange(n)[None, :], group.mul] = 1.0
         assert kernel_run(N, 0.0, exact=True) == ([], (0, n))
+
+
+def group_ring(group):
+    """The group ring: ``N[a, b, ab] = 1``, conjugation the inverse."""
+    n = group.order
+    N = np.zeros((n, n, n), dtype=np.int64)
+    N[np.arange(n)[:, None], np.arange(n)[None, :], group.mul] = 1
+    return N, hk.constructions.inverses(group)
+
+
+def rescaled_lam(ring):
+    """``N[a, b, c] d_c / (d_a d_b)``, rounded as ``from_fusion_ring`` rounds it."""
+    dims = hk.pf_dimensions(ring).dims
+    return ring.N * dims[None, None, :] / (dims[:, None, None] * dims[None, :, None])
+
+
+def rescaled_reference(ring, tol=hk.DEFAULT_TOL):
+    """``from_fusion_ring`` with the full ``validate``: its table, or its AxiomError's report."""
+    table = hk.HypergroupTable(ring.labels, ring.unit, ring.conj, rescaled_lam(ring))
+    report = hk.validate(table, max(tol, 1e-9))
+    return table if report.passed else report
+
+
+class TestGeneratorCertificate:
+    """``validate_fusion_ring`` and ``from_fusion_ring`` certify associativity from generators.
+
+    A ring the certificate cannot prove associative goes to the kernel,
+    so every outcome, message and report is the kernel's.
+    """
+
+    @pytest.fixture(scope="class")
+    def group_rings(self, groups):
+        pairs = (("z2", "s4"), ("z2", "d4"), ("z2", "q8"), ("z4", "z4"))
+        products = [oracles.direct_product(groups[a], groups[b]) for a, b in pairs]
+        rings = [group_ring(g) for g in (*groups.values(), *products)]
+        assert all(g.identity == 0 for g in (*groups.values(), *products))
+        return rings
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_violations_equal_the_reference(self, group_rings, data):
+        if data.draw(st.booleans(), label="su2"):
+            k = data.draw(st.integers(min_value=15, max_value=40), label="k")
+            N, conj = oracles.su2_fusion_tensor(k).copy(), tuple(range(k + 1))
+        else:
+            N, conj = data.draw(st.sampled_from(group_rings), label="group ring")
+            N = N.copy()
+        n = len(N)
+        if n > 1 and data.draw(st.booleans(), label="raised"):
+            off_unit = st.integers(min_value=1, max_value=n - 1)  # both laws still hold
+            i, j, l = (data.draw(off_unit, label=name) for name in "ijl")
+            raise_pair(N, i, j, l, 1)
+        assert_associativity_matches_reference(N, conj)
+
+    def odd_levels_first(self):
+        """SU(2)_31 with the odd levels 3, 5, ..., 31 listed right after the unit.
+
+        A product of two odd levels from 3 up holds only even levels, two
+        or more of them nonzero, so the products of the unit and the first
+        n / 8 = 4 greedy generators (levels 3, 5, 7, 9) certify nothing new,
+        and the certificate gives up before a fifth.
+        """
+        order = [0, *range(3, 32, 2), 1, *range(2, 32, 2)]
+        return relabel(oracles.su2_fusion_tensor(31), np.argsort(order))
+
+    def test_ring_without_triangular_steps_falls_back_to_the_kernel(self):
+        N = self.odd_levels_first()
+        n = len(N)
+        with recorded_products() as shapes:
+            assert not hk.constructions._generator_certificate(N.astype(float), 0)
+        assert shapes == certificate_products(n, n // 8)
+        ring = hk.FusionRing(tuple(f"j{i}" for i in range(n)), 0, range(n), N)
+        with recorded_products() as shapes:
+            hk.validate_fusion_ring(ring)
+        assert shapes[:8] == certificate_products(n, 4)
+        assert paths(shapes[8:], n) == (n, 0)
+        with recorded_products() as shapes:
+            table = hk.from_fusion_ring(ring)
+        assert shapes[:8] == certificate_products(n, 4)
+        assert paths(shapes[8:], n) == (n, 0)
+        assert hk.tables_equal(table, rescaled_reference(ring), tol=0.0)
+        for i, j, l in ((1, 2, 3), (4, 4, 6), (20, 9, 30)):
+            raised = N.copy()
+            raise_pair(raised, i, j, l, 1)
+            assert_associativity_matches_reference(raised, tuple(range(n)))
+
+    def test_rescaled_ring_skips_the_kernel(self, groups, monkeypatch):
+        rings = [su2_ring(k) for k in (15, 40)]
+        for group in (groups["s4"], oracles.direct_product(groups["z2"], groups["s4"])):
+            # within the certificate's budget of n / 8 generators
+            assert len(oracles.greedy_generators(group.mul, 0)) <= group.order // 8
+            N, conj = group_ring(group)
+            rings.append(hk.FusionRing(tuple(map(str, range(len(N)))), 0, conj, N))
+        want = [rescaled_reference(ring) for ring in rings]
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("the associativity kernel ran")
+
+        monkeypatch.setattr(core, "_associativity_violations", kernel)
+        found = [hk.from_fusion_ring(ring) for ring in rings]
+        assert all(hk.tables_equal(t, w, tol=0.0) for t, w in zip(found, want))
+
+    def test_kernel_runs_when_the_margin_reaches_tol(self, monkeypatch):
+        ring, calls = su2_ring(20), []
+        kernel = core._associativity_violations
+
+        def recording(*args, **kwargs):
+            calls.append(args[0].shape)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(core, "_associativity_violations", recording)
+        hk.from_fusion_ring(ring)
+        assert calls == []
+        monkeypatch.setattr(hk.constructions, "_dot_error", lambda n, big: 1e-9)
+        hk.from_fusion_ring(ring)
+        assert calls == [(21, 21, 21)]
+
+    def moved(self, N, i, j, l, to):
+        """N with one multiplicity of l in ``f_i f_j`` (and in ``f_j f_i``) moved to ``to``.
+
+        With ``d_l == d_to`` the dimensions still obey the fusion rules."""
+        N = N.copy()
+        for a, b in {(i, j), (j, i)}:
+            N[a, b, l] -= 1
+            N[a, b, to] += 1
+        return N
+
+    def test_unchecked_non_associative_ring_gets_the_kernels_report(self, groups):
+        # SU(2)_17: d_1 == d_16; Z2 x D4: every dimension is 1
+        z2_d4 = oracles.direct_product(groups["z2"], groups["d4"])
+        ab = int(z2_d4.mul[3, 5])
+        assert ab not in (0, 7)  # the unit and conjugation laws still hold
+        cases = [
+            (self.moved(oracles.su2_fusion_tensor(17), 2, 3, 1, 16), tuple(range(18))),
+            (self.moved(group_ring(z2_d4)[0], 3, 5, ab, 7), None),
+        ]
+        for N, conj in cases:
+            labels = tuple(f"f{i}" for i in range(len(N)))
+            ring = hk.fusion_ring(labels, 0, N, conj=conj, check=False)
+            with pytest.raises(hk.AxiomError), warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # moving a multiplicity breaks Frobenius symmetry
+                hk.validate_fusion_ring(ring)
+            want = rescaled_reference(ring)
+            with recorded_products() as shapes, pytest.raises(hk.AxiomError) as info:
+                hk.from_fusion_ring(ring)
+            assert info.value.report == want
+            assert shapes[:2] == certificate_products(len(N), 1)  # the first generator fails
+            lam = rescaled_lam(ring)
+            kernel = oracles.associativity_kernel_reference(lam, lam, lam, lam, 1e-9)
+            assert associativity_found(info.value.report) == kernel != []
 
 
 class TestGroupoidScreen:
@@ -540,7 +704,13 @@ class TestStarScreen:
         ring = hk.FusionRing(tuple(f"g{i}" for i in range(n)), group.identity, inv, N)
         with recorded_products() as shapes:
             hk.validate_fusion_ring(ring)
-        assert paths(shapes, n) == (n, 0)
+        # certified from its greedy generators, without the kernel
+        generators = oracles.greedy_generators(group.mul, group.identity)
+        assert shapes == certificate_products(n, len(generators))
+        Nf, vios = N.astype(float), []
+        with recorded_products() as shapes:
+            core._associativity_violations(Nf, Nf, Nf, Nf, (), 0.0, vios, exact=True, star=inv)
+        assert (vios, paths(shapes, n)) == ([], (n, 0))
 
 
 class TestMirroredQuadruples:
@@ -612,11 +782,34 @@ class TestMirroredQuadruples:
                 assert checked.count(q) + checked.count(mirror) == 1
         assert len(checked) < 16
 
+    def test_the_cheaper_member_runs_first(self, groups):
+        # Z2 x S4 over an order-2 subgroup: 48, 24 and 14 arrows in Mor(0 -> 0),
+        # Mor(1 -> 0) and Mor(1 -> 1).  The members of each pair take the same
+        # multiply-adds.  (0, 0, 1, 0) has twice the slices of (0, 1, 0, 0), but
+        # each moves under half the floats, so it costs less; (0, 1, 0, 1) ties
+        # with (1, 0, 1, 0), so the first in order runs
+        group = oracles.direct_product(groups["z2"], groups["s4"])
+        subgroup = next(s for s in oracles.cyclic_subgroups(group) if len(s) == 2)
+        g = hk.double_coset_groupoid(group, subgroup)
+        size = [[len(m) for m in row] for row in g.mor]
+        assert size == [[48, 24], [24, 14]]
+
+        def madds(q):
+            x, y, z, w = q
+            return size[x][y] * size[y][z] * size[z][w] * size[x][w] * (size[x][z] + size[y][w])
+
+        assert madds((0, 0, 1, 0)) == madds((0, 1, 0, 0))
+        assert madds((0, 1, 0, 1)) == madds((1, 0, 1, 0))
+        found, checked = self.run(g)
+        assert found == []
+        assert (0, 0, 1, 0) in checked and (0, 1, 0, 0) not in checked
+        assert (0, 1, 0, 1) in checked and (1, 0, 1, 0) not in checked
+
     def test_violations_in_one_member_only(self, base):
         # comp[0][0][1] alone raised: the star law breaks.  Quadruple (0, 0, 0, 1)
         # deviates by twice the amount, every other by at most the amount, so
         # with tol between them its mirror (1, 0, 0, 0) passes, and it runs first
-        # (Mor(0 -> 1) has fewer arrows than Mor(0 -> 0)); the margin must keep
+        # (half the slices, each under three times the floats); the margin must keep
         # (0, 0, 0, 1) from being skipped
         for amount in (1e-6, 1e-9):
             g = self.perturbed(base, [((0, 0, 1, (0, 0, 0)), amount)])

@@ -134,6 +134,36 @@ class TestCayley:
         hk.double_coset_groupoid(group, (0, 2))
         assert calls == [6]
 
+    def test_certificate_passes_every_group(self, groups):
+        rng = np.random.default_rng(5)
+        cases = [*groups.values(), oracles.direct_product(groups["z2"], groups["s4"])]
+        cases += [relabel_group(g, rng.permutation(g.order)) for g in (groups["s4"], groups["q8"])]
+        for group in cases:
+            assert hk.constructions._group_certificate(group.mul, group.identity)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_switched_intercalate_names_the_first_triple(self, groups, seed):
+        # a 2 x 2 Latin subsquare off the identity row and column, switched:
+        # still a Latin square with the identity, but no longer a group
+        group = (groups["s4"], oracles.direct_product(groups["z2"], groups["d4"]))[seed % 2]
+        mul, e, n = np.array(group.mul), group.identity, group.order
+        rng = np.random.default_rng(seed)
+        while True:
+            x, y, u = (int(i) for i in rng.integers(n, size=3))
+            v = int(np.flatnonzero(mul[y] == mul[x, u])[0])
+            if e not in (x, y, u, v) and x != y and mul[x, v] == mul[y, u]:
+                break
+        mul[[x, x, y, y], [u, v, u, v]] = mul[[x, x, y, y], [v, u, v, u]]
+        first = next(
+            (i, j, k)
+            for i in range(n) for j in range(n) for k in range(n)
+            if mul[mul[i, j], k] != mul[i, mul[j, k]]
+        )
+        assert not hk.constructions._group_certificate(mul, e)
+        with pytest.raises(hk.StructureError) as info:
+            hk.CayleyGroup(mul, e)
+        assert str(info.value) == f"Cayley table is not associative at {first}"
+
     def test_conjugacy_classes_of_s3(self, groups):
         classes = hk.conjugacy_classes(groups["s3"])
         assert [len(c) for c in classes] == [1, 3, 2]
