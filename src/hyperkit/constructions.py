@@ -81,19 +81,18 @@ def validate_cayley(group: CayleyGroup) -> None:
     associativity.  Inverses follow: every row of a Latin square holds
     the identity.  ``CayleyGroup`` runs it once, on construction.
 
-    From ``_SCREEN_MIN_N`` elements on, associativity is certified from
-    a generating set S, as in ``validate_fusion_ring``: the elements g
-    with ``(x g) y = x (g y)`` for all x, y are closed under products,
-    and the identity is one.  Each greedy generator (the least element
-    outside the subgroup certified so far) is tested with two gathers,
-    ``mul[mul[:, g]] == mul[:, mul[g]]``, O(|G|^2), and |S| <= log2 |G|.
-    The certified set is then closed under products, one gather of all
-    products of certified elements a round, so a word in the generators
-    certifies in about log2 of its length rounds rather than one round a
-    letter.  If a generator fails, the scan of all triples (O(|G|^3))
-    runs and names the first failing ``(i, j, k)``, so the message is
-    the same as without the certificate; smaller groups take that scan
-    alone.  Memory is O(|G|^2).
+    Associativity is certified from a generating set S, as in
+    ``validate_fusion_ring``: the elements g with ``(x g) y = x (g y)``
+    for all x, y are closed under products, and the identity is one.
+    Each greedy generator (the least element outside the subgroup
+    certified so far) is tested with two gathers, ``mul[mul[:, g]] ==
+    mul[:, mul[g]]``, O(|G|^2), and |S| <= log2 |G|.  The certified set
+    is then closed under products, one gather of all products of
+    certified elements a round, so a word in the generators certifies in
+    about log2 of its length rounds rather than one round a letter.  If
+    a generator fails, the scan of all triples (O(|G|^3)) runs and names
+    the first failing ``(i, j, k)``, so the message is the same as
+    without the certificate.  Memory is O(|G|^2).
     """
     mul = group.mul
     n = group.order
@@ -106,7 +105,7 @@ def validate_cayley(group: CayleyGroup) -> None:
         raise StructureError(f"Cayley table is not a Latin square at row/column {i}")
     if not (np.array_equal(mul[e], rng) and np.array_equal(mul[:, e], rng)):
         raise StructureError("identity element does not act trivially")
-    if n >= _SCREEN_MIN_N and _group_certificate(mul, e):
+    if _group_certificate(mul, e):
         return
     for i in range(n):
         # (i j) k against i (j k), one i at a time
@@ -122,13 +121,13 @@ def _group_certificate(mul: np.ndarray, e: int) -> bool:
     certified[e] = True
     while not certified.all():
         g = int(np.argmin(certified))  # the least element outside the certified subgroup
-        if not np.array_equal(mul[mul[:, g]], mul[:, mul[g]]):
+        if not (mul[mul[:, g]] == mul[:, mul[g]]).all():
             return False
         certified[g] = True
         members = np.empty(0)
         while members.size < np.count_nonzero(certified):  # products of certified elements
             members = np.flatnonzero(certified)
-            certified[mul[np.ix_(members, members)]] = True
+            certified[mul[members[:, None], members]] = True
     return True
 
 
