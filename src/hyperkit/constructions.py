@@ -368,6 +368,10 @@ def validate_fusion_ring(ring: FusionRing) -> None:
     only an associative ring, and every failure ends in the kernel, so
     the outcome and the report are the same as the kernel's alone.
     Memory is O(n^3).  The error's ``report`` lists every violation.
+    Below ``_SCREEN_MIN_N`` elements the certificate does not pay (least
+    of 200 calls, one thread of a 2-vCPU VM, kernel against certificate):
+    32 against 43 us on SU(2)_2, 72 against 96 on SU(2)_8, 131 against
+    133 on SU(2)_12, but 202 against 166 on SU(2)_15.
     """
     N = ring.N
     unit = ring.unit
@@ -391,8 +395,8 @@ def validate_fusion_ring(ring: FusionRing) -> None:
         raise AxiomError(f"fusion ring is not associative at {vios[0].indices}", report=report)
 
 
-def fusion_ring(labels, unit, N, conj=None, check: bool = True) -> FusionRing:
-    """Build a fusion ring, inferring the conjugation from N if omitted."""
+def fusion_ring(labels, unit, N, conj=None) -> FusionRing:
+    """Build and validate a fusion ring, inferring the conjugation from N if omitted."""
     ring = FusionRing(tuple(labels), unit, range(len(labels)) if conj is None else conj, N)
     if conj is None:
         unit_slice = ring.N[:, :, ring.unit]  # nonnegative: one partner, once, iff sum is 1
@@ -402,8 +406,7 @@ def fusion_ring(labels, unit, N, conj=None, check: bool = True) -> FusionRing:
                 f"cannot infer conjugation: row {bad[0]} has no unique unit partner"
             )
         ring = FusionRing(ring.labels, ring.unit, unit_slice.argmax(axis=1), ring.N)
-    if check:
-        validate_fusion_ring(ring)
+    validate_fusion_ring(ring)
     return ring
 
 
@@ -486,8 +489,10 @@ def from_fusion_ring(ring: FusionRing, tol: float = DEFAULT_TOL) -> HypergroupTa
     = 2 sigma n M^2 + _dot_error(n, M)`` is below tol, no computed
     defect can exceed tol, so the kernel is skipped once the generator
     certificate of ``validate_fusion_ring`` proves N associative; it runs
-    on ``ring.N`` itself, unit laws included, since a ring built with
-    ``check=False`` may be neither.  If it fails, the kernel runs.
+    on ``ring.N`` itself, unit laws included, since a ``FusionRing`` built
+    directly may be neither.  If it fails, the kernel runs.  Timed as in
+    ``validate_fusion_ring``: 135 against 152 us on SU(2)_2, 210 against
+    251 on SU(2)_8, 294 against 298 on SU(2)_12, 423 against 384 on SU(2)_15.
     """
     dims = pf_dimensions(ring).dims
     lam = ring.N * dims[None, None, :] / (dims[:, None, None] * dims[None, :, None])

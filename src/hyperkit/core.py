@@ -317,21 +317,20 @@ def _star_defect(t, u, stars, buf, spare) -> float:
     return float(np.maximum.reduce(dev, axis=None))
 
 
-def _screen_cut(t, tol, exact, buf, star=None, spare=None, delta=None):
+def _screen_cut(t, tol, exact, buf, star=None, spare=None):
     """Largest screened deviation that proves a slice and its mirror clean, or None.
 
     ``_cut`` of ``delta = max|t[a, b, c] - t[b*, a*, c*]|`` and ``M =
-    max|t|`` for ``b* = star[b]``.  A caller that has ``delta`` passes
-    it.  Otherwise the identity star (``None``) takes ``delta =
-    max|t - t^T|`` (the first two indices swapped), formed in ``buf``,
-    of ``t``'s shape; any other star also overwrites ``spare``, of
-    ``t``'s size.
+    max|t|`` for ``b* = star[b]``.  The identity star (``None``) takes
+    ``delta = max|t - t^T|`` (the first two indices swapped), formed in
+    ``buf``, of ``t``'s shape; any other star gathers it with
+    ``_star_defect`` into ``buf`` and ``spare``, each of ``t``'s size.
     """
-    if delta is None and star is None:
+    if star is None:
         np.subtract(t, t.transpose(1, 0, 2), out=buf)
         np.abs(buf, out=buf)
         delta = float(np.maximum.reduce(buf, axis=None))  # NaN on NaN input: no screen
-    elif delta is None:
+    else:
         delta = _star_defect(t, t, (star, star, star), buf.reshape(-1), spare.reshape(-1))
     big = max(float(np.maximum.reduce(t, axis=None)), -float(np.minimum.reduce(t, axis=None)))
     return _cut(tol, t.shape[0], big, delta, exact)
@@ -362,9 +361,7 @@ def _first_failing_step(t, cut, dev, right, star=None) -> int:
     return n
 
 
-def _associativity_violations(
-    ab, mc, bc, aq, prefix, tol, vios, exact=False, star=None, delta=None
-) -> float:
+def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, exact=False, star=None) -> float:
     """Report ``|sum_m ab[a,b,m] mc[m,c,p] - sum_q bc[b,c,q] aq[a,q,p]| > tol``.
 
     Violations come in (a, b, c, p) order.  One first index ``a`` at a
@@ -410,9 +407,7 @@ def _associativity_violations(
     = c`` since ``star`` is an involution).  So the full scan takes the
     other slices, ``a* >= i0``, and reports exactly what it reports
     without the screen, at the cost of one screened step more.  Memory:
-    the two n^3 buffers, which ``delta``'s two gathers reuse.  A caller
-    that has computed ``delta`` (``_star_defect(t, t, (star, star,
-    star))``) passes it, and the gathers are skipped.
+    the two n^3 buffers, which ``delta``'s two gathers reuse.
     """
     nm, nc, np_ = mc.shape
     nb, nq = bc.shape[0], bc.shape[2]
@@ -426,7 +421,7 @@ def _associativity_violations(
         s = ident if star is None else np.asarray(star, dtype=np.intp)
         if np.array_equal(s[s], ident):
             s = None if np.array_equal(s, ident) else s
-            cut = _screen_cut(ab, tol, exact, dev.reshape(ab.shape), s, right, delta)
+            cut = _screen_cut(ab, tol, exact, dev.reshape(ab.shape), s, right)
             if cut is not None:
                 steps = _first_failing_step(ab, cut, dev, right, s)
                 slices = sorted((ident if s is None else s)[steps:].tolist())  # not cleared
@@ -526,9 +521,13 @@ def multiply_mixtures(
     """Bilinear extension of the basis product to convex mixtures."""
     if not (_same_table(p.table, table) and _same_table(q.table, table)):
         raise PreconditionError("mixtures are over different tables")
-    out = np.einsum("i,j,ijl->l", p.coeffs, q.coeffs, table.lam)
-    out = np.where((out < 0.0) & (out >= -tol), 0.0, out)
-    return Mixture(table, out)
+    return Mixture(table, _convolve(p.coeffs, q.coeffs, table.lam, tol))
+
+
+def _convolve(p, q, t, tol):
+    """``sum_ij p[i] q[j] t[i, j, :]``, round-off negatives in [-tol, 0) set to 0."""
+    out = np.einsum("i,j,ijl->l", p, q, t)
+    return np.where((out < 0.0) & (out >= -tol), 0.0, out)
 
 
 def weights(table: HypergroupTable, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -45,6 +45,7 @@ from .core import (
     _as_index,
     _as_index_tuple,
     _associativity_violations,
+    _convolve,
     _cut,
     _float_tensor,
     _grid,
@@ -206,59 +207,32 @@ def _groupoids_equal(g1: Hypergroupoid, g2: Hypergroupoid) -> bool:
     )
 
 
-def _associativity_by_quadruple(g: Hypergroupoid, tol: float, vios: list) -> None:
+def _associativity_by_quadruple(g: Hypergroupoid, tol: float, vios: list, pairs: bool) -> None:
     """Associativity violations in object-quadruple order, the mirror of a clean one skipped.
 
     Quadruple ``(x, y, z, w)`` checks ``(a . b) . c`` against ``a . (b .
     c)`` for ``a`` in Mor(y -> x), ``b`` in Mor(z -> y) and ``c`` in
     Mor(w -> z); its mirror is ``(w, z, y, x)``.  Under the star law
-    ``comp[x][y][z][a, b, c] == comp[z][y][x][b*, a*, c*]`` the defects
-    of the two obey ``D[c*, b*, a*, p*] = -D[a, b, c, p]``, term for term
-    as on a hypergroup (``core._associativity_violations``).  With
-    ``delta`` the largest star-law defect of the pair's eight tensors,
-    ``M`` their largest entry and ``n`` the longer of the two sums,
-    exactly ``|D[c*, b*, a*, p*] + D[a, b, c, p]| <= 4 n M delta``, and
-    each computed defect is off by at most ``e``.  So once one member's
-    full scan ends with its largest deviation at or below ``tol -
-    margin``, ``margin = 5 n M delta + 2 e`` as for the screen (``_cut``),
-    no computed defect of the other exceeds ``tol - n M delta``, and the
-    other is skipped.  Otherwise both run, so every quadruple reports
-    exactly what it reports alone.  The two members take the same number
-    of multiply-adds, ``n_a n_b n_c n_p (n_m + n_q)`` in the kernel's
-    names, since the star makes |Mor(y -> x)| = |Mor(x -> y)|, but not the
-    same time: each of the n_a slices pays a fixed cost for its numpy
-    calls, reads ``mc`` and ``bc`` whole and fills two buffers of n_b n_c
-    n_p floats.  The member with the smaller ``n_a (2^14 + n_m n_c n_p +
-    n_b n_c n_q + 2 n_b n_c n_p)`` runs first: on one core a slice's
-    calls take about as long as moving 10^4 floats (7 us against 0.75 ns
-    a float, fitted on 132 kernel calls over groups of order 6 to 72),
-    and 2^14 ordered the measured pairs best.  Pairs are tried only when
-    the star is an involution and some arrow basis of the pair has
-    ``_SCREEN_MIN_N`` or more elements; ``delta`` and ``M`` are found
-    once per pair of tensors, in time linear in their size, and only
-    after a first member within tol.  An endo quadruple is its own
-    mirror; it takes the kernel's screen under ``star[x][x]``, with the
-    delta of ``comp[x][x][x]`` found here once for the screen and the
-    pairs alike.
+    ``comp[x][y][z][a, b, c] == comp[z][y][x][b*, a*, c*]`` their defects
+    obey ``D[c*, b*, a*, p*] = -D[a, b, c, p]``, as on a hypergroup
+    (``core._associativity_violations``).  With ``delta`` the largest
+    star-law defect of the pair's eight tensors, ``M`` their largest
+    entry and ``n`` the longer sum, exactly ``|D[c*, b*, a*, p*] + D[a,
+    b, c, p]| <= 4 n M delta``, and a computed defect is off by at most
+    ``e``.  So when a quadruple's largest deviation is at or below ``tol
+    - margin``, ``margin = 5 n M delta + 2 e`` as for the screen
+    (``_cut``), no computed defect of its mirror exceeds tol, and the
+    later mirror is skipped; otherwise it runs and reports in its turn.
+    Pairs are tried only when the star is an involution (``pairs``) and
+    an arrow basis of the pair has ``_SCREEN_MIN_N`` or more elements;
+    ``delta`` and ``M`` are found once per pair of tensors, in linear
+    time.  An endo quadruple takes the kernel's screen under ``star[x][x]``.
     """
     objs = range(g.n_objects)
     c, star = g.comp, g.star
     size = [[len(arrows) for arrows in row] for row in g.mor]
-    pairs = max(map(max, size)) >= _SCREEN_MIN_N and all(
-        star[y][x][sa] == a for x in objs for y in objs for a, sa in enumerate(star[x][y])
-    )
-    ahead: dict[tuple[int, ...], list[Violation]] = {}  # mirrors checked before their turn
     laws: dict[tuple[int, int, int], tuple[float, float]] = {}
-
-    def run(q, out):
-        x, y, z, w = q
-        endo = star[x][x] if x == y == z == w else None
-        delta = None  # the kernel's screen of a large endo tensor shares the pairs' delta
-        if endo is not None and pairs and size[x][x] >= _SCREEN_MIN_N:
-            delta = star_law(x, x, x)[0]
-        return _associativity_violations(
-            c[x][y][z], c[x][z][w], c[y][z][w], c[x][y][w], q, tol, out, star=endo, delta=delta
-        )
+    clean: set[tuple[int, ...]] = set()
 
     def star_law(x, y, z):
         """(star-law defect, largest entry) of comp[x][y][z] and comp[z][y][x]."""
@@ -271,38 +245,23 @@ def _associativity_by_quadruple(g: Hypergroupoid, tol: float, vios: list) -> Non
             laws[key] = (delta, float(big))
         return laws[key]
 
-    def cost(q):
-        """The kernel's time on quadruple q, in floats moved."""
+    for q in itertools.product(objs, repeat=4):
         x, y, z, w = q
-        nb, nc, np_ = size[y][z], size[z][w], size[x][w]
-        return size[x][y] * (2**14 + nc * (size[x][z] * np_ + nb * size[y][w] + 2 * nb * np_))
-
-    def mirror_is_clean(x, y, z, w, worst):
-        if not worst <= tol:
-            return False
+        mirror = (w, z, y, x)
+        if mirror in clean:
+            continue
+        endo = star[x][x] if x == y == z == w else None
+        worst = _associativity_violations(
+            c[x][y][z], c[x][z][w], c[y][z][w], c[x][y][w], q, tol, vios, star=endo
+        )
+        bases = (size[x][y], size[y][z], size[z][w], size[x][z], size[y][w], size[x][w])
+        if not (pairs and mirror != q and max(bases) >= _SCREEN_MIN_N and worst <= tol):
+            continue
         triples = ((x, y, z), (y, z, w), (x, y, w), (x, z, w))
         delta, big = map(max, zip(*(star_law(*t) for t in triples)))
         cut = _cut(tol, max(size[x][z], size[y][w]), big, delta, False)
-        return cut is not None and worst <= cut
-
-    for q in itertools.product(objs, repeat=4):
-        if not pairs:
-            run(q, vios)
-            continue
-        if q in ahead:
-            vios += ahead.pop(q)
-            continue
-        x, y, z, w = q
-        mirror = (w, z, y, x)
-        bases = (size[x][y], size[y][z], size[z][w], size[x][z], size[y][w], size[x][w])
-        if mirror == q or max(bases) < _SCREEN_MIN_N:
-            run(q, vios)
-            continue
-        ahead[mirror] = []
-        out = {q: vios, mirror: ahead[mirror]}
-        first, second = sorted((q, mirror), key=cost)
-        if not mirror_is_clean(x, y, z, w, run(first, out[first])):
-            run(second, out[second])
+        if cut is not None and worst <= cut:
+            clean.add(q)
 
 
 def validate_groupoid(g: Hypergroupoid, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -311,10 +270,11 @@ def validate_groupoid(g: Hypergroupoid, tol: float = DEFAULT_TOL) -> ValidationR
     Runs the hypergroup checks of ``core.validate`` once per object
     tuple, so each defect is reported once.  Associativity over the k^4
     object quadruples dominates: at most 2 k^4 n^5 multiply-adds and
-    O(n^3) memory for arrow bases of size up to n.  Where the star law
-    holds within the margin and a quadruple passes, its mirror is not
-    checked (``_associativity_by_quadruple``), so a groupoid that passes
-    takes about half of that.  An endo quadruple ``(x, x, x, x)`` is
+    O(n^3) memory for arrow bases of size up to n.  Quadruples run in
+    order; where the star is an involution and the star law holds within
+    the margin, one that passes skips its later mirror
+    (``_associativity_by_quadruple``), so a groupoid that passes takes
+    about half of that.  An endo quadruple ``(x, x, x, x)`` is
     ``core.validate``'s check on Mor(x -> x), with its screen: n^5
     multiply-adds there when that hypergroup passes and obeys the star
     law.
@@ -322,18 +282,20 @@ def validate_groupoid(g: Hypergroupoid, tol: float = DEFAULT_TOL) -> ValidationR
     objs = range(g.n_objects)
     c, u, star = g.comp, g.units, g.star
     vios: list[Violation] = []
+    # per object x, the arrows a in Mor(y -> x) with star(star(a)) != a
+    unpaired = [
+        [(x, y, a) for y in objs for a, sa in enumerate(star[x][y]) if star[y][x][sa] != a]
+        for x in objs
+    ]
 
     for x, y, z in itertools.product(objs, repeat=3):
         _row_violations(c[x][y][z], (x, y, z), tol, vios)
     for x, y in itertools.product(objs, repeat=2):
         _unit_violations(c[x][x][y], c[x][y][y], u[x], u[y], x == y, (x, y), tol, vios)
-    _associativity_by_quadruple(g, tol, vios)
+    _associativity_by_quadruple(g, tol, vios, not any(unpaired))
 
     for x in objs:
-        for y in objs:
-            for a, sa in enumerate(star[x][y]):
-                if star[y][x][sa] != a:
-                    vios.append(Violation("star-involution", (x, y, a), 1.0))
+        vios += (Violation("star-involution", where, 1.0) for where in unpaired[x])
         if star[x][x][u[x]] != u[x]:
             vios.append(Violation("star-unit", (x, u[x]), 1.0))
 
@@ -364,8 +326,7 @@ def compose(
             f"{g.objects[right.to_object]!r}"
         )
     tensor = g.comp[left.to_object][left.from_object][right.from_object]
-    out = np.einsum("a,b,abc->c", left.coeffs, right.coeffs, tensor)
-    out = np.where((out < 0.0) & (out >= -tol), 0.0, out)
+    out = _convolve(left.coeffs, right.coeffs, tensor, tol)
     return BoundaryState(g, left.to_object, right.from_object, out)
 
 

@@ -470,11 +470,11 @@ def serialize_hypergroup(table: HypergroupTable) -> str:
 # ---------------------------------------------------------------------------
 # fusion ring documents
 
-def parse_fusion_ring(document, check: bool = True) -> FusionRing:
+def parse_fusion_ring(document) -> FusionRing:
     doc = _load(document)
     _expect_kind(doc, "fusion_ring", ("labels", "unit", "N"), "fusion ring")
     labels = _label_list(doc["labels"])
-    return fusion_ring(labels, doc["unit"], doc["N"], conj=doc.get("involution"), check=check)
+    return fusion_ring(labels, doc["unit"], doc["N"], conj=doc.get("involution"))
 
 
 def serialize_fusion_ring(ring: FusionRing) -> str:
