@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -353,9 +354,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_indices(args) -> int:
-    if args.bound <= 1.0:
-        print("error: --bound must exceed 1", file=sys.stderr)
-        return EXIT_USAGE
+    if not (1.0 < args.bound < math.inf and args.nmax >= 3):
+        raise StructureError("--bound must be finite and above 1, and --nmax at least 3")
     result = enumerate_admissible(args.bound, n_max=args.nmax, tol=args.tol)
     if args.json:
         sys.stdout.write(hio.canonical_text(hio.admissible_indices_document(result)))
@@ -508,6 +508,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.tol is None:
             args.tol = tol
+        if not 0.0 <= args.tol < math.inf:  # NaN fails too
+            raise StructureError(f"--tol / HYPERKIT_TOL must be finite and >= 0, got {args.tol}")
         return globals()[args.func](args)
     except StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ Three families of constructions:
 * From a fusion ring (nonnegative-integer structure constants with a
   conjugation): rescale each basis element by its Perron-Frobenius
   dimension, ``k_i = f_i / dim_i``; the resulting table has weights
-  ``dim_i ** 2``.
+  ``dim_i ** 2``.  A ``FusionRing`` too is checked once, when built.
 
 * The two-element family ``k_1^2 = lam * k_0 + (1 - lam) * k_1`` for
   ``0 < lam <= 1``, together with the decision procedure for whether a
@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from .core import DEFAULT_TOL, HypergroupTable, ValidationReport
-from .core import _EPS, _SCREEN_MIN_N, _as_index_tuple, _associativity_violations, _dot_error
+from .core import _EPS, _as_index_tuple, _associativity_violations, _dot_error
 from .core import _float_tensor, _grid, _int_tensor, _report
 from .errors import AxiomError, NumericalError, PreconditionError, StructureError
 
@@ -267,11 +267,17 @@ def double_coset_hypergroup(group: CayleyGroup, subgroup) -> HypergroupTable:
 
 @dataclass(frozen=True, eq=False)
 class FusionRing:
-    """Integer structure constants ``N[i, j, l]`` with a conjugation."""
+    """Integer structure constants ``N[i, j, l]`` with a conjugation.
+
+    ``conj=None`` infers the conjugation from N: ``conj(i)`` is the one j
+    with ``N[i, j, unit] == 1``.  Construction raises StructureError on
+    malformed fields and AxiomError unless ``validate_fusion_ring``
+    passes, so every instance is an associative fusion ring.
+    """
 
     labels: tuple[str, ...]
     unit: int
-    conj: tuple[int, ...]
+    conj: tuple[int, ...] | None
     N: np.ndarray
 
     def __post_init__(self):
@@ -287,11 +293,21 @@ class FusionRing:
         if n * int(N.max()) ** 2 >= 2**53:
             raise StructureError("fusion multiplicities too large: n * max(N)**2 >= 2**53")
         (unit,) = _as_index_tuple((self.unit,), n, "unit index")
-        conj = _as_index_tuple(_grid(self.conj, n, 1, "conjugation"), n, "conjugation")
+        conj = self.conj
+        if conj is None:
+            unit_slice = N[:, :, unit]  # nonnegative: one partner, once, iff sum is 1
+            bad = np.flatnonzero(unit_slice.sum(axis=1) != 1)
+            if bad.size:
+                raise StructureError(
+                    f"cannot infer conjugation: row {bad[0]} has no unique unit partner"
+                )
+            conj = unit_slice.argmax(axis=1)
+        conj = _as_index_tuple(_grid(conj, n, 1, "conjugation"), n, "conjugation")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "conj", conj)
         object.__setattr__(self, "N", N)
+        validate_fusion_ring(self)
 
     @property
     def n(self) -> int:
@@ -305,21 +321,19 @@ def _generator_certificate(Nf: np.ndarray, unit: int) -> bool:
     products: for a, b in A, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) =
     x((ab)y) (Light's test; Clifford & Preston, Algebraic Theory of
     Semigroups I, 1961, section 1.2).  The unit is in A by the unit laws,
-    which are checked here.  If c is the only uncertified element in the
-    support of a product ``a g`` of a certified element and a generator,
-    then ``N[a, g, c] f_c`` is ``a g`` minus certified elements, so c is
-    in A.  When no such product remains, the least uncertified element
-    becomes a generator; its middle law is tested with two matrix
-    products, 2 n^4 multiply-adds into two n^3 buffers, exactly, since
-    ``FusionRing`` keeps ``n * max(N)**2`` below 2**53.  SU(2)_k needs
-    one generator.  False, for the caller to run the kernel, when a unit
-    law or a middle law fails, or when one more generator would bring
-    the tests above a quarter of the screened kernel's n^5 multiply-adds.
+    which ``validate_fusion_ring`` checks first.  If c is the only
+    uncertified element in the support of a product ``a g`` of a
+    certified element and a generator, then ``N[a, g, c] f_c`` is ``a
+    g`` minus certified elements, so c is in A.  When no such product
+    remains, the least uncertified element becomes a generator; its
+    middle law is tested with two matrix products, 2 n^4 multiply-adds
+    into two n^3 buffers, exactly, since ``FusionRing`` keeps ``n *
+    max(N)**2`` below 2**53.  SU(2)_k needs one generator.  False, for
+    the caller to run the kernel, when a middle law fails, or when one
+    more generator would bring the tests above a quarter of the screened
+    kernel's n^5 multiply-adds.
     """
     n = Nf.shape[0]
-    eye = np.eye(n)
-    if not (np.array_equal(Nf[unit], eye) and np.array_equal(Nf[:, unit, :], eye)):
-        return False
     flat = Nf.reshape(n, n * n)
     left, right = np.empty((n, n * n)), np.empty((n, n, n))
     certified = np.zeros(n, dtype=bool)
@@ -355,23 +369,15 @@ def validate_fusion_ring(ring: FusionRing) -> None:
     reciprocity ``N[i, j, l] == N[conj(i), l, j]`` is reported as a
     warning only, since rescalings of group-like data may lack it.
 
-    From ``_SCREEN_MIN_N`` elements on, associativity is first certified
-    from a generating set (``_generator_certificate``): 2 n^4
-    multiply-adds a generator, one generator for SU(2)_k.  Otherwise,
-    when a generator fails or more than n / 8 would be needed, it runs on
-    the kernel of ``validate``, in float64 and exactly: ``FusionRing``
-    keeps ``n * max(N)**2`` below 2**53, so every partial sum is an
-    integer that float64 holds.  So a ring whose conjugation is an
-    involution and obeys ``N[i, j, l] == N[conj(j), conj(i), conj(l)]``
-    screens with margin 0, in n^5 multiply-adds when it passes,
-    commutative or not; any other takes 2 n^5.  The certificate passes
-    only an associative ring, and every failure ends in the kernel, so
-    the outcome and the report are the same as the kernel's alone.
-    Memory is O(n^3).  The error's ``report`` lists every violation.
-    Below ``_SCREEN_MIN_N`` elements the certificate does not pay (least
-    of 200 calls, one thread of a 2-vCPU VM, kernel against certificate):
-    32 against 43 us on SU(2)_2, 72 against 96 on SU(2)_8, 131 against
-    133 on SU(2)_12, but 202 against 166 on SU(2)_15.
+    ``FusionRing`` runs it once, on construction.  Associativity is
+    first certified from a generating set (``_generator_certificate``,
+    2 n^4 multiply-adds a generator, one for SU(2)_k); when that fails,
+    the kernel of ``validate`` runs at tol 0.5, in n^5 or 2 n^5
+    multiply-adds.  ``FusionRing`` keeps ``n * max(N)**2`` below 2**53,
+    so every partial sum is an integer that float64 holds and every
+    defect a whole number.  The certificate passes only an associative
+    ring, so the outcome and the report are the kernel's alone.  Memory
+    is O(n^3).  The error's ``report`` lists every violation.
     """
     N = ring.N
     unit = ring.unit
@@ -386,28 +392,17 @@ def validate_fusion_ring(ring: FusionRing) -> None:
     if not np.array_equal(N, frob):
         warnings.warn("fusion ring lacks Frobenius symmetry N[i,j,l] = N[conj(i),l,j]")
     Nf = N.astype(np.float64)
-    if ring.n >= _SCREEN_MIN_N and _generator_certificate(Nf, unit):
+    if _generator_certificate(Nf, unit):
         return
     vios = []
-    _associativity_violations(Nf, Nf, Nf, Nf, (), 0.0, vios, exact=True, star=ring.conj)
+    _associativity_violations(Nf, Nf, Nf, Nf, (), 0.5, vios, star=ring.conj)
     if vios:
         report = ValidationReport(False, tuple(vios))
         raise AxiomError(f"fusion ring is not associative at {vios[0].indices}", report=report)
 
 
 def fusion_ring(labels, unit, N, conj=None) -> FusionRing:
-    """Build and validate a fusion ring, inferring the conjugation from N if omitted."""
-    ring = FusionRing(tuple(labels), unit, range(len(labels)) if conj is None else conj, N)
-    if conj is None:
-        unit_slice = ring.N[:, :, ring.unit]  # nonnegative: one partner, once, iff sum is 1
-        bad = np.flatnonzero(unit_slice.sum(axis=1) != 1)
-        if bad.size:
-            raise StructureError(
-                f"cannot infer conjugation: row {bad[0]} has no unique unit partner"
-            )
-        ring = FusionRing(ring.labels, ring.unit, unit_slice.argmax(axis=1), ring.N)
-    validate_fusion_ring(ring)
-    return ring
+    return FusionRing(labels, unit, conj, N)
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,24 +470,19 @@ def from_fusion_ring(ring: FusionRing, tol: float = DEFAULT_TOL) -> HypergroupTa
     """Rescale ``k_i = f_i / dim_i``; weights of the result are ``dim_i**2``.
 
     The result is checked by ``validate`` at ``max(tol, 1e-9)``, with the
-    same report, though from ``_SCREEN_MIN_N`` elements on its n^5
-    associativity kernel is mostly skipped.  For any nonzero d, ``lam[a,
-    b, c] = N[a, b, c] d_c / (d_a d_b)`` gives ``lam[a, b, m] lam[m, c,
-    p] = N[a, b, m] N[m, c, p] d_p / (d_a d_b d_c)``: d_m cancels, and
-    likewise in ``a (b c)``, so lam is exactly associative whenever N
-    is.  Each stored entry is rounded three times (two products and a
-    quotient), so it is ``lam (1 + theta)`` with ``|theta| <= rho = (1 +
-    eps)^3 - 1``; an n-term sum of products of stored entries is then
-    off from the exact one by at most ``sigma n M^2``, ``sigma = ((1 +
-    rho)^2 - 1) / (1 - rho)^2``, ``M`` the largest entry, and the
-    kernel's own round-off is ``core._dot_error(n, M)``.  When ``margin
-    = 2 sigma n M^2 + _dot_error(n, M)`` is below tol, no computed
-    defect can exceed tol, so the kernel is skipped once the generator
-    certificate of ``validate_fusion_ring`` proves N associative; it runs
-    on ``ring.N`` itself, unit laws included, since a ``FusionRing`` built
-    directly may be neither.  If it fails, the kernel runs.  Timed as in
-    ``validate_fusion_ring``: 135 against 152 us on SU(2)_2, 210 against
-    251 on SU(2)_8, 294 against 298 on SU(2)_12, 423 against 384 on SU(2)_15.
+    same report, though its n^5 associativity kernel is mostly skipped.
+    For any nonzero d, ``lam[a, b, c] = N[a, b, c] d_c / (d_a d_b)`` gives
+    ``lam[a, b, m] lam[m, c, p] = N[a, b, m] N[m, c, p] d_p / (d_a d_b
+    d_c)``: d_m cancels, and likewise in ``a (b c)``, so lam is exactly
+    associative whenever N is.  Each stored entry is rounded three times
+    (two products and a quotient), so it is ``lam (1 + theta)`` with
+    ``|theta| <= rho = (1 + eps)^3 - 1``; an n-term sum of products of
+    stored entries is then off from the exact one by at most ``sigma n
+    M^2``, ``sigma = ((1 + rho)^2 - 1) / (1 - rho)^2``, ``M`` the largest
+    entry, and the kernel's own round-off is ``core._dot_error(n, M)``.
+    When ``margin = 2 sigma n M^2 + _dot_error(n, M)`` is below tol, no
+    computed defect can exceed tol, so the kernel is skipped: every
+    ``FusionRing`` was proved associative when it was built.
     """
     dims = pf_dimensions(ring).dims
     lam = ring.N * dims[None, None, :] / (dims[:, None, None] * dims[None, :, None])
@@ -502,12 +492,7 @@ def from_fusion_ring(ring: FusionRing, tol: float = DEFAULT_TOL) -> HypergroupTa
     n, big = ring.n, max(float(table.lam.max()), -float(table.lam.min()))
     rho = (1.0 + _EPS) ** 3 - 1.0
     sigma = ((1.0 + rho) ** 2 - 1.0) / (1.0 - rho) ** 2
-    skip = (
-        n >= _SCREEN_MIN_N
-        and 2.0 * sigma * n * big * big + _dot_error(n, big) < tol
-        and _generator_certificate(ring.N.astype(np.float64), ring.unit)
-    )
-    report = _report(table, tol, not skip)
+    report = _report(table, tol, 2.0 * sigma * n * big * big + _dot_error(n, big) >= tol)
     if not report.passed:
         raise AxiomError("rescaled fusion ring fails hypergroup axioms", report=report)
     return table

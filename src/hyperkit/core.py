@@ -284,16 +284,14 @@ def _dot_error(n, big) -> float:
     return 2.0 * (gamma + _EPS) * (1.0 + gamma) * n * big * big
 
 
-def _cut(tol, n, big, delta, exact):
-    """``tol - margin`` if ``margin < tol`` or ``margin == 0``, else None.
+def _cut(tol, n, big, delta):
+    """``tol - margin`` if ``margin < tol``, else None.
 
-    ``margin = 5 n M delta + 2 e`` with ``M = big`` and ``e = _dot_error(n,
-    M)``, or ``e = 0`` under ``exact`` arithmetic;
+    ``margin = 5 n M delta + 2 _dot_error(n, M)`` with ``M = big``;
     ``_associativity_violations`` derives it.
     """
-    e = 0.0 if exact else _dot_error(n, big)
-    margin = 5.0 * n * big * delta + 2.0 * e
-    return tol - margin if margin < tol or margin == 0.0 else None
+    margin = 5.0 * n * big * delta + 2.0 * _dot_error(n, big)
+    return tol - margin if margin < tol else None
 
 
 def _star_defect(t, u, stars, buf, spare) -> float:
@@ -317,7 +315,7 @@ def _star_defect(t, u, stars, buf, spare) -> float:
     return float(np.maximum.reduce(dev, axis=None))
 
 
-def _screen_cut(t, tol, exact, buf, star=None, spare=None):
+def _screen_cut(t, tol, buf, star=None, spare=None):
     """Largest screened deviation that proves a slice and its mirror clean, or None.
 
     ``_cut`` of ``delta = max|t[a, b, c] - t[b*, a*, c*]|`` and ``M =
@@ -333,7 +331,7 @@ def _screen_cut(t, tol, exact, buf, star=None, spare=None):
     else:
         delta = _star_defect(t, t, (star, star, star), buf.reshape(-1), spare.reshape(-1))
     big = max(float(np.maximum.reduce(t, axis=None)), -float(np.minimum.reduce(t, axis=None)))
-    return _cut(tol, t.shape[0], big, delta, exact)
+    return _cut(tol, t.shape[0], big, delta)
 
 
 def _first_failing_step(t, cut, dev, right, star=None) -> int:
@@ -361,7 +359,7 @@ def _first_failing_step(t, cut, dev, right, star=None) -> int:
     return n
 
 
-def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, exact=False, star=None) -> float:
+def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, star=None) -> float:
     """Report ``|sum_m ab[a,b,m] mc[m,c,p] - sum_q bc[b,c,q] aq[a,q,p]| > tol``.
 
     Violations come in (a, b, c, p) order.  One first index ``a`` at a
@@ -397,17 +395,17 @@ def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, exact=False, st
     M^2``.  So a step whose computed ``|S|`` stays within ``tol -
     margin``, ``margin = 5 n M delta + 2 e``, has no computed ``|D|``
     above tol at ``(a, b, c, p)`` or at ``(c*, b*, a*, p*)`` for any ``c
-    >= a*``.  ``exact`` says the arithmetic is exact (integer entries
-    with ``n max|t|^2 < 2**53``), so ``e = 0`` and a table that obeys the
-    star law screens with margin 0.  The screen runs while ``margin <
-    tol`` (or ``margin == 0``).  If step ``i0`` is the first whose screen
-    fails, every slice ``a`` screened before it (``a* < i0``) is clean:
-    its columns ``c >= a*`` by its own step, the others as the mirrors of
-    column ``a*`` of slice ``c*``, which step ``c < a*`` screened (``c**
-    = c`` since ``star`` is an involution).  So the full scan takes the
-    other slices, ``a* >= i0``, and reports exactly what it reports
-    without the screen, at the cost of one screened step more.  Memory:
-    the two n^3 buffers, which ``delta``'s two gathers reuse.
+    >= a*``.  On integer entries with ``n max|t|^2 < 2**53`` every sum
+    is exact and every defect a whole number, so tol 0.5 reports exactly
+    the nonzero defects.  The screen runs while ``margin < tol``.  If
+    step ``i0`` is the first whose screen fails, every slice ``a``
+    screened before it (``a* < i0``) is clean: its columns ``c >= a*``
+    by its own step, the others as the mirrors of column ``a*`` of slice
+    ``c*``, which step ``c < a*`` screened (``c** = c`` since ``star`` is
+    an involution).  So the full scan takes the other slices, ``a* >=
+    i0``, and reports exactly what it reports without the screen, at the
+    cost of one screened step more.  Memory: the two n^3 buffers, which
+    ``delta``'s two gathers reuse.
     """
     nm, nc, np_ = mc.shape
     nb, nq = bc.shape[0], bc.shape[2]
@@ -421,7 +419,7 @@ def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, exact=False, st
         s = ident if star is None else np.asarray(star, dtype=np.intp)
         if np.array_equal(s[s], ident):
             s = None if np.array_equal(s, ident) else s
-            cut = _screen_cut(ab, tol, exact, dev.reshape(ab.shape), s, right)
+            cut = _screen_cut(ab, tol, dev.reshape(ab.shape), s, right)
             if cut is not None:
                 steps = _first_failing_step(ab, cut, dev, right, s)
                 slices = sorted((ident if s is None else s)[steps:].tolist())  # not cleared

@@ -259,7 +259,7 @@ def _associativity_by_quadruple(g: Hypergroupoid, tol: float, vios: list, pairs:
             continue
         triples = ((x, y, z), (y, z, w), (x, y, w), (x, z, w))
         delta, big = map(max, zip(*(star_law(*t) for t in triples)))
-        cut = _cut(tol, max(size[x][z], size[y][w]), big, delta, False)
+        cut = _cut(tol, max(size[x][z], size[y][w]), big, delta)
         if cut is not None and worst <= cut:
             clean.add(q)
 

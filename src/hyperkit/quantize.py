@@ -107,8 +107,8 @@ def enumerate_admissible(
     summands equal to 1 (n = 3, the automorphism case) are allowed.
     """
     bound = float(bound)
-    if bound <= 1.0:
-        raise PreconditionError("bound must exceed 1")
+    if not 1.0 < bound < math.inf:
+        raise PreconditionError(f"bound must be a finite number above 1, got {bound}")
     spectrum = jones_spectrum(n_max).discrete
     budget = bound - 1.0 + tol
 

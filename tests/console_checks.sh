@@ -51,8 +51,31 @@ grep -q '^error: ' "$work/err.txt"
 echo '{"format_version": 1, "kind": "hypergroup", "labels": ["e", "g"], "unit": 0,
   "involution": [0, 1], "lambda": [[[1, 0], [0, 1]], [[0, 1], [1.0000005, -5e-7]]]}' > "$work/noisy.json"
 HYPERKIT_TOL=1e-5 "$@" validate "$work/noisy.json"
-# SU(2)_100 from the truncated Clebsch-Gordan rule: both of its associativity
-# checks go through the generator certificate, not the n^5 kernel
+# a NaN tolerance is a usage error: exit 2
+code=0
+"$@" validate --builtin ghj --tol nan 2> "$work/err.txt" || code=$?
+cat "$work/err.txt"
+test "$code" -eq 2
+grep -q '^error: ' "$work/err.txt"
+# an infinite index bound is a usage error: exit 2
+code=0
+"$@" indices --bound inf 2> "$work/err.txt" || code=$?
+cat "$work/err.txt"
+test "$code" -eq 2
+grep -q '^error: ' "$work/err.txt"
+# a fusion ring that is not associative fails its check when built: exit 1
+# (a a = 1 + a, a b = b, b b = 1 + a, so (a a) b = 2 b but a (a b) = b)
+echo '{"format_version": 1, "kind": "fusion_ring", "labels": ["1", "a", "b"], "unit": 0,
+  "N": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 1, 0], [0, 0, 1]],
+        [[0, 0, 1], [0, 0, 1], [1, 1, 0]]]}' > "$work/non-associative.json"
+code=0
+"$@" build fusion "$work/non-associative.json" 2> "$work/err.txt" || code=$?
+cat "$work/err.txt"
+test "$code" -eq 1
+grep -q '^error: ' "$work/err.txt"
+# SU(2)_100 from the truncated Clebsch-Gordan rule: its associativity is
+# checked once, when the ring is built, by the generator certificate, not the
+# n^5 kernel; the rescaled table's round-off margin skips the kernel too
 python -c 'import json; k = 100; n = k + 1; N = [[[int(abs(i - j) <= l <= min(i + j, 2 * k - i - j) and (i + j + l) % 2 == 0) for l in range(n)] for j in range(n)] for i in range(n)]; print(json.dumps({"format_version": 1, "kind": "fusion_ring", "labels": [f"j{i}" for i in range(n)], "unit": 0, "N": N}))' > "$work/su2-100.json"
 timeout 60 "$@" build fusion "$work/su2-100.json" --json > "$work/out.json"
 echo "console checks passed: $*"

@@ -31,6 +31,7 @@ import numpy as np
 from hyperkit import (
     AxiomError,
     CayleyGroup,
+    FusionRing,
     HypergroupTable,
     QuadraticLiteral,
     StructureError,
@@ -229,6 +230,19 @@ def su2_fusion_tensor(k):
     i, j, l = np.ogrid[:n, :n, :n]
     N = (np.abs(i - j) <= l) & (l <= np.minimum(i + j, 2 * k - i - j)) & ((i + j + l) % 2 == 0)
     return N.astype(np.int64)
+
+
+def unchecked_fusion_ring(labels, unit, conj, N):
+    """A ``FusionRing`` whose fields are set as given, with no check run.
+
+    For guards that a ring checked on construction is not known to
+    reach, such as the reducibility guard of ``pf_dimensions``.
+    """
+    ring = object.__new__(FusionRing)
+    fields = {"labels": tuple(labels), "unit": unit, "conj": tuple(conj), "N": np.asarray(N)}
+    for name, value in fields.items():
+        object.__setattr__(ring, name, value)
+    return ring
 
 
 def squarefree_radicands(limit):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import hyperkit as hk
 import oracles
 from hyperkit import core
-from test_constructions import assert_associativity_matches_reference, su2_ring
+from test_constructions import assert_associativity_matches_reference, su2_ring, unital_tensors
 from test_core import assert_matches_reference, associativity_found, su2_table
 
 EPS = np.finfo(np.float64).eps
@@ -85,11 +85,11 @@ def paths(shapes, n):
     return screened, full
 
 
-def kernel_run(lam, tol, exact=False):
+def kernel_run(lam, tol):
     """Violations of the kernel on (lam, lam, lam, lam) and its (screened, full) slices."""
     vios = []
     with recorded_products() as shapes:
-        core._associativity_violations(lam, lam, lam, lam, (), tol, vios, exact=exact)
+        core._associativity_violations(lam, lam, lam, lam, (), tol, vios)
     return [(v.indices, v.magnitude) for v in vios], paths(shapes, len(lam))
 
 
@@ -133,17 +133,19 @@ class TestScreenCut:
             lam = commutative_base(k, k)
             lam[1, 2, 3] += 1e-12  # delta = 1e-12
             for tol in (1e-9, 1e-6):
-                cut = core._screen_cut(lam, tol, False, np.empty_like(lam))
+                cut = core._screen_cut(lam, tol, np.empty_like(lam))
                 assert cut == pytest.approx(tol - margin_of(lam), rel=0, abs=1e-24)
             lam = rng.random((k + 1, k + 1, k + 1))
-            assert core._screen_cut(lam, 1e-9, False, np.empty_like(lam)) is None
+            assert core._screen_cut(lam, 1e-9, np.empty_like(lam)) is None
 
     def test_exact_path_needs_a_commutative_ring(self):
+        # integer defects: tol 0.5 reports exactly the nonzero ones
         N = oracles.su2_fusion_tensor(15).astype(float)
-        assert core._screen_cut(N, 0.0, True, np.empty_like(N)) == 0.0
-        assert core._screen_cut(N, 0.0, False, np.empty_like(N)) is None
+        cut = core._screen_cut(N, 0.5, np.empty_like(N))
+        assert cut == pytest.approx(0.5 - margin_of(N), rel=0, abs=1e-24)
+        assert core._screen_cut(N, 0.0, np.empty_like(N)) is None
         N[1, 2, 3] += 1.0  # delta = 1
-        assert core._screen_cut(N, 0.0, True, np.empty_like(N)) is None
+        assert core._screen_cut(N, 0.5, np.empty_like(N)) is None
 
     def test_delta_just_below_and_above_the_cut_off(self):
         tol = 1e-9
@@ -156,7 +158,7 @@ class TestScreenCut:
             lam = base.copy()
             lam[i, j, l] += factor * critical
             assert np.max(lam) == big
-            cut = core._screen_cut(lam, tol, False, np.empty_like(lam))
+            cut = core._screen_cut(lam, tol, np.empty_like(lam))
             assert (cut is not None) == screens
             found, screened, full = assert_kernel_matches(lam, tol)
             assert found == []
@@ -262,18 +264,17 @@ def certificate_products(n, generators):
 
 class TestFusionRingScreen:
     def check(self, N):
-        """``validate_fusion_ring``'s violations equal both references.
+        """The violations found in building the ring equal both references.
 
         Returns them and the shapes of the matrix products it made."""
         n = len(N)
         Nf = N.astype(float)
         reference = oracles.associativity_reference(Nf, 0.0)
         assert oracles.associativity_kernel_reference(Nf, Nf, Nf, Nf, 0.0) == reference
-        ring = hk.FusionRing(tuple(f"j{i}" for i in range(n)), 0, range(n), N)
         with recorded_products() as shapes, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a raised pair breaks Frobenius symmetry
             try:
-                hk.validate_fusion_ring(ring)
+                hk.FusionRing(tuple(f"j{i}" for i in range(n)), 0, range(n), N)
                 found = []
             except hk.AxiomError as exc:
                 found = [(v.indices, v.magnitude) for v in exc.report.violations]
@@ -284,7 +285,7 @@ class TestFusionRingScreen:
         N = oracles.su2_fusion_tensor(17)
         # validate_fusion_ring certifies it from the generator j1 alone, without the kernel
         assert self.check(N) == ([], certificate_products(18, 1))
-        assert kernel_run(N.astype(float), 0.0, exact=True) == ([], (18, 0))
+        assert kernel_run(N.astype(float), 0.5) == ([], (18, 0))
 
     def test_commutative_non_associative_rings(self):
         for i, j, l in ((1, 2, 3), (5, 5, 6), (16, 3, 17), (2, 9, 11)):
@@ -301,7 +302,7 @@ class TestFusionRingScreen:
         n = group.order
         N = np.zeros((n, n, n))
         N[np.arange(n)[:, None], np.arange(n)[None, :], group.mul] = 1.0
-        assert kernel_run(N, 0.0, exact=True) == ([], (0, n))
+        assert kernel_run(N, 0.5) == ([], (0, n))
 
 
 def group_ring(group):
@@ -323,6 +324,16 @@ def rescaled_reference(ring, tol=hk.DEFAULT_TOL):
     table = hk.HypergroupTable(ring.labels, ring.unit, ring.conj, rescaled_lam(ring))
     report = hk.validate(table, max(tol, 1e-9))
     return table if report.passed else report
+
+
+def rescaled_outcome(rescale, ring):
+    """``rescale(ring)``: a table or a report, or the type of the error it raised."""
+    try:
+        return rescale(ring)
+    except hk.AxiomError as exc:
+        return exc.report
+    except (hk.PreconditionError, hk.NumericalError) as exc:
+        return type(exc)
 
 
 class TestGeneratorCertificate:
@@ -373,15 +384,13 @@ class TestGeneratorCertificate:
         with recorded_products() as shapes:
             assert not hk.constructions._generator_certificate(N.astype(float), 0)
         assert shapes == certificate_products(n, n // 8)
-        ring = hk.FusionRing(tuple(f"j{i}" for i in range(n)), 0, range(n), N)
         with recorded_products() as shapes:
-            hk.validate_fusion_ring(ring)
+            ring = hk.FusionRing(tuple(f"j{i}" for i in range(n)), 0, range(n), N)
         assert shapes[:8] == certificate_products(n, 4)
         assert paths(shapes[8:], n) == (n, 0)
         with recorded_products() as shapes:
             table = hk.from_fusion_ring(ring)
-        assert shapes[:8] == certificate_products(n, 4)
-        assert paths(shapes[8:], n) == (n, 0)
+        assert shapes == []
         assert hk.tables_equal(table, rescaled_reference(ring), tol=0.0)
         for i, j, l in ((1, 2, 3), (4, 4, 6), (20, 9, 30)):
             raised = N.copy()
@@ -419,6 +428,37 @@ class TestGeneratorCertificate:
         hk.from_fusion_ring(ring)
         assert calls == [(21, 21, 21)]
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.one_of(
+            unital_tensors(),
+            st.integers(1, 40).map(lambda k: (oracles.su2_fusion_tensor(k), tuple(range(k + 1)))),
+        )
+    )
+    def test_rescaling_trusts_the_ring(self, data):
+        """``from_fusion_ring`` runs neither the kernel nor the certificate, at any size."""
+        N, conj = data
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # Frobenius asymmetry is only a warning
+            try:
+                ring = hk.FusionRing(tuple(f"f{i}" for i in range(len(N))), 0, conj, N)
+            except hk.AxiomError:
+                assume(False)  # not associative
+        want = rescaled_outcome(rescaled_reference, ring)
+
+        def check_again(*args, **kwargs):
+            raise AssertionError("the ring was checked again")
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (core, hk.constructions):
+                mp.setattr(module, "_associativity_violations", check_again)
+            mp.setattr(hk.constructions, "_generator_certificate", check_again)
+            found = rescaled_outcome(hk.from_fusion_ring, ring)
+        if isinstance(want, hk.HypergroupTable):
+            assert hk.tables_equal(found, want, tol=0.0)
+        else:
+            assert found == want
+
     def moved(self, N, i, j, l, to):
         """N with one multiplicity of l in ``f_i f_j`` (and in ``f_j f_i``) moved to ``to``.
 
@@ -429,7 +469,7 @@ class TestGeneratorCertificate:
             N[a, b, to] += 1
         return N
 
-    def test_unchecked_non_associative_ring_gets_the_kernels_report(self, groups):
+    def test_non_associative_ring_is_refused_when_built(self, groups):
         # SU(2)_17: d_1 == d_16; Z2 x D4: every dimension is 1
         z2_d4 = oracles.direct_product(groups["z2"], groups["d4"])
         ab = int(z2_d4.mul[3, 5])
@@ -441,18 +481,9 @@ class TestGeneratorCertificate:
         ]
         for N, conj in cases:
             labels = tuple(f"f{i}" for i in range(len(N)))
-            ring = hk.FusionRing(labels, 0, conj, N)
             with pytest.raises(hk.AxiomError), warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # moving a multiplicity breaks Frobenius symmetry
-                hk.validate_fusion_ring(ring)
-            want = rescaled_reference(ring)
-            with recorded_products() as shapes, pytest.raises(hk.AxiomError) as info:
-                hk.from_fusion_ring(ring)
-            assert info.value.report == want
-            assert shapes[:2] == certificate_products(len(N), 1)  # the first generator fails
-            lam = rescaled_lam(ring)
-            kernel = oracles.associativity_kernel_reference(lam, lam, lam, lam, 1e-9)
-            assert associativity_found(info.value.report) == kernel != []
+                hk.FusionRing(labels, 0, conj, N)
 
 
 class TestGroupoidScreen:
@@ -627,7 +658,7 @@ class TestStarScreen:
                 lam = np.array(table.lam)
                 lam[a, b, c] += amount  # breaks the star law by amount
                 buffers = np.empty_like(lam), np.array(inv), np.empty(lam.size)
-                cut = core._screen_cut(lam, tol, False, *buffers)
+                cut = core._screen_cut(lam, tol, *buffers)
                 found, screened, full, _ = self.check(table, lam, tol)
                 # a wide margin declines the screen; a narrow one clears every step
                 assert (screened, full) == ((n, 0) if cut is not None else (0, n))
@@ -710,7 +741,7 @@ class TestStarScreen:
         assert shapes == certificate_products(n, len(generators))
         Nf, vios = N.astype(float), []
         with recorded_products() as shapes:
-            core._associativity_violations(Nf, Nf, Nf, Nf, (), 0.0, vios, exact=True, star=inv)
+            core._associativity_violations(Nf, Nf, Nf, Nf, (), 0.5, vios, star=inv)
         assert (vios, paths(shapes, n)) == ([], (n, 0))
 
 

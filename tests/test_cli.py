@@ -456,6 +456,21 @@ class TestMalformedInput:
                 id="huge-radicand-argument",
             ),
             pytest.param(["validate", "--builtin", "ghj"], None, "abc", id="env-tol"),
+            pytest.param(
+                ["validate", "--tol", "nan"],
+                {"format_version": 1, "kind": "hypergroup", "labels": ["e", "g"], "unit": 0,
+                 "involution": [0, 1], "lambda": [[[1, 0], [0, 1]], [[0, 1], [3, -2]]]},
+                None,
+                id="nan-tol",
+            ),
+            pytest.param(["validate", "--builtin", "ghj", "--tol", "inf"], None, None, id="inf-tol"),
+            pytest.param(["validate", "--builtin", "ghj", "--tol", "-1"], None, None,
+                         id="negative-tol"),
+            pytest.param(["validate", "--builtin", "ghj"], None, "nan", id="nan-env-tol"),
+            pytest.param(["validate", "--builtin", "ghj"], None, "-1e-9", id="negative-env-tol"),
+            pytest.param(["indices", "--bound", "nan"], None, None, id="nan-bound"),
+            pytest.param(["indices", "--bound", "inf"], None, None, id="inf-bound"),
+            pytest.param(["indices", "--bound", "3", "--nmax", "2"], None, None, id="small-nmax"),
         ],
     )
     def test_exits_two_with_message(self, capsys, tmp_path, monkeypatch, argv, document, env_tol):

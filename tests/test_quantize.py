@@ -94,3 +94,9 @@ class TestEnumeration:
     def test_bad_bound(self):
         with pytest.raises(hk.PreconditionError):
             hk.enumerate_admissible(1.0)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bound(self, bound):
+        # NaN passes no comparison; an infinite bound would recurse without end
+        with pytest.raises(hk.PreconditionError, match="finite"):
+            hk.enumerate_admissible(bound)
