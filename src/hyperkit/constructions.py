@@ -29,8 +29,8 @@ import warnings
 import numpy as np
 
 from .core import DEFAULT_TOL, HypergroupTable, ValidationReport
-from .core import _EPS, _as_index_tuple, _associativity_violations, _dot_error
-from .core import _float_tensor, _grid, _int_tensor, _report
+from .core import _RHO, _as_index_tuple, _associativity_violations, _float_tensor
+from .core import _generator_certificate, _grid, _int_tensor, _report, _rescaling_margin
 from .errors import AxiomError, NumericalError, PreconditionError, StructureError
 
 
@@ -314,53 +314,6 @@ class FusionRing:
         return len(self.labels)
 
 
-def _generator_certificate(Nf: np.ndarray, unit: int) -> bool:
-    """Whether a generating set proves the integer tensor ``Nf`` associative.
-
-    The set A = {a : (x a) y = x (a y) for all x, y} is closed under
-    products: for a, b in A, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) =
-    x((ab)y) (Light's test; Clifford & Preston, Algebraic Theory of
-    Semigroups I, 1961, section 1.2).  The unit is in A by the unit laws,
-    which ``validate_fusion_ring`` checks first.  If c is the only
-    uncertified element in the support of a product ``a g`` of a
-    certified element and a generator, then ``N[a, g, c] f_c`` is ``a
-    g`` minus certified elements, so c is in A.  When no such product
-    remains, the least uncertified element becomes a generator; its
-    middle law is tested with two matrix products, 2 n^4 multiply-adds
-    into two n^3 buffers, exactly, since ``FusionRing`` keeps ``n *
-    max(N)**2`` below 2**53.  SU(2)_k needs one generator.  False, for
-    the caller to run the kernel, when a middle law fails, or when one
-    more generator would bring the tests above a quarter of the screened
-    kernel's n^5 multiply-adds.
-    """
-    n = Nf.shape[0]
-    flat = Nf.reshape(n, n * n)
-    left, right = np.empty((n, n * n)), np.empty((n, n, n))
-    certified = np.zeros(n, dtype=bool)
-    certified[unit] = True
-    support = np.zeros((n, 0, n), dtype=bool)  # support[a, j, c]: N[a, gens[j], c] > 0
-    pending = np.zeros((n, 0), dtype=np.int64)  # uncertified elements in that support
-    while not certified.all():
-        a, j = np.nonzero(certified[:, None] & (pending == 1))
-        if a.size:
-            c = int(np.argmax(support[a[0], j[0]] & ~certified))
-        elif 8 * (support.shape[1] + 1) > n:  # 2 n^4 a generator, at most n^5 / 4
-            return False
-        else:
-            c = int(np.argmin(certified))
-            np.matmul(Nf[:, c, :], flat, out=left)  # (x c) y
-            np.matmul(Nf[c], Nf, out=right)  # x (c y)
-            np.subtract(right, left.reshape(n, n, n), out=right)  # in place: no n^3 mask
-            if right.any():
-                return False
-            column = Nf[:, c, :] > 0
-            support = np.concatenate((support, column[:, None, :]), axis=1)
-            pending = np.column_stack((pending, (column & ~certified).sum(axis=1)))
-        certified[c] = True
-        pending -= support[:, :, c]
-    return True
-
-
 def validate_fusion_ring(ring: FusionRing) -> None:
     """Raise AxiomError on hard violations; warn on Frobenius asymmetry.
 
@@ -370,7 +323,7 @@ def validate_fusion_ring(ring: FusionRing) -> None:
     warning only, since rescalings of group-like data may lack it.
 
     ``FusionRing`` runs it once, on construction.  Associativity is
-    first certified from a generating set (``_generator_certificate``,
+    first certified from a generating set (``core._generator_certificate``,
     2 n^4 multiply-adds a generator, one for SU(2)_k); when that fails,
     the kernel of ``validate`` runs at tol 0.5, in n^5 or 2 n^5
     multiply-adds.  ``FusionRing`` keeps ``n * max(N)**2`` below 2**53,
@@ -475,14 +428,12 @@ def from_fusion_ring(ring: FusionRing, tol: float = DEFAULT_TOL) -> HypergroupTa
     ``lam[a, b, m] lam[m, c, p] = N[a, b, m] N[m, c, p] d_p / (d_a d_b
     d_c)``: d_m cancels, and likewise in ``a (b c)``, so lam is exactly
     associative whenever N is.  Each stored entry is rounded three times
-    (two products and a quotient), so it is ``lam (1 + theta)`` with
-    ``|theta| <= rho = (1 + eps)^3 - 1``; an n-term sum of products of
-    stored entries is then off from the exact one by at most ``sigma n
-    M^2``, ``sigma = ((1 + rho)^2 - 1) / (1 - rho)^2``, ``M`` the largest
-    entry, and the kernel's own round-off is ``core._dot_error(n, M)``.
-    When ``margin = 2 sigma n M^2 + _dot_error(n, M)`` is below tol, no
-    computed defect can exceed tol, so the kernel is skipped: every
-    ``FusionRing`` was proved associative when it was built.
+    (two products and a quotient), so it is within ``core._RHO`` times
+    itself of the exact one, and every entry within ``delta = _RHO M``,
+    ``M`` the largest.  When ``core._rescaling_margin(n, M, delta)`` is
+    below tol, no computed defect can exceed tol, so the kernel is
+    skipped: every ``FusionRing`` was proved associative when it was
+    built.
     """
     dims = pf_dimensions(ring).dims
     lam = ring.N * dims[None, None, :] / (dims[:, None, None] * dims[None, :, None])
@@ -490,9 +441,7 @@ def from_fusion_ring(ring: FusionRing, tol: float = DEFAULT_TOL) -> HypergroupTa
     del lam  # HypergroupTable holds a copy
     tol = max(tol, 1e-9)
     n, big = ring.n, max(float(table.lam.max()), -float(table.lam.min()))
-    rho = (1.0 + _EPS) ** 3 - 1.0
-    sigma = ((1.0 + rho) ** 2 - 1.0) / (1.0 - rho) ** 2
-    report = _report(table, tol, 2.0 * sigma * n * big * big + _dot_error(n, big) >= tol)
+    report = _report(table, tol, _rescaling_margin(n, big, _RHO * big) >= tol)
     if not report.passed:
         raise AxiomError("rescaled fusion ring fails hypergroup axioms", report=report)
     return table

@@ -284,6 +284,145 @@ def _dot_error(n, big) -> float:
     return 2.0 * (gamma + _EPS) * (1.0 + gamma) * n * big * big
 
 
+#: ``gamma_3 / (1 - gamma_3)``: ``N * d_c / (d_a * d_b)``, computed for an
+#: integer N and normal floats d, is within this fraction of itself of the
+#: exact value (three roundings, Higham 2002, lemma 3.1).
+_RHO = 3.0 * _EPS / (1.0 - 6.0 * _EPS)
+
+
+def _rescaling_margin(n, big, delta) -> float:
+    """``2 n (2 M delta + delta^2) + _dot_error(n, M)`` for ``M = big``.
+
+    If every entry of a table t with ``max|t| = M`` lies within delta of
+    an exactly associative table L, then with ``E = t - L`` each sum
+    ``sum_m t[a,b,m] t[m,c,p]`` differs from L's by ``sum_m (E t + t E -
+    E E)``, at most ``n (2 M delta + delta^2)``, and likewise in ``a (b
+    c)``, where L's sums agree.  So no computed associativity defect of t
+    exceeds this margin, the kernel's own round-off included.
+    """
+    return 2.0 * n * (2.0 * big * delta + delta * delta) + _dot_error(n, big)
+
+
+def _generator_certificate(Nf: np.ndarray, unit: int) -> bool:
+    """Whether a generating set proves the integer tensor ``Nf`` associative.
+
+    The set A = {a : (x a) y = x (a y) for all x, y} is closed under
+    products: for a, b in A, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) =
+    x((ab)y) (Light's test; Clifford & Preston, Algebraic Theory of
+    Semigroups I, 1961, section 1.2).  The unit is in A by the unit laws,
+    which the caller checks first, and ``Nf`` is nonnegative.  If c is
+    the only uncertified element in the support of a product ``a g`` of a
+    certified element and a generator, then ``N[a, g, c] f_c`` is ``a g``
+    minus certified elements, so c is in A.  When no such product
+    remains, the least uncertified element becomes a generator; its
+    middle law is tested with matrix products, in two row blocks of x
+    from ``_SCREEN_MIN_N`` elements on, 2 n^4 multiply-adds into n^3
+    floats of scratch (2 n^3 below), exactly, since the caller keeps
+    ``n * max(N)**2`` below 2**53.  SU(2)_k needs one generator.  False,
+    for the caller to run the kernel, when a middle law fails, or when
+    one more generator would bring the tests above a quarter of the
+    screened kernel's n^5 multiply-adds; so always from 2 to 7 elements.
+    """
+    n = Nf.shape[0]
+    if 1 < n < 8:
+        return False
+    flat = Nf.reshape(n, n * n)
+    # from _SCREEN_MIN_N elements on, where validate certifies, two row blocks
+    # keep the scratch within n^3 floats; below, one block saves two calls
+    rows = n if n < _SCREEN_MIN_N else -(-n // 2)
+    scratch = np.empty(2 * rows * n * n)
+    certified = np.zeros(n, dtype=bool)
+    certified[unit] = True
+    support = np.zeros((n, 0, n), dtype=bool)  # support[a, j, c]: N[a, gens[j], c] > 0
+    pending = np.zeros((n, 0), dtype=np.int64)  # uncertified elements in that support
+    while not certified.all():
+        a, j = np.nonzero(certified[:, None] & (pending == 1))
+        if a.size:
+            c = int(np.argmax(support[a[0], j[0]] & ~certified))
+        elif 8 * (support.shape[1] + 1) > n:  # 2 n^4 a generator, at most n^5 / 4
+            return False
+        else:
+            c = int(np.argmin(certified))
+            failed = False
+            for x in range(0, n, rows):
+                m = min(rows, n - x)
+                left = scratch[: m * n * n].reshape(m, n * n)
+                right = scratch[rows * n * n : (rows + m) * n * n].reshape(m, n, n)
+                np.matmul(Nf[x : x + m, c, :], flat, out=left)  # (x c) y
+                np.matmul(Nf[c], Nf[x : x + m], out=right)  # x (c y)
+                np.subtract(right, left.reshape(m, n, n), out=right)  # in place: no n^3 mask
+                failed = failed or bool(right.any())
+            if failed:
+                return False
+            column = Nf[:, c, :] > 0
+            support = np.concatenate((support, column[:, None, :]), axis=1)
+            pending = np.column_stack((pending, (column & ~certified).sum(axis=1)))
+        certified[c] = True
+        pending -= support[:, :, c]
+    return True
+
+
+def _rescaled_ring(lam: np.ndarray, unit: int, inv, tol: float) -> bool:
+    """Whether ``lam`` is so close to a rescaled associative integer ring that
+    ``_associativity_violations`` reports nothing beyond tol on it.
+
+    The weights ``mu_i = 1 / lam[i, inv(i), unit]`` give the scales: ``d =
+    sqrt(mu)`` first (fusion rings, ``N[a, a*, unit] = 1``), then ``d =
+    mu`` (groups, classes and double cosets, where ``lam[a, b, c] mu_a
+    mu_b / mu_c`` counts pairs).  For one d, in [2**-64, 2**64] so that
+    nothing below over- or underflows, ``N = rint(lam[a, b, c] d_a d_b /
+    d_c)`` must be nonnegative, obey both unit laws exactly and keep ``n
+    * max(N)**2`` below 2**53.  For any positive d, ``L[a, b, c] = N[a,
+    b, c] d_c / (d_a d_b)`` is exactly associative when N is, since d_m
+    cancels in ``L[a, b, m] L[m, c, p]`` and in ``L[b, c, q] L[a, q, p]``
+    (see ``from_fusion_ring``).  Its computed value ``fl(L)`` is within
+    ``_RHO fl(L)`` of it, and a computed difference within a factor ``1 -
+    eps`` of the exact one, so every entry of lam lies within ``delta =
+    max|lam - fl(L)| / (1 - eps) + _RHO max fl(L)`` of L.  Unless
+    ``_rescaling_margin(n, max|lam|, delta) < tol``, or if NaN or inf
+    appears anywhere, the next d is tried, and after the last False.
+    Only then is N's associativity certified, by
+    ``_generator_certificate``.  So True means that the kernel would
+    report nothing: the report is the same without it.  O(n^3) time for
+    the scales, 2 n^4 multiply-adds per generator, and two n^3 buffers
+    of memory, N and one for ``fl(L)``, which the certificate's scratch
+    replaces.
+    """
+    n = lam.shape[0]
+    eye = np.eye(n)
+    ring, spare = np.empty_like(lam), np.empty_like(lam)
+    big = max(float(np.maximum.reduce(lam, axis=None)), -float(np.minimum.reduce(lam, axis=None)))
+    with np.errstate(all="ignore"):
+        mu = 1.0 / lam[np.arange(n), list(inv), unit]
+        for d in (np.sqrt(mu), mu):
+            if not np.all((d >= 2.0**-64) & (d <= 2.0**64)):  # NaN fails too
+                continue
+            outer = (d[:, None] * d[None, :])[:, :, None]
+            np.multiply(lam, outer, out=ring)
+            np.divide(ring, d, out=ring)
+            np.rint(ring, out=ring)
+            top = float(np.maximum.reduce(ring, axis=None))
+            if not (
+                np.minimum.reduce(ring, axis=None) >= 0.0
+                and n * top * top < 2.0**53
+                and np.array_equal(ring[unit], eye)
+                and np.array_equal(ring[:, unit, :], eye)
+            ):
+                continue
+            np.multiply(ring, d, out=spare)  # fl(L), rounded as from_fusion_ring rounds it
+            np.divide(spare, outer, out=spare)
+            top = float(np.maximum.reduce(spare, axis=None))
+            np.subtract(lam, spare, out=spare)
+            np.abs(spare, out=spare)
+            delta = float(np.maximum.reduce(spare, axis=None)) / (1.0 - _EPS) + _RHO * top
+            if _rescaling_margin(n, big, delta) < tol:  # NaN compares False
+                break
+        else:
+            return False
+    del spare
+    return _generator_certificate(ring, unit)
+
+
 def _cut(tol, n, big, delta):
     """``tol - margin`` if ``margin < tol``, else None.
 
@@ -474,7 +613,12 @@ def validate(table: HypergroupTable, tol: float = DEFAULT_TOL) -> ValidationRepo
     and whose involution is one and obeys the star law ``lam[a, b, c] ==
     lam[inv(b), inv(a), inv(c)]`` within the screen's margin (from 16
     elements on, see ``_associativity_violations``), 2 n^5 otherwise,
-    and 2 n^3 floats of memory.
+    and 2 n^3 floats of memory.  From 16 elements on, a table within
+    round-off of a rescaled associative integer ring (parsed documents
+    and duals of fusion rings, group, class and double-coset tables)
+    skips that kernel: O(n^3) to recognise it and 2 n^4 multiply-adds
+    per generator to certify the ring, in the same memory
+    (``_rescaled_ring``), with the same report.
     """
     return _report(table, tol, True)
 
@@ -489,7 +633,7 @@ def _report(table: HypergroupTable, tol: float, associativity: bool) -> Validati
 
     _row_violations(lam, (), tol, vios)
     _unit_violations(lam, lam, unit, unit, True, (), tol, vios)
-    if associativity:
+    if associativity and not (table.n >= _SCREEN_MIN_N and _rescaled_ring(lam, unit, inv, tol)):
         _associativity_violations(lam, lam, lam, lam, (), tol, vios, star=inv)
 
     if inv[unit] != unit:

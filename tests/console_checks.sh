@@ -73,6 +73,34 @@ code=0
 cat "$work/err.txt"
 test "$code" -eq 1
 grep -q '^error: ' "$work/err.txt"
+# the 16-element rescaled SU(2)_15 table passes through the rescaled-ring
+# certificate, with no associativity kernel: exit 0; with lambda[1][1][2]
+# raised by 2e-9 the kernel runs and gives the same report as before: exit 1
+python -c 'import json; k = 15; n = k + 1; N = [[[int(abs(i - j) <= l <= min(i + j, 2 * k - i - j) and (i + j + l) % 2 == 0) for l in range(n)] for j in range(n)] for i in range(n)]; print(json.dumps({"format_version": 1, "kind": "fusion_ring", "labels": [f"j{i}" for i in range(n)], "unit": 0, "N": N}))' > "$work/su2-15.json"
+"$@" build fusion "$work/su2-15.json" --json > "$work/su2-15-table.json"
+"$@" validate "$work/su2-15-table.json"
+python -c 'import json, sys; doc = json.load(open(sys.argv[1])); doc["lambda"][1][1][2] += 2e-9; print(json.dumps(doc))' "$work/su2-15-table.json" > "$work/raised.json"
+code=0
+"$@" validate "$work/raised.json" > "$work/out.txt" || code=$?
+cat "$work/out.txt"
+test "$code" -eq 1
+diff - "$work/out.txt" <<'REPORT'
+hypergroup on 16 element(s): j0, j1, j2, j3, j4, j5, j6, j7, j8, j9, j10, j11, j12, j13, j14, j15
+13 axiom violation(s):
+  convexity at (1, 1): defect 2.000e-09
+  associativity at (1, 1, 2, 4): defect 1.058e-09
+  associativity at (1, 1, 13, 11): defect 1.058e-09
+  associativity at (1, 1, 14, 12): defect 1.302e-09
+  associativity at (1, 1, 15, 13): defect 2.000e-09
+  associativity at (1, 14, 15, 2): defect 2.000e-09
+  associativity at (1, 15, 14, 2): defect 2.000e-09
+  associativity at (2, 1, 1, 4): defect 1.058e-09
+  associativity at (13, 1, 1, 11): defect 1.058e-09
+  associativity at (14, 1, 1, 12): defect 1.302e-09
+  associativity at (14, 15, 1, 2): defect 2.000e-09
+  associativity at (15, 1, 1, 13): defect 2.000e-09
+  associativity at (15, 14, 1, 2): defect 2.000e-09
+REPORT
 # SU(2)_100 from the truncated Clebsch-Gordan rule: its associativity is
 # checked once, when the ring is built, by the generator certificate, not the
 # n^5 kernel; the rescaled table's round-off margin skips the kernel too

@@ -245,6 +245,17 @@ def unchecked_fusion_ring(labels, unit, conj, N):
     return ring
 
 
+def unchecked_table(table, lam):
+    """``table`` with its tensor replaced by ``lam`` as given, unchecked.
+
+    ``HypergroupTable`` refuses NaN and inf entries; this reaches the
+    guards of ``validate`` that such entries would meet.
+    """
+    out = HypergroupTable(table.labels, table.unit, table.involution, table.lam)
+    object.__setattr__(out, "lam", np.asarray(lam))
+    return out
+
+
 def squarefree_radicands(limit):
     """0, then the square-free integers 2..limit."""
     yield 0

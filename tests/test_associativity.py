@@ -24,6 +24,7 @@ import hyperkit as hk
 import oracles
 from hyperkit import core
 from test_constructions import assert_associativity_matches_reference, su2_ring, unital_tensors
+from test_constructions import verlinde_dims
 from test_core import assert_matches_reference, associativity_found, su2_table
 
 EPS = np.finfo(np.float64).eps
@@ -258,8 +259,11 @@ class TestScreenedKernel:
 
 
 def certificate_products(n, generators):
-    """The products of ``constructions._generator_certificate``: two per generator."""
-    return [(n, n * n), (n, n, n)] * generators
+    """The products of ``core._generator_certificate``: two a row block, one
+    or (from ``core._SCREEN_MIN_N`` elements on) two blocks a generator."""
+    rows = n if n < core._SCREEN_MIN_N else -(-n // 2)
+    blocks = [m for m in (rows, n - rows) if m]
+    return [shape for m in blocks for shape in ((m, n * n), (m, n, n))] * generators
 
 
 class TestFusionRingScreen:
@@ -293,8 +297,9 @@ class TestFusionRingScreen:
             raise_pair(N, i, j, l, 1)
             found, shapes = self.check(N)
             # the generator j1 fails its middle law, and the kernel runs
-            assert shapes[:2] == certificate_products(18, 1)
-            screened, full = paths(shapes[2:], 18)
+            head = certificate_products(18, 1)
+            assert shapes[: len(head)] == head
+            screened, full = paths(shapes[len(head) :], 18)
             assert found and screened >= 1 and full == 18 - screened + 1
 
     def test_non_commutative_ring_takes_no_exact_screen(self, groups):
@@ -334,6 +339,17 @@ def rescaled_outcome(rescale, ring):
         return exc.report
     except (hk.PreconditionError, hk.NumericalError) as exc:
         return type(exc)
+
+
+def moved(N, i, j, l, to):
+    """N with one multiplicity of l in ``f_i f_j`` (and in ``f_j f_i``) moved to ``to``.
+
+    With ``d_l == d_to`` the dimensions still obey the fusion rules."""
+    N = N.copy()
+    for a, b in {(i, j), (j, i)}:
+        N[a, b, l] -= 1
+        N[a, b, to] += 1
+    return N
 
 
 class TestGeneratorCertificate:
@@ -386,8 +402,9 @@ class TestGeneratorCertificate:
         assert shapes == certificate_products(n, n // 8)
         with recorded_products() as shapes:
             ring = hk.FusionRing(tuple(f"j{i}" for i in range(n)), 0, range(n), N)
-        assert shapes[:8] == certificate_products(n, 4)
-        assert paths(shapes[8:], n) == (n, 0)
+        head = certificate_products(n, 4)
+        assert shapes[: len(head)] == head
+        assert paths(shapes[len(head) :], n) == (n, 0)
         with recorded_products() as shapes:
             table = hk.from_fusion_ring(ring)
         assert shapes == []
@@ -424,7 +441,8 @@ class TestGeneratorCertificate:
         monkeypatch.setattr(core, "_associativity_violations", recording)
         hk.from_fusion_ring(ring)
         assert calls == []
-        monkeypatch.setattr(hk.constructions, "_dot_error", lambda n, big: 1e-9)
+        for module in (core, hk.constructions):  # the rescaled-ring certificate shares it
+            monkeypatch.setattr(module, "_rescaling_margin", lambda n, big, delta: 1e-9)
         hk.from_fusion_ring(ring)
         assert calls == [(21, 21, 21)]
 
@@ -452,22 +470,12 @@ class TestGeneratorCertificate:
         with pytest.MonkeyPatch.context() as mp:
             for module in (core, hk.constructions):
                 mp.setattr(module, "_associativity_violations", check_again)
-            mp.setattr(hk.constructions, "_generator_certificate", check_again)
+                mp.setattr(module, "_generator_certificate", check_again)
             found = rescaled_outcome(hk.from_fusion_ring, ring)
         if isinstance(want, hk.HypergroupTable):
             assert hk.tables_equal(found, want, tol=0.0)
         else:
             assert found == want
-
-    def moved(self, N, i, j, l, to):
-        """N with one multiplicity of l in ``f_i f_j`` (and in ``f_j f_i``) moved to ``to``.
-
-        With ``d_l == d_to`` the dimensions still obey the fusion rules."""
-        N = N.copy()
-        for a, b in {(i, j), (j, i)}:
-            N[a, b, l] -= 1
-            N[a, b, to] += 1
-        return N
 
     def test_non_associative_ring_is_refused_when_built(self, groups):
         # SU(2)_17: d_1 == d_16; Z2 x D4: every dimension is 1
@@ -476,8 +484,8 @@ class TestGeneratorCertificate:
         assert ab not in (0, 7)  # the unit and conjugation laws still hold
         N, inverses = group_ring(z2_d4)
         cases = [
-            (self.moved(oracles.su2_fusion_tensor(17), 2, 3, 1, 16), tuple(range(18))),
-            (self.moved(N, 3, 5, ab, 7), inverses),
+            (moved(oracles.su2_fusion_tensor(17), 2, 3, 1, 16), tuple(range(18))),
+            (moved(N, 3, 5, ab, 7), inverses),
         ]
         for N, conj in cases:
             labels = tuple(f"f{i}" for i in range(len(N)))
@@ -723,8 +731,10 @@ class TestStarScreen:
 
         monkeypatch.setattr(core, "_star_defect", gather)
         table = su2_table(20)  # its involution is the identity tuple
+        lam, star, vios = table.lam, table.involution, []
         with recorded_products() as shapes:
-            assert hk.validate(table).passed
+            core._associativity_violations(lam, lam, lam, lam, (), hk.DEFAULT_TOL, vios, star=star)
+        assert vios == []
         assert paths(shapes, table.n) == (table.n, 0)
 
     def test_non_commutative_ring_screens_exactly(self, groups):
@@ -879,6 +889,170 @@ class TestMirroredQuadruples:
         # einsum rounds differently from the kernel: keep tol clear of every deviation
         assume(all(np.all(np.abs(d - tol) > 1e-14) for d in deviations))
         self.run(g, tol)
+
+
+def reference_report(table, tol):
+    """``validate``'s report from its parts, in its order: the other axioms
+    around the unscreened kernel's associativity violations."""
+    lam = table.lam
+    others = core._report(table, tol, False).violations
+    first = [v for v in others if v.axiom in ("nonnegativity", "convexity", "unit")]
+    later = [v for v in others if v.axiom not in ("nonnegativity", "convexity", "unit")]
+    found = oracles.associativity_kernel_reference(lam, lam, lam, lam, tol)
+    vios = (*first, *(hk.Violation("associativity", idx, m) for idx, m in found), *later)
+    return hk.ValidationReport(not vios, vios)
+
+
+@contextlib.contextmanager
+def recorded_calls():
+    """The results of the kernel and certificate calls ``core`` makes inside, by name."""
+    calls = {"_associativity_violations": [], "_generator_certificate": []}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, results in calls.items():
+            def recording(*args, _fn=getattr(core, name), _results=results, **kwargs):
+                _results.append(_fn(*args, **kwargs))
+                return _results[-1]
+
+            mp.setattr(core, name, recording)
+        yield calls
+
+
+class TestRescaledRing:
+    """``validate`` skips the kernel on a table within its margin of a rescaled associative ring.
+
+    Anything else runs the kernel, so every report is the kernel's.
+    """
+
+    @pytest.fixture(scope="class")
+    def families(self, groups):
+        z2_s4 = oracles.direct_product(groups["z2"], groups["s4"])
+        s5 = hk.registry.symmetric_group(5)
+        return {
+            "groups": [hk.group_hypergroup(g) for g in (groups["s4"], z2_s4)],
+            "double cosets": [hk.double_coset_hypergroup(s5, [s5.identity, 1])],
+        }
+
+    def check(self, table, tol=hk.DEFAULT_TOL):
+        """``validate``'s report, which must equal the reference, and the calls it made."""
+        with recorded_calls() as calls:
+            report = hk.validate(table, tol)
+        assert report == reference_report(table, tol)
+        return report, calls
+
+    def kernel_only(self, table, tol=hk.DEFAULT_TOL):
+        """``check``'s report, asserting that the kernel ran and the certificate did not."""
+        report, calls = self.check(table, tol)
+        assert calls["_generator_certificate"] == []
+        assert len(calls["_associativity_violations"]) == 1
+        return report
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_report_equals_the_references(self, families, data):
+        family = data.draw(st.sampled_from(["su2", "groups", "double cosets"]), label="family")
+        if family == "su2":
+            table = su2_table(data.draw(st.integers(min_value=15, max_value=40), label="k"))
+        else:
+            table = data.draw(st.sampled_from(families[family]), label="table")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        table = oracles.relabel(table, rng.permutation(table.n))
+        n, inv, lam = table.n, table.involution, np.array(table.lam)
+        amount = 10.0 ** data.draw(st.floats(min_value=-14.0, max_value=-2.0), label="log amount")
+        kind = data.draw(st.sampled_from(["clean", "one", "pair", "row"]), label="kind")
+        if kind == "row":  # a whole row raised: its defects add up to several amounts
+            lam[int(rng.integers(n)), int(rng.integers(n))] += amount
+        elif kind != "clean":
+            a, b = (int(x) for x in rng.integers(n, size=2))
+            support = np.flatnonzero(lam[a, b]) if rng.random() < 0.8 else np.arange(n)
+            c = int(rng.choice(support))
+            lam[a, b, c] += amount
+            if kind == "pair":  # the star law still holds
+                lam[inv[b], inv[a], inv[c]] = lam[a, b, c]
+        # the defects are a few amounts, the margin about 4 n amounts: tol
+        # is drawn around either
+        margin = core._rescaling_margin(n, float(np.abs(lam).max()), amount)
+        centre = data.draw(st.sampled_from([amount, margin]), label="tol centre")
+        tol = centre * 2.0 ** data.draw(st.floats(min_value=-3.0, max_value=3.0), label="log2 tol")
+        self.check(hk.HypergroupTable(table.labels, table.unit, inv, lam), tol)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the kernel's inf - inf
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+    def test_entry_that_is_not_finite_after_scaling(self, value):
+        table = su2_table(20)
+        lam = np.array(table.lam)
+        lam[2, 3, 5] = value
+        self.kernel_only(oracles.unchecked_table(table, lam))
+
+    def test_zero_unit_coefficient(self):
+        table = su2_table(20)
+        lam = np.array(table.lam)
+        lam[3, 3, 0] = 0.0
+        report = self.kernel_only(hk.HypergroupTable(table.labels, 0, table.involution, lam))
+        assert ("involution", (3, 3)) in [(v.axiom, v.indices) for v in report.violations]
+
+    def test_margin_not_the_distance_decides(self):
+        # a whole row raised by 1e-6 puts the table 1e-6 from its rescaling,
+        # but its defects reach 3.9e-6: at tol 2e-6 only the margin, about
+        # 8e-5 here, sends it to the kernel
+        table = su2_table(20)
+        lam = np.array(table.lam)
+        lam[1, 1] += 1e-6
+        report = self.kernel_only(hk.HypergroupTable(table.labels, 0, table.involution, lam), 2e-6)
+        assert associativity_found(report)
+
+    def test_unit_law_of_the_rounded_ring(self, families):
+        # S4 with g, not the identity, as its unit and b with a b = g as a's
+        # involute: every weight is 1 and the table its own rounding, whose
+        # unit row is a permutation, not the identity
+        group = families["groups"][0]
+        lam = group.lam
+        g = int(np.flatnonzero(np.argmax(lam, axis=2)[0] != 0)[0])
+        involution = tuple(int(np.argmax(lam[a, :, g])) for a in range(group.n))
+        self.kernel_only(hk.HypergroupTable(group.labels, g, involution, lam))
+
+    def test_non_integral_rescaling(self):
+        # lam[2, 3, 5] d_2 d_3 / d_5 is N[2, 3, 5] + 0.3: N rounds back, but the
+        # table is 0.3 d_5 / (d_2 d_3) from its rescaling, far beyond the margin
+        table = su2_table(20)
+        d = np.sqrt(hk.weights(table))
+        lam = np.array(table.lam)
+        lam[2, 3, 5] += 0.3 * d[5] / (d[2] * d[3])
+        report = self.kernel_only(hk.HypergroupTable(table.labels, 0, table.involution, lam))
+        assert associativity_found(report)
+
+    def test_rescaled_non_associative_ring(self):
+        # SU(2)_17 with one multiplicity of f_1 in f_2 f_3 moved to f_16 (d_1 == d_16)
+        N, d = moved(oracles.su2_fusion_tensor(17), 2, 3, 1, 16), verlinde_dims(17)
+        lam = N * d[None, None, :] / (d[:, None, None] * d[None, :, None])
+        table = hk.HypergroupTable(tuple(map(str, range(18))), 0, range(18), lam)
+        report, calls = self.check(table)
+        assert associativity_found(report)
+        assert calls["_generator_certificate"] == [False]
+        assert len(calls["_associativity_violations"]) == 1
+
+    def test_parsed_and_dual_tables_take_no_kernel(self, families):
+        tables = [hk.from_fusion_ring(su2_ring(k)) for k in (15, 40, 60)]
+        texts = [hk.serialize_hypergroup(t) for t in tables]
+        chars = [hk.characters(t) for t in tables]
+        cosets = families["double cosets"][0]
+        with recorded_calls() as calls:
+            for table, text, ct in zip(tables, texts, chars):
+                assert hk.tables_equal(hk.parse_hypergroup(text), table, tol=0.0)
+                hk.dual_hypergroup(table, chars=ct)
+            assert hk.validate(cosets).passed
+        assert calls == {"_associativity_violations": [], "_generator_certificate": [True] * 7}
+
+    def test_certificate_gives_up_below_eight_elements_before_allocating(self):
+        def allocation(*args, **kwargs):
+            raise AssertionError("the certificate allocated")
+
+        for k in range(1, 7):
+            N = oracles.su2_fusion_tensor(k).astype(float)
+            with recorded_products() as shapes, pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core.np, "empty", allocation)
+                assert not core._generator_certificate(N, 0)
+            assert shapes == []
+        assert core._generator_certificate(np.ones((1, 1, 1)), 0)
 
 
 class TestScreenMemory:
