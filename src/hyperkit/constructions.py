@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from .core import DEFAULT_TOL, HypergroupTable, ValidationReport
-from .core import _RHO, _as_index_tuple, _associativity_violations, _float_tensor
+from .core import _RHO, _RingBlocks, _as_index_tuple, _associativity_violations, _float_tensor
 from .core import _generator_certificate, _grid, _int_tensor, _report, _rescaling_margin
 from .errors import AxiomError, NumericalError, PreconditionError, StructureError
 
@@ -345,7 +345,7 @@ def validate_fusion_ring(ring: FusionRing) -> None:
     if not np.array_equal(N, frob):
         warnings.warn("fusion ring lacks Frobenius symmetry N[i,j,l] = N[conj(i),l,j]")
     Nf = N.astype(np.float64)
-    if _generator_certificate(Nf, unit):
+    if _generator_certificate(_RingBlocks((((Nf,),),)), (unit,)):
         return
     vios = []
     _associativity_violations(Nf, Nf, Nf, Nf, (), 0.5, vios, star=ring.conj)

@@ -25,6 +25,7 @@ pure function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -303,124 +304,352 @@ def _rescaling_margin(n, big, delta) -> float:
     return 2.0 * n * (2.0 * big * delta + delta * delta) + _dot_error(n, big)
 
 
-def _generator_certificate(Nf: np.ndarray, unit: int) -> bool:
-    """Whether a generating set proves the integer tensor ``Nf`` associative.
+class _RingBlocks:
+    """The integer blocks ``N[x][y][z]`` of a composition grid, rounded as they are needed.
 
-    The set A = {a : (x a) y = x (a y) for all x, y} is closed under
-    products: for a, b in A, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) =
-    x((ab)y) (Light's test; Clifford & Preston, Algebraic Theory of
-    Semigroups I, 1961, section 1.2).  The unit is in A by the unit laws,
-    which the caller checks first, and ``Nf`` is nonnegative.  If c is
-    the only uncertified element in the support of a product ``a g`` of a
-    certified element and a generator, then ``N[a, g, c] f_c`` is ``a g``
-    minus certified elements, so c is in A.  When no such product
-    remains, the least uncertified element becomes a generator; its
-    middle law is tested with matrix products, in two row blocks of x
-    from ``_SCREEN_MIN_N`` elements on, 2 n^4 multiply-adds into n^3
-    floats of scratch (2 n^3 below), exactly, since the caller keeps
-    ``n * max(N)**2`` below 2**53.  SU(2)_k needs one generator.  False,
-    for the caller to run the kernel, when a middle law fails, or when
-    one more generator would bring the tests above a quarter of the
-    screened kernel's n^5 multiply-adds; so always from 2 to 7 elements.
+    ``comp[x][y][z]`` composes Mor(y -> x) with Mor(z -> y) into Mor(z ->
+    x), of shape (|Mor(y->x)|, |Mor(z->y)|, |Mor(z->x)|), as in
+    ``groupoid.Hypergroupoid``; a table is the one-object grid
+    ``(((lam,),),)``.  After ``rescale(scales)`` (``scales[x][y]``, one
+    positive float per arrow of Mor(y -> x)), ``N[a, b, c] =
+    rint(comp[x][y][z][a, b, c] d_a d_b / d_c)``, each entry rounded
+    alike in whatever slice asks for it; before, ``comp`` holds N and
+    nothing is copied.  Two
+    buffers bound the memory: ``held``, of the largest block's size,
+    keeps the last block rounded into it, and ``work``, of about that
+    size (``room``, twice that below ``_SCREEN_MIN_N`` arrows, where one
+    block of products is cheaper), takes a block of at most half of it
+    at its front and the caller's products behind it.
     """
-    n = Nf.shape[0]
-    if 1 < n < 8:
-        return False
-    flat = Nf.reshape(n, n * n)
-    # from _SCREEN_MIN_N elements on, where validate certifies, two row blocks
-    # keep the scratch within n^3 floats; below, one block saves two calls
-    rows = n if n < _SCREEN_MIN_N else -(-n // 2)
-    scratch = np.empty(2 * rows * n * n)
-    certified = np.zeros(n, dtype=bool)
-    certified[unit] = True
-    support = np.zeros((n, 0, n), dtype=bool)  # support[a, j, c]: N[a, gens[j], c] > 0
-    pending = np.zeros((n, 0), dtype=np.int64)  # uncertified elements in that support
-    while not certified.all():
-        a, j = np.nonzero(certified[:, None] & (pending == 1))
-        if a.size:
-            c = int(np.argmax(support[a[0], j[0]] & ~certified))
-        elif 8 * (support.shape[1] + 1) > n:  # 2 n^4 a generator, at most n^5 / 4
-            return False
+
+    def __init__(self, comp):
+        objs = range(len(comp))
+        self.comp = comp
+        self.size = [[comp[x][y][0].shape[0] for y in objs] for x in objs]
+        self.n = max(map(max, self.size))
+        self.largest = max(t.size for grid in comp for row in grid for t in row)
+        self.room = self.largest * (1 if self.n >= _SCREEN_MIN_N else 2)
+        self.held = self.work = None
+        self.rescale(None)
+
+    def rescale(self, scales):
+        """Round with ``scales`` from now on; no block is at hand."""
+        self.scales = scales
+        self.at_hand = {}  # block -> the array holding it rounded in full
+        self.in_held = self.in_front = None
+
+    def scratch(self):
+        """``work``, flat, allocated on first use with room for any block
+        ``_generator_certificate`` may round into it and the products behind."""
+        if self.work is None:
+            size, objs = self.size, range(len(self.size))
+            need = self.room
+            for x, y, z, w in itertools.product(objs, repeat=4):
+                front = self.comp[x][z][w].size
+                at_front = self.scales is not None and 2 * front <= self.room
+                for used in {0, front if at_front else 0}:
+                    per_row = self.per_row(x, y, z, w, y == z or self.scales is None)
+                    need = max(need, used + self.step(size[x][y], per_row, used) * per_row)
+            self.work = np.empty(need)
+        return self.work
+
+    def per_row(self, x, y, z, w, ready):
+        """Floats of ``work`` that one arrow a in Mor(y -> x) takes in the test
+        of a generator in Mor(z -> y) against Mor(w -> z): its rows of ``(a g) b``
+        and ``a (g b)``, and of ``N[x][y][w]`` unless that block is ``ready``."""
+        size = self.size
+        return size[x][w] * (2 * size[z][w] + (0 if ready else size[y][w]))
+
+    def step(self, rows, per_row, used):
+        """Rows a block: ``rows`` split evenly into as few blocks as keep each
+        block's products, give or take a row, within ``room`` less the ``used``
+        floats at ``work``'s front (``scratch`` sizes ``work`` for the row)."""
+        if not rows * per_row:
+            return rows
+        parts = -(-rows * per_row // (self.room - used))
+        return -(-rows // parts)
+
+    def ready(self, key) -> bool:
+        """Whether block ``key`` is at hand in full, without rounding."""
+        return self.scales is None or key in self.at_hand
+
+    def block(self, key, front=False):
+        """Block ``key = (x, y, z)`` of N in full: ``comp``'s own, one at hand,
+        or rounded now into ``held`` or (``front``) ``work``'s front."""
+        x, y, z = key
+        if self.scales is None:
+            return self.comp[x][y][z]
+        arr = self.at_hand.get(key)
+        if arr is not None:
+            return arr
+        if front:
+            self.at_hand.pop(self.in_front, None)
+            self.in_front, buf = key, self.scratch()
         else:
-            c = int(np.argmin(certified))
-            failed = False
-            for x in range(0, n, rows):
-                m = min(rows, n - x)
-                left = scratch[: m * n * n].reshape(m, n * n)
-                right = scratch[rows * n * n : (rows + m) * n * n].reshape(m, n, n)
-                np.matmul(Nf[x : x + m, c, :], flat, out=left)  # (x c) y
-                np.matmul(Nf[c], Nf[x : x + m], out=right)  # x (c y)
-                np.subtract(right, left.reshape(m, n, n), out=right)  # in place: no n^3 mask
-                failed = failed or bool(right.any())
-            if failed:
-                return False
-            column = Nf[:, c, :] > 0
-            support = np.concatenate((support, column[:, None, :]), axis=1)
-            pending = np.column_stack((pending, (column & ~certified).sum(axis=1)))
-        certified[c] = True
-        pending -= support[:, :, c]
+            self.at_hand.pop(self.in_held, None)
+            if self.held is None:
+                self.held = np.empty(self.largest)
+            self.in_held, buf = key, self.held
+        t = self.comp[x][y][z]
+        arr = self.at_hand[key] = buf[: t.size].reshape(t.shape)
+        self._round(key, slice(None), slice(None), arr)
+        return arr
+
+    def fetch(self, key):
+        """``block(key)`` for a caller that then writes into ``work``: the block,
+        at ``work``'s front if it fits in half of it, and how many floats of
+        ``work`` it takes there (0 if none; a block held there before is dropped)."""
+        x, y, z = key
+        small = 2 * self.comp[x][y][z].size <= self.room
+        arr = self.block(key, front=small and not self.ready(key))
+        if key == self.in_front:
+            return arr, arr.size
+        self.at_hand.pop(self.in_front, None)
+        self.in_front = None
+        return arr, 0
+
+    def part(self, key, rows, cols, buf=None):
+        """``N[x][y][z][rows, cols]`` for slices ``rows`` and ``cols``: a view of
+        a block at hand, else rounded into the flat ``buf`` (a new array if None)."""
+        x, y, z = key
+        arr = self.comp[x][y][z] if self.scales is None else self.at_hand.get(key)
+        if arr is not None:
+            return arr[rows, cols]
+        t = self.comp[x][y][z][rows, cols]
+        out = np.empty(t.shape) if buf is None else buf[: t.size].reshape(t.shape)
+        self._round(key, rows, cols, out)
+        return out
+
+    def _round(self, key, rows, cols, out):
+        x, y, z = key
+        d = self.scales
+        outer = d[x][y][rows][:, None] * d[y][z][cols][None, :]
+        np.multiply(self.comp[x][y][z][rows, cols], outer[:, :, None], out=out)
+        np.divide(out, d[x][z], out=out)
+        np.rint(out, out=out)
+
+
+def _generator_certificate(blocks: _RingBlocks, units) -> bool:
+    """Whether a generating set proves the integer blocks of ``blocks`` associative.
+
+    The arrows span an algebra: ``a b = sum_c N[x][y][z][a, b, c] c`` for
+    a in Mor(y -> x) and b in Mor(z -> y), and 0 when they do not
+    compose; one object gives a ring.  Its associativity is that of
+    every object quadruple.  The set A = {a : (x a) y = x (a y) for all
+    x, y} is closed under products: for a, b in A, (x(ab))y = ((xa)b)y =
+    (xa)(by) = x(a(by)) = x((ab)y) (Light's test; Clifford & Preston,
+    Algebraic Theory of Semigroups I, 1961, section 1.2).  Every unit
+    ``units[x]`` is in A by the unit laws, which the caller checks first,
+    and N is nonnegative.  If c is the only uncertified arrow in the
+    support of a product ``a g`` of a certified arrow and a generator,
+    ``N[a, g, c] c`` is ``a g`` minus certified arrows, so c is in A.
+    When no such product remains, the first hom-space Mor(y -> x), in
+    (x, y) order, with an uncertified arrow gives the next generator:
+    among its uncertified arrows g whose products ``a g`` have two or
+    more terms for some a, the one with the fewest nonzero ``N[a, g,
+    c]`` (``_column_counts``; j1 or j(k-1) of SU(2)_k, whichever comes
+    first, not the simple current jk, which generates only itself); if
+    there is none, as in a group, the least uncertified arrow.
+    A generator g in Mor(z -> y) is tested by (a g) b = a (g b) for a in
+    Mor(y -> x) and b in Mor(w -> z) over every object pair (x, w): two
+    matrix products a pair, ``sum_xw s_xy s_zw s_xw (s_xz + s_yw)``
+    multiply-adds for hom-space sizes s (2 n^4 on one object), exactly,
+    since the caller keeps ``n * max(N)**2`` below 2**53.  The blocks of
+    N come from ``blocks`` as they are needed, and the products go into
+    its ``work`` in row blocks of a, so memory stays within its two
+    buffers and O(n^2) more.  False, for
+    the caller to run the kernel, when a test fails, or when one more
+    generator would bring the tests above a quarter of the quadruple
+    pass that a passing grid takes, ``sum_xyzw s_xy s_yz s_zw s_xw (s_xz
+    + s_yw) / 2`` (n^5 on one object: at most n / 8 generators); so,
+    before any allocation, always on 2 to 7 elements.  SU(2)_k and the
+    double-coset groupoids need one generator a hom-space or a few.
+    """
+    size = blocks.size
+    objs = range(len(size))
+    # cost[y][z]: multiply-adds of testing one generator in Mor(z -> y)
+    cost = [
+        [
+            sum(size[x][y] * size[z][w] * size[x][w] * (size[x][z] + size[y][w])
+                for x in objs for w in objs)
+            for z in objs
+        ]
+        for y in objs
+    ]
+    budget = sum(cost[y][z] * size[y][z] for y in objs for z in objs) / 8
+    spaces = [(x, y) for x in objs for y in objs if size[x][y] > (x == y)]  # not the units alone
+    if not spaces:
+        return True
+    if min(cost[x][y] for x, y in spaces) > budget:
+        return False
+    home, total = {}, 0  # arrows numbered hom-space by hom-space, in (x, y) order
+    for x, y in itertools.product(objs, repeat=2):
+        home[x, y], total = slice(total, total + size[x][y]), total + size[x][y]
+    certified = np.zeros(total, dtype=bool)
+    certified[[home[x, x].start + units[x] for x in objs]] = True
+    # the support of a g, for each generator g and each arrow a that it
+    # follows (one row, ``owner`` its a), as edges (row, arrow c)
+    owner = edge_row = edge_col = np.zeros(0, dtype=np.intp)
+    counts, spent = {}, 0.0
+    while not certified.all():
+        open_ = ~certified[edge_col]
+        holds = np.bincount(edge_row[open_], minlength=owner.size)  # uncertified arrows a row has
+        new = edge_col[open_ & (certified[owner] & (holds == 1))[edge_row]]
+        if new.size:
+            certified[new] = True
+            continue
+        y, z = next(s for s in spaces if not certified[home[s]].all())
+        spent += cost[y][z]
+        if spent > budget:
+            return False
+        if (y, z) not in counts:
+            counts[y, z] = _column_counts(blocks, y, z)
+        nnz, branching = counts[y, z]
+        open_ = ~certified[home[y, z]]
+        choice = open_ & branching
+        g = int(np.argmin(np.where(choice, nnz, np.inf)) if choice.any() else np.argmax(open_))
+        rows, cols = [], []
+        for x in objs:
+            sxy, sxz = size[x][y], size[x][z]
+            if not sxy:
+                continue
+            # a g for every a in Mor(y -> x), copied: work and held change below
+            ag = blocks.part((x, y, z), slice(None), slice(g, g + 1))
+            ag = (ag if ag.flags.owndata else ag.copy()).reshape(sxy, sxz)
+            a, c = np.nonzero(ag)
+            rows.append(owner.size + sum(size[v][y] for v in range(x)) + a)
+            cols.append(home[x, z].start + c)
+            for w in objs:
+                szw, sxw = size[z][w], size[x][w]
+                if not (szw and sxw):
+                    continue
+                mb, used = blocks.fetch((x, z, w))  # m b for m in Mor(z -> x)
+                mb = mb.reshape(sxz, szw * sxw)
+                gb = blocks.part((y, z, w), slice(g, g + 1), slice(None)).reshape(szw, size[y][w])
+                step = blocks.step(sxy, blocks.per_row(x, y, z, w, blocks.ready((x, y, w))), used)
+                work = blocks.scratch()[used:]
+                failed = False
+                for lo in range(0, sxy, step):
+                    m = min(step, sxy - lo)
+                    span = m * szw * sxw
+                    left = work[:span].reshape(m, szw * sxw)
+                    right = work[span : 2 * span].reshape(m, szw, sxw)
+                    aq = blocks.part((x, y, w), slice(lo, lo + m), slice(None), work[2 * span :])
+                    np.matmul(ag[lo : lo + m], mb, out=left)  # (a g) b
+                    np.matmul(gb, aq, out=right)  # a (g b)
+                    np.subtract(right, left.reshape(m, szw, sxw), out=right)  # in place: no mask
+                    failed = failed or bool(right.any())
+                if failed:
+                    return False
+        owner = np.concatenate((owner, *(np.arange(total)[home[x, y]] for x in objs)))
+        edge_row, edge_col = np.concatenate((edge_row, *rows)), np.concatenate((edge_col, *cols))
+        certified[home[y, z].start + g] = True
     return True
 
 
-def _rescaled_ring(lam: np.ndarray, unit: int, inv, tol: float) -> bool:
-    """Whether ``lam`` is so close to a rescaled associative integer ring that
-    ``_associativity_violations`` reports nothing beyond tol on it.
+def _column_counts(blocks, y, z):
+    """Per arrow g of Mor(z -> y): the nonzero ``N[x][y][z][a, g, c]`` over
+    every x, a and c, and whether some ``a g`` has two or more terms.  N is
+    nonnegative, so these sum ``min(N, 1)``, formed in ``work`` unless N
+    has no entry above 1."""
+    nnz, branching = np.zeros(blocks.size[y][z]), np.zeros(blocks.size[y][z], dtype=bool)
+    for x in range(len(blocks.size)):
+        t, used = blocks.fetch((x, y, z))
+        if t.max(initial=0.0) > 1.0:
+            t = np.minimum(t, 1.0, out=blocks.scratch()[used : used + t.size].reshape(t.shape))
+        sa, sg, sc = t.shape
+        terms = np.dot(t.reshape(sa * sg, sc), np.ones(sc)).reshape(sa, sg)
+        nnz += terms.sum(axis=0)  # terms[a, g]: the terms of a g
+        branching |= (terms >= 2.0).any(axis=0)
+    return nnz, branching
 
-    The weights ``mu_i = 1 / lam[i, inv(i), unit]`` give the scales: ``d =
+
+def _rescaled_ring(comp, units, star, tol: float) -> bool:
+    """Whether the grid ``comp`` is so close to a rescaled associative integer
+    grid that ``_associativity_violations`` reports nothing beyond tol on any
+    of its object quadruples.
+
+    ``comp[x][y][z]``, ``units[x]`` and ``star[x][y]`` are as in
+    ``groupoid.Hypergroupoid``; a table is the one-object grid ``(((lam,),),)``
+    with its unit and involution.  The weights ``mu_a = 1 / comp[x][y][x][a,
+    a*, units[x]]`` of the arrows a in Mor(y -> x) give the scales: ``d =
     sqrt(mu)`` first (fusion rings, ``N[a, a*, unit] = 1``), then ``d =
-    mu`` (groups, classes and double cosets, where ``lam[a, b, c] mu_a
-    mu_b / mu_c`` counts pairs).  For one d, in [2**-64, 2**64] so that
-    nothing below over- or underflows, ``N = rint(lam[a, b, c] d_a d_b /
-    d_c)`` must be nonnegative, obey both unit laws exactly and keep ``n
-    * max(N)**2`` below 2**53.  For any positive d, ``L[a, b, c] = N[a,
-    b, c] d_c / (d_a d_b)`` is exactly associative when N is, since d_m
-    cancels in ``L[a, b, m] L[m, c, p]`` and in ``L[b, c, q] L[a, q, p]``
-    (see ``from_fusion_ring``).  Its computed value ``fl(L)`` is within
-    ``_RHO fl(L)`` of it, and a computed difference within a factor ``1 -
-    eps`` of the exact one, so every entry of lam lies within ``delta =
-    max|lam - fl(L)| / (1 - eps) + _RHO max fl(L)`` of L.  Unless
-    ``_rescaling_margin(n, max|lam|, delta) < tol``, or if NaN or inf
-    appears anywhere, the next d is tried, and after the last False.
-    Only then is N's associativity certified, by
-    ``_generator_certificate``.  So True means that the kernel would
-    report nothing: the report is the same without it.  O(n^3) time for
-    the scales, 2 n^4 multiply-adds per generator, and two n^3 buffers
-    of memory, N and one for ``fl(L)``, which the certificate's scratch
-    replaces.
+    mu`` (groups, classes, double cosets and their groupoids, where
+    ``comp[a, b, c] mu_a mu_b / mu_c`` counts pairs).  For one d, in
+    [2**-64, 2**64] so that nothing below over- or underflows, every block
+    ``N = rint(comp[x][y][z][a, b, c] d_a d_b / d_c)`` must be nonnegative,
+    obey both unit laws exactly for every (x, y) and keep ``n *
+    max(N)**2`` below 2**53, for n the largest hom-space.  For any positive
+    d, ``L[a, b, c] = N[a, b, c] d_c / (d_a d_b)`` is exactly associative
+    when N is, since d_m cancels in ``L[a, b, m] L[m, c, p]`` and in ``L[b,
+    c, q] L[a, q, p]`` (see ``from_fusion_ring``).  Its computed value
+    ``fl(L)`` is within ``_RHO fl(L)`` of it, and a computed difference
+    within a factor ``1 - eps`` of the exact one, so every entry of a
+    block lies within ``delta = max|comp - fl(L)| / (1 - eps) + _RHO max
+    fl(L)`` of L.  Blocks go smallest first, and the first that fails,
+    or whose delta brings ``_rescaling_margin(n, max|comp|, delta)`` up to
+    tol (NaN and inf do), sends the next d; after the last, False.  Only
+    then is N certified, by ``_generator_certificate``.  So True means
+    that the kernel would report nothing: the report is the same
+    without it.  Time O(size of the grid) for the scales, plus the
+    certificate's tests; memory the two buffers of ``_RingBlocks``, of
+    about the largest block's size each, where N and ``fl(L)`` are formed
+    block by block, never all at once.
     """
-    n = lam.shape[0]
-    eye = np.eye(n)
-    ring, spare = np.empty_like(lam), np.empty_like(lam)
-    big = max(float(np.maximum.reduce(lam, axis=None)), -float(np.minimum.reduce(lam, axis=None)))
+    objs = range(len(comp))
+    order = sorted(itertools.product(objs, repeat=3), key=lambda q: comp[q[0]][q[1]][q[2]].size)
+    tensors = [t for t in (comp[x][y][z] for x, y, z in order) if t.size]
+    big = max(max(float(np.maximum.reduce(t, axis=None)), -float(np.minimum.reduce(t, axis=None)))
+              for t in tensors)
+    blocks = _RingBlocks(comp)
     with np.errstate(all="ignore"):
-        mu = 1.0 / lam[np.arange(n), list(inv), unit]
-        for d in (np.sqrt(mu), mu):
-            if not np.all((d >= 2.0**-64) & (d <= 2.0**64)):  # NaN fails too
-                continue
-            outer = (d[:, None] * d[None, :])[:, :, None]
-            np.multiply(lam, outer, out=ring)
-            np.divide(ring, d, out=ring)
-            np.rint(ring, out=ring)
-            top = float(np.maximum.reduce(ring, axis=None))
-            if not (
-                np.minimum.reduce(ring, axis=None) >= 0.0
-                and n * top * top < 2.0**53
-                and np.array_equal(ring[unit], eye)
-                and np.array_equal(ring[:, unit, :], eye)
-            ):
-                continue
-            np.multiply(ring, d, out=spare)  # fl(L), rounded as from_fusion_ring rounds it
-            np.divide(spare, outer, out=spare)
-            top = float(np.maximum.reduce(spare, axis=None))
-            np.subtract(lam, spare, out=spare)
-            np.abs(spare, out=spare)
-            delta = float(np.maximum.reduce(spare, axis=None)) / (1.0 - _EPS) + _RHO * top
-            if _rescaling_margin(n, big, delta) < tol:  # NaN compares False
+        mu = [
+            [1.0 / comp[x][y][x][np.arange(len(s)), np.asarray(s, dtype=np.intp), units[x]]
+             for y, s in enumerate(star[x])]
+            for x in objs
+        ]
+        for scales in ([[np.sqrt(m) for m in row] for row in mu], mu):
+            if not all(np.all((d >= 2.0**-64) & (d <= 2.0**64)) for row in scales for d in row):
+                continue  # NaN fails too
+            blocks.rescale(scales)
+            if _within_margin(blocks, order, units, big, tol):
                 break
         else:
             return False
-    del spare
-    return _generator_certificate(ring, unit)
+    return _generator_certificate(blocks, units)
+
+
+def _within_margin(blocks, order, units, big, tol) -> bool:
+    """Whether every block of ``blocks``, taken in ``order``, rounds to a
+    nonnegative integer block with exact unit laws and ``n * max(N)**2 <
+    2**53`` and lies so close to its rescaling that ``_rescaling_margin``
+    stays below tol (``_rescaled_ring``); False at the first that does not."""
+    comp, scales, n = blocks.comp, blocks.scales, blocks.n
+    delta = 0.0
+    for x, y, z in order:
+        t = comp[x][y][z]
+        if t.size == 0:
+            continue
+        ring = blocks.block((x, y, z))
+        top = float(np.maximum.reduce(ring, axis=None))
+        if not (
+            np.minimum.reduce(ring, axis=None) >= 0.0
+            and n * top * top < 2.0**53
+            and (x != y or np.array_equal(ring[units[x]], np.eye(t.shape[2])))
+            and (y != z or np.array_equal(ring[:, units[y], :], np.eye(t.shape[0])))
+        ):
+            return False
+        spare = blocks.scratch()[: t.size].reshape(t.shape)
+        outer = (scales[x][y][:, None] * scales[y][z][None, :])[:, :, None]
+        np.multiply(ring, scales[x][z], out=spare)  # fl(L), rounded as from_fusion_ring rounds it
+        np.divide(spare, outer, out=spare)
+        top = float(np.maximum.reduce(spare, axis=None))
+        np.subtract(t, spare, out=spare)
+        np.abs(spare, out=spare)
+        delta = max(delta, float(np.maximum.reduce(spare, axis=None)) / (1.0 - _EPS) + _RHO * top)
+        if not _rescaling_margin(n, big, delta) < tol:  # NaN compares False
+            return False
+    return True
 
 
 def _cut(tol, n, big, delta):
@@ -633,7 +862,8 @@ def _report(table: HypergroupTable, tol: float, associativity: bool) -> Validati
 
     _row_violations(lam, (), tol, vios)
     _unit_violations(lam, lam, unit, unit, True, (), tol, vios)
-    if associativity and not (table.n >= _SCREEN_MIN_N and _rescaled_ring(lam, unit, inv, tol)):
+    grid = (((lam,),),), (unit,), ((inv,),)
+    if associativity and not (table.n >= _SCREEN_MIN_N and _rescaled_ring(*grid, tol)):
         _associativity_violations(lam, lam, lam, lam, (), tol, vios, star=inv)
 
     if inv[unit] != unit:

@@ -50,6 +50,7 @@ from .core import (
     _float_tensor,
     _grid,
     _involution_violations,
+    _rescaled_ring,
     _row_violations,
     _star_defect,
     _unit_violations,
@@ -268,16 +269,25 @@ def validate_groupoid(g: Hypergroupoid, tol: float = DEFAULT_TOL) -> ValidationR
     """Check all hypergroupoid axioms; violations carry object indices first.
 
     Runs the hypergroup checks of ``core.validate`` once per object
-    tuple, so each defect is reported once.  Associativity over the k^4
-    object quadruples dominates: at most 2 k^4 n^5 multiply-adds and
-    O(n^3) memory for arrow bases of size up to n.  Quadruples run in
-    order; where the star is an involution and the star law holds within
-    the margin, one that passes skips its later mirror
+    tuple, so each defect is reported once.  Associativity dominates.
+    When a hom-space has 16 (``_SCREEN_MIN_N``) or more arrows,
+    ``core._rescaled_ring`` first tries to prove it for the whole grid:
+    it reads a scale per arrow off the weights, rounds every block to an
+    integer block N and bounds the grid's distance from its rescaling,
+    in time linear in the grid, then certifies N from generators, in
+    ``sum_xw s_xy s_zw s_xw (s_xz + s_yw)`` multiply-adds a generator of
+    Mor(z -> y) for hom-space sizes s, at most a quarter of the
+    quadruple pass below; both in two buffers of about the largest
+    block's size.  Double-coset groupoids of 24 or more arrows pass with
+    a few generators.  Otherwise the k^4 object quadruples run, at most
+    2 k^4 n^5 multiply-adds and O(n^3) memory for arrow bases of size
+    up to n, in order; where the star is an involution and the star law
+    holds within the margin, one that passes skips its later mirror
     (``_associativity_by_quadruple``), so a groupoid that passes takes
     about half of that.  An endo quadruple ``(x, x, x, x)`` is
     ``core.validate``'s check on Mor(x -> x), with its screen: n^5
     multiply-adds there when that hypergroup passes and obeys the star
-    law.
+    law.  Either way the report is the quadruple pass's.
     """
     objs = range(g.n_objects)
     c, u, star = g.comp, g.units, g.star
@@ -292,7 +302,9 @@ def validate_groupoid(g: Hypergroupoid, tol: float = DEFAULT_TOL) -> ValidationR
         _row_violations(c[x][y][z], (x, y, z), tol, vios)
     for x, y in itertools.product(objs, repeat=2):
         _unit_violations(c[x][x][y], c[x][y][y], u[x], u[y], x == y, (x, y), tol, vios)
-    _associativity_by_quadruple(g, tol, vios, not any(unpaired))
+    largest = max(len(arrows) for row in g.mor for arrows in row)
+    if not (largest >= _SCREEN_MIN_N and _rescaled_ring(c, u, star, tol)):
+        _associativity_by_quadruple(g, tol, vios, not any(unpaired))
 
     for x in objs:
         vios += (Violation("star-involution", where, 1.0) for where in unpaired[x])

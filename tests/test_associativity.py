@@ -258,6 +258,11 @@ class TestScreenedKernel:
         assert (screened, full) == (0, n)
 
 
+def certificate(N, unit=0):
+    """``core._generator_certificate`` on the integer tensor N, the one-object grid."""
+    return core._generator_certificate(core._RingBlocks((((N,),),)), (unit,))
+
+
 def certificate_products(n, generators):
     """The products of ``core._generator_certificate``: two a row block, one
     or (from ``core._SCREEN_MIN_N`` elements on) two blocks a generator."""
@@ -383,26 +388,19 @@ class TestGeneratorCertificate:
             raise_pair(N, i, j, l, 1)
         assert_associativity_matches_reference(N, conj)
 
-    def odd_levels_first(self):
-        """SU(2)_31 with the odd levels 3, 5, ..., 31 listed right after the unit.
-
-        A product of two odd levels from 3 up holds only even levels, two
-        or more of them nonzero, so the products of the unit and the first
-        n / 8 = 4 greedy generators (levels 3, 5, 7, 9) certify nothing new,
-        and the certificate gives up before a fifth.
-        """
-        order = [0, *range(3, 32, 2), 1, *range(2, 32, 2)]
-        return relabel(oracles.su2_fusion_tensor(31), np.argsort(order))
-
-    def test_ring_without_triangular_steps_falls_back_to_the_kernel(self):
-        N = self.odd_levels_first()
-        n = len(N)
+    def test_ring_beyond_the_generator_budget_falls_back_to_the_kernel(self):
+        # Z2^5, a ^ b in binary: the greedy generators 1, 2, 4 and 8 certify
+        # only the 16 elements below 16, and a fifth would exceed the budget
+        # of n / 8 = 4 generators, so the kernel runs
+        n = 32
+        N = np.zeros((n, n, n), dtype=np.int64)
+        N[np.arange(n)[:, None], np.arange(n)[None, :], np.arange(n)[:, None] ^ np.arange(n)] = 1
         with recorded_products() as shapes:
-            assert not hk.constructions._generator_certificate(N.astype(float), 0)
+            assert not certificate(N.astype(float))
         assert shapes == certificate_products(n, n // 8)
         with recorded_products() as shapes:
             ring = hk.FusionRing(tuple(f"j{i}" for i in range(n)), 0, range(n), N)
-        head = certificate_products(n, 4)
+        head = certificate_products(n, n // 8)
         assert shapes[: len(head)] == head
         assert paths(shapes[len(head) :], n) == (n, 0)
         with recorded_products() as shapes:
@@ -413,6 +411,14 @@ class TestGeneratorCertificate:
             raised = N.copy()
             raise_pair(raised, i, j, l, 1)
             assert_associativity_matches_reference(raised, tuple(range(n)))
+
+    def test_level_order_su2_needs_one_generator(self):
+        # the generator is j1, the sparsest element whose products branch
+        for k in (12, 15, 36, 60):
+            labels = tuple(f"j{i}" for i in range(k + 1))
+            with recorded_products() as shapes:
+                hk.FusionRing(labels, 0, range(k + 1), oracles.su2_fusion_tensor(k))
+            assert shapes == certificate_products(k + 1, 1)
 
     def test_rescaled_ring_skips_the_kernel(self, groups, monkeypatch):
         rings = [su2_ring(k) for k in (15, 40)]
@@ -755,54 +761,80 @@ class TestStarScreen:
         assert (vios, paths(shapes, n)) == ([], (n, 0))
 
 
+def coset_groupoid(group, seed=None):
+    """``double_coset_groupoid`` over the first subgroup of order 2, the
+    group relabeled by a seeded permutation unless ``seed`` is None."""
+    from test_constructions import relabel_group
+
+    if seed is not None:
+        group = relabel_group(group, np.random.default_rng(seed).permutation(group.order))
+    subgroup = next(s for s in oracles.cyclic_subgroups(group) if len(s) == 2)
+    return hk.double_coset_groupoid(group, subgroup)
+
+
+def groupoid_run(g, tol=hk.DEFAULT_TOL):
+    """``validate_groupoid``'s associativity violations, the quadruples its
+    kernel checked and the results of its certificate calls.
+
+    The violations must equal the einsum reference and the unskipped
+    per-quadruple kernel, in order."""
+    checked, certified = [], []
+    kernel, certificate = hk.groupoid._associativity_violations, core._generator_certificate
+
+    def checking(ab, mc, bc, aq, prefix, *args, **kwargs):
+        checked.append(prefix)
+        return kernel(ab, mc, bc, aq, prefix, *args, **kwargs)
+
+    def certifying(*args):
+        certified.append(certificate(*args))
+        return certified[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hk.groupoid, "_associativity_violations", checking)
+        mp.setattr(core, "_generator_certificate", certifying)
+        report = hk.validate_groupoid(g, tol)
+    found = [(v.indices, v.magnitude) for v in report.violations if v.axiom == "associativity"]
+    assert_matches_reference(found, oracles.groupoid_associativity_reference(g, tol))
+    c = g.comp
+    kernel_found = [
+        ((x, y, z, w, *idx), m)
+        for x, y, z, w in itertools.product(range(g.n_objects), repeat=4)
+        for idx, m in oracles.associativity_kernel_reference(
+            c[x][y][z], c[x][z][w], c[y][z][w], c[x][y][w], tol
+        )
+    ]
+    assert found == kernel_found
+    return found, checked, certified
+
+
+def perturbed_groupoid(g, changes):
+    """``g`` with ``comp[x][y][z][idx]`` raised by ``amount`` for each
+    ``((x, y, z, idx), amount)`` in ``changes``."""
+    comp = [[[np.array(t) for t in row] for row in grid] for grid in g.comp]
+    for (x, y, z, idx), amount in changes:
+        comp[x][y][z][idx] += amount
+    return hk.Hypergroupoid(g.objects, g.mor, comp, g.star, g.units)
+
+
 class TestMirroredQuadruples:
     """``validate_groupoid`` skips the later mirror ``(w, z, y, x)`` of a clean quadruple."""
 
     @pytest.fixture(scope="class")
     def base(self, groups):
-        from test_constructions import relabel_group
-
-        group = relabel_group(groups["s4"], np.random.default_rng(7).permutation(24))
-        subgroup = next(s for s in oracles.cyclic_subgroups(group) if len(s) == 2)
-        return hk.double_coset_groupoid(group, subgroup)
+        return coset_groupoid(groups["s4"], 7)
 
     @pytest.fixture(scope="class")
     def bases(self, base, groups):
         """The S4 groupoid (24, 12 and 8 arrows) and Z2 x D4's (16, 8 and 6)."""
-        group = oracles.direct_product(groups["z2"], groups["d4"])
-        subgroup = next(s for s in oracles.cyclic_subgroups(group) if len(s) == 2)
-        return [base, hk.double_coset_groupoid(group, subgroup)]
+        return [base, coset_groupoid(oracles.direct_product(groups["z2"], groups["d4"]))]
 
     def run(self, g, tol=hk.DEFAULT_TOL):
         """Associativity violations of ``validate_groupoid`` and the quadruples it checked."""
-        checked = []
-        kernel = hk.groupoid._associativity_violations
-
-        def recording(ab, mc, bc, aq, prefix, *args, **kwargs):
-            checked.append(prefix)
-            return kernel(ab, mc, bc, aq, prefix, *args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hk.groupoid, "_associativity_violations", recording)
-            report = hk.validate_groupoid(g, tol)
-        found = [(v.indices, v.magnitude) for v in report.violations if v.axiom == "associativity"]
-        assert_matches_reference(found, oracles.groupoid_associativity_reference(g, tol))
-        c = g.comp
-        kernel_found = [
-            ((x, y, z, w, *idx), m)
-            for x, y, z, w in itertools.product(range(g.n_objects), repeat=4)
-            for idx, m in oracles.associativity_kernel_reference(
-                c[x][y][z], c[x][z][w], c[y][z][w], c[x][y][w], tol
-            )
-        ]
-        assert found == kernel_found
+        found, checked, _ = groupoid_run(g, tol)
         return found, checked
 
     def perturbed(self, g, changes):
-        comp = [[[np.array(t) for t in row] for row in grid] for grid in g.comp]
-        for (x, y, z, idx), amount in changes:
-            comp[x][y][z][idx] += amount
-        return hk.Hypergroupoid(g.objects, g.mor, comp, g.star, g.units)
+        return perturbed_groupoid(g, changes)
 
     def star_image(self, g, x, y, z, a, b, c):
         """Where the star law sends comp[x][y][z][a, b, c]: comp[z][y][x][b*, a*, c*]."""
@@ -819,7 +851,9 @@ class TestMirroredQuadruples:
         left = np.einsum("abm,mcp->abcp", c[x][y][z], c[x][z][w])
         return np.abs(left - np.einsum("bcq,aqp->abcp", c[y][z][w], c[x][y][w]))
 
-    def test_clean_groupoid_checks_one_member_of_each_pair(self, base):
+    def test_clean_groupoid_checks_one_member_of_each_pair(self, base, monkeypatch):
+        # the quadruple pass, which a recognised rescaling skips
+        monkeypatch.setattr(hk.groupoid, "_rescaled_ring", lambda *args: False)
         found, checked = self.run(base)
         assert found == []
         assert checked == sorted(checked)  # quadruple order
@@ -889,6 +923,91 @@ class TestMirroredQuadruples:
         # einsum rounds differently from the kernel: keep tol clear of every deviation
         assume(all(np.all(np.abs(d - tol) > 1e-14) for d in deviations))
         self.run(g, tol)
+
+
+class TestGroupoidCertificate:
+    """``validate_groupoid`` skips the quadruple pass on a grid within its
+    margin of a rescaled associative integer grid.
+
+    Anything else runs the quadruple pass, so every report is its own.
+    """
+
+    @pytest.fixture(scope="class")
+    def groupoids(self, groups):
+        """Double-coset groupoids: S4 (24, 12 and 8 arrows), Z2 x S4 (48, 24
+        and 14) and Z2 x D4 (16, 8 and 6)."""
+        z2 = groups["z2"]
+        return {
+            "s4": coset_groupoid(groups["s4"], 7),
+            "z2 x s4": coset_groupoid(oracles.direct_product(z2, groups["s4"])),
+            "z2 x d4": coset_groupoid(oracles.direct_product(z2, groups["d4"])),
+        }
+
+    def test_certified_groupoids_take_no_kernel(self, groupoids):
+        for name in ("s4", "z2 x s4"):
+            assert groupoid_run(groupoids[name]) == ([], [], [True]), name
+
+    def test_three_group_generators_exceed_the_budget(self, groupoids):
+        # Z2 x D4 needs three generators among its 16 group elements, and one
+        # in each of Mor(X1 -> X0) and Mor(X0 -> X1): more than a quarter of
+        # the passing quadruple pass, so that pass runs
+        found, checked, certified = groupoid_run(groupoids["z2 x d4"])
+        assert (found, certified) == ([], [False])
+        assert checked
+
+    def test_non_associative_rescaled_grid(self, groupoids):
+        # in the group Mor(X0 -> X0) of S4 the point mass a b moves to another
+        # element c: rows stay point masses, N stays nonnegative and unital
+        # and the grid stays its own rescaling, but the group law breaks
+        g = groupoids["s4"]
+        comp = [[[np.array(t) for t in row] for row in grid] for grid in g.comp]
+        t, unit, star = comp[0][0][0], g.units[0], g.star[0][0]
+        a, b = next(
+            (a, b) for a, b in itertools.product(range(len(t)), repeat=2)
+            if unit not in (a, b) and b != star[a]
+        )
+        ab = int(np.argmax(t[a, b]))
+        c = next(c for c in range(len(t)) if c not in (ab, unit))
+        t[a, b, ab], t[a, b, c] = 0.0, 1.0
+        broken = hk.Hypergroupoid(g.objects, g.mor, comp, g.star, g.units)
+        found, checked, certified = groupoid_run(broken)
+        assert found and checked
+        assert certified == [False]
+
+    def test_margin_not_the_distance_decides(self, groupoids):
+        # one entry raised by 5e-10 puts the grid 5e-10 from its rescaling,
+        # within tol, but the margin 2 n (2 M delta + delta^2) is about 5e-8:
+        # the quadruple pass runs, and the certificate does not
+        g = groupoids["s4"]
+        n = max(len(arrows) for row in g.mor for arrows in row)
+        assert core._rescaling_margin(n, 1.0, 5e-10) > 10 * hk.DEFAULT_TOL
+        raised = perturbed_groupoid(g, [((0, 0, 1, (0, 0, 0)), 5e-10)])
+        found, checked, certified = groupoid_run(raised)
+        assert checked and certified == []
+
+    def test_empty_hom_spaces(self):
+        # SU(2)_17 and SU(2)_3 as two objects with no arrows between them
+        tables = [su2_table(17), su2_table(3)]
+        labels = tuple(t.labels for t in tables)
+        mor = tuple(tuple(labels[x] if x == y else () for y in range(2)) for x in range(2))
+
+        def groupoid(first):
+            comp = [
+                [
+                    [np.zeros((len(mor[x][y]), len(mor[y][z]), len(mor[x][z]))) for z in range(2)]
+                    for y in range(2)
+                ]
+                for x in range(2)
+            ]
+            comp[0][0][0], comp[1][1][1] = first, tables[1].lam
+            star = ((tables[0].involution, ()), ((), tables[1].involution))
+            return hk.Hypergroupoid(("A", "B"), mor, comp, star, (0, 0))
+
+        assert groupoid_run(groupoid(tables[0].lam)) == ([], [], [True])
+        lam = np.array(tables[0].lam)
+        raise_pair(lam, 2, 3, 4, 1e-3)
+        found, checked, certified = groupoid_run(groupoid(lam))
+        assert found and checked and certified == []
 
 
 def reference_report(table, tol):
@@ -1039,8 +1158,24 @@ class TestRescaledRing:
             for table, text, ct in zip(tables, texts, chars):
                 assert hk.tables_equal(hk.parse_hypergroup(text), table, tol=0.0)
                 hk.dual_hypergroup(table, chars=ct)
+        assert calls == {"_associativity_violations": [], "_generator_certificate": [True] * 6}
+        # in this order the S5 double cosets need five generators, one over
+        # the budget of n / 8 = 4: the branching element 1 first, then 3, 4,
+        # 8 and 21, where the invertible 2 and 7 would have closed it at three
+        with recorded_calls() as calls:
             assert hk.validate(cosets).passed
-        assert calls == {"_associativity_violations": [], "_generator_certificate": [True] * 7}
+        assert calls == {"_associativity_violations": [0.0], "_generator_certificate": [False]}
+
+    def test_shuffled_su2_takes_no_kernel(self):
+        # the first generator is j1 or j(k-1), whichever comes first, never
+        # an even level that generates only the even part
+        for k in (15, 20, 31, 40):
+            base = su2_table(k)
+            for seed in range(20):
+                table = oracles.relabel(base, np.random.default_rng(seed).permutation(base.n))
+                report, calls = self.check(table)
+                assert report.passed
+                assert calls == {"_associativity_violations": [], "_generator_certificate": [True]}
 
     def test_certificate_gives_up_below_eight_elements_before_allocating(self):
         def allocation(*args, **kwargs):
@@ -1050,9 +1185,9 @@ class TestRescaledRing:
             N = oracles.su2_fusion_tensor(k).astype(float)
             with recorded_products() as shapes, pytest.MonkeyPatch.context() as mp:
                 mp.setattr(core.np, "empty", allocation)
-                assert not core._generator_certificate(N, 0)
+                assert not certificate(N)
             assert shapes == []
-        assert core._generator_certificate(np.ones((1, 1, 1)), 0)
+        assert certificate(np.ones((1, 1, 1)))
 
 
 class TestScreenMemory:
@@ -1066,6 +1201,21 @@ class TestScreenMemory:
             tracemalloc.stop()
         assert report.passed
         return peak
+
+    def test_peak_of_validate_groupoid_is_two_blocks(self, groups):
+        # the certificate rounds its integer blocks as it needs them, into two
+        # buffers of the largest block's size, instead of keeping them all
+        g = coset_groupoid(oracles.direct_product(groups["z2"], groups["s4"]))
+        largest = max(t.nbytes for grid in g.comp for row in grid for t in row)
+        hk.validate_groupoid(g)
+        tracemalloc.start()
+        try:
+            report = hk.validate_groupoid(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 2 * largest + 128 * 2**10
 
     def test_peak_of_validate_is_two_cubes(self, groups):
         # the screen reads views of the table, under any star: no n^3 copy
