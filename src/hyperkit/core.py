@@ -429,6 +429,27 @@ class _RingBlocks:
         np.rint(out, out=out)
 
 
+def _certificate_plan(size):
+    """The cost model of ``_generator_certificate`` for hom-space sizes
+    ``size[x][y] = |Mor(y -> x)|``: ``cost[y][z]``, the multiply-adds of
+    testing one generator in Mor(z -> y), ``sum_xw s_xy s_zw s_xw (s_xz +
+    s_yw)``; the budget, a quarter of the quadruple pass that a passing
+    grid takes, ``sum_xyzw s_xy s_yz s_zw s_xw (s_xz + s_yw) / 2``; and
+    the hom-spaces (x, y) that hold more than a unit."""
+    objs = range(len(size))
+    cost = [
+        [
+            sum(size[x][y] * size[z][w] * size[x][w] * (size[x][z] + size[y][w])
+                for x in objs for w in objs)
+            for z in objs
+        ]
+        for y in objs
+    ]
+    budget = sum(cost[y][z] * size[y][z] for y in objs for z in objs) / 8
+    spaces = [(x, y) for x in objs for y in objs if size[x][y] > (x == y)]
+    return cost, budget, spaces
+
+
 def _generator_certificate(blocks: _RingBlocks, units) -> bool:
     """Whether a generating set proves the integer blocks of ``blocks`` associative.
 
@@ -443,41 +464,30 @@ def _generator_certificate(blocks: _RingBlocks, units) -> bool:
     and N is nonnegative.  If c is the only uncertified arrow in the
     support of a product ``a g`` of a certified arrow and a generator,
     ``N[a, g, c] c`` is ``a g`` minus certified arrows, so c is in A.
-    When no such product remains, the first hom-space Mor(y -> x), in
-    (x, y) order, with an uncertified arrow gives the next generator:
-    among its uncertified arrows g whose products ``a g`` have two or
-    more terms for some a, the one with the fewest nonzero ``N[a, g,
-    c]`` (``_column_counts``; j1 or j(k-1) of SU(2)_k, whichever comes
-    first, not the simple current jk, which generates only itself); if
-    there is none, as in a group, the least uncertified arrow.
+    When no such product remains, the least uncertified arrow of the
+    first hom-space Mor(y -> x), in (x, y) order, that has one becomes
+    the next generator (j1 of SU(2)_k in level order).
     A generator g in Mor(z -> y) is tested by (a g) b = a (g b) for a in
     Mor(y -> x) and b in Mor(w -> z) over every object pair (x, w): two
-    matrix products a pair, ``sum_xw s_xy s_zw s_xw (s_xz + s_yw)``
-    multiply-adds for hom-space sizes s (2 n^4 on one object), exactly,
-    since the caller keeps ``n * max(N)**2`` below 2**53.  The blocks of
-    N come from ``blocks`` as they are needed, and the products go into
-    its ``work`` in row blocks of a, so memory stays within its two
-    buffers and O(n^2) more.  False, for
-    the caller to run the kernel, when a test fails, or when one more
-    generator would bring the tests above a quarter of the quadruple
-    pass that a passing grid takes, ``sum_xyzw s_xy s_yz s_zw s_xw (s_xz
-    + s_yw) / 2`` (n^5 on one object: at most n / 8 generators); so,
-    before any allocation, always on 2 to 7 elements.  SU(2)_k and the
-    double-coset groupoids need one generator a hom-space or a few.
+    matrix products a pair, ``cost[y][z]`` of ``_certificate_plan`` (2
+    n^4 multiply-adds on one object), exactly, since the caller keeps
+    ``n * max(N)**2`` below 2**53.  The blocks of N come from ``blocks``
+    as they are needed, and the products go into its ``work`` in row
+    blocks of a (``_middle_law``), so memory stays within its two
+    buffers, plus one byte an arrow for each generator g and arrow a
+    whose product ``a g`` still holds an uncertified arrow (n^2 a
+    generator on one object; ``_closure_rows``), and a few blocks of
+    ``a g`` and ``g b``.  Each arrow certified costs five numpy calls.
+    False, for the caller to run the kernel, when a test fails, or when
+    one more generator would bring the tests above the budget of
+    ``_certificate_plan``, a quarter of the quadruple pass (n^5 / 4 on
+    one object: at most n / 8 generators); so, before any allocation,
+    always on 2 to 7 elements.  SU(2)_k needs one generator, groups and
+    the double-coset groupoids a few.
     """
     size = blocks.size
     objs = range(len(size))
-    # cost[y][z]: multiply-adds of testing one generator in Mor(z -> y)
-    cost = [
-        [
-            sum(size[x][y] * size[z][w] * size[x][w] * (size[x][z] + size[y][w])
-                for x in objs for w in objs)
-            for z in objs
-        ]
-        for y in objs
-    ]
-    budget = sum(cost[y][z] * size[y][z] for y in objs for z in objs) / 8
-    spaces = [(x, y) for x in objs for y in objs if size[x][y] > (x == y)]  # not the units alone
+    cost, budget, spaces = _certificate_plan(size)
     if not spaces:
         return True
     if min(cost[x][y] for x, y in spaces) > budget:
@@ -485,83 +495,105 @@ def _generator_certificate(blocks: _RingBlocks, units) -> bool:
     home, total = {}, 0  # arrows numbered hom-space by hom-space, in (x, y) order
     for x, y in itertools.product(objs, repeat=2):
         home[x, y], total = slice(total, total + size[x][y]), total + size[x][y]
-    certified = np.zeros(total, dtype=bool)
-    certified[[home[x, x].start + units[x] for x in objs]] = True
-    # the support of a g, for each generator g and each arrow a that it
-    # follows (one row, ``owner`` its a), as edges (row, arrow c)
-    owner = edge_row = edge_col = np.zeros(0, dtype=np.intp)
-    counts, spent = {}, 0.0
-    while not certified.all():
-        open_ = ~certified[edge_col]
-        holds = np.bincount(edge_row[open_], minlength=owner.size)  # uncertified arrows a row has
-        new = edge_col[open_ & (certified[owner] & (holds == 1))[edge_row]]
-        if new.size:
-            certified[new] = True
-            continue
-        y, z = next(s for s in spaces if not certified[home[s]].all())
-        spent += cost[y][z]
-        if spent > budget:
-            return False
-        if (y, z) not in counts:
-            counts[y, z] = _column_counts(blocks, y, z)
-        nnz, branching = counts[y, z]
-        open_ = ~certified[home[y, z]]
-        choice = open_ & branching
-        g = int(np.argmin(np.where(choice, nnz, np.inf)) if choice.any() else np.argmax(open_))
-        rows, cols = [], []
-        for x in objs:
-            sxy, sxz = size[x][y], size[x][z]
-            if not sxy:
-                continue
-            # a g for every a in Mor(y -> x), copied: work and held change below
-            ag = blocks.part((x, y, z), slice(None), slice(g, g + 1))
-            ag = (ag if ag.flags.owndata else ag.copy()).reshape(sxy, sxz)
-            a, c = np.nonzero(ag)
-            rows.append(owner.size + sum(size[v][y] for v in range(x)) + a)
-            cols.append(home[x, z].start + c)
-            for w in objs:
-                szw, sxw = size[z][w], size[x][w]
-                if not (szw and sxw):
-                    continue
-                mb, used = blocks.fetch((x, z, w))  # m b for m in Mor(z -> x)
-                mb = mb.reshape(sxz, szw * sxw)
-                gb = blocks.part((y, z, w), slice(g, g + 1), slice(None)).reshape(szw, size[y][w])
-                step = blocks.step(sxy, blocks.per_row(x, y, z, w, blocks.ready((x, y, w))), used)
-                work = blocks.scratch()[used:]
-                failed = False
-                for lo in range(0, sxy, step):
-                    m = min(step, sxy - lo)
-                    span = m * szw * sxw
-                    left = work[:span].reshape(m, szw * sxw)
-                    right = work[span : 2 * span].reshape(m, szw, sxw)
-                    aq = blocks.part((x, y, w), slice(lo, lo + m), slice(None), work[2 * span :])
-                    np.matmul(ag[lo : lo + m], mb, out=left)  # (a g) b
-                    np.matmul(gb, aq, out=right)  # a (g b)
-                    np.subtract(right, left.reshape(m, szw, sxw), out=right)  # in place: no mask
-                    failed = failed or bool(right.any())
-                if failed:
-                    return False
-        owner = np.concatenate((owner, *(np.arange(total)[home[x, y]] for x in objs)))
-        edge_row, edge_col = np.concatenate((edge_row, *rows)), np.concatenate((edge_col, *cols))
-        certified[home[y, z].start + g] = True
+    uncertified = np.ones(total, dtype=np.int8)
+    for x in objs:
+        uncertified[home[x, x].start + units[x]] = 0
+    # one row per generator g and arrow a = owner[r] that it follows, while
+    # the support of a g has an uncertified arrow: weight[r, c] is 1 where
+    # N[a, g, c] > 0, plus 2 at c = a, so that pending[r], the weight of the
+    # uncertified arrows, is 1 just when a is certified and c is the one
+    # uncertified arrow of that support
+    weight = np.zeros((0, total), dtype=np.int8)
+    pending = owner = np.zeros(0, dtype=np.intp)
+    todo, spent = total - len(units), 0.0  # arrows left to certify
+    while todo:
+        r = int((pending == 1).argmax()) if pending.size else 0
+        if pending.size and pending[r] == 1:
+            c = int((weight[r] & uncertified).argmax())
+        else:
+            y, z = next(s for s in spaces if uncertified[home[s]].any())
+            spent += cost[y][z]
+            if spent > budget:
+                return False
+            g = int(uncertified[home[y, z]].argmax())
+            if not _middle_law(blocks, g, y, z):
+                return False
+            weight, pending, owner = _closure_rows(
+                (weight, pending, owner), blocks, g, uncertified, home, y, z
+            )
+            c = home[y, z].start + g
+        uncertified[c] = 0
+        todo -= 1
+        pending -= weight[:, c]
     return True
 
 
-def _column_counts(blocks, y, z):
-    """Per arrow g of Mor(z -> y): the nonzero ``N[x][y][z][a, g, c]`` over
-    every x, a and c, and whether some ``a g`` has two or more terms.  N is
-    nonnegative, so these sum ``min(N, 1)``, formed in ``work`` unless N
-    has no entry above 1."""
-    nnz, branching = np.zeros(blocks.size[y][z]), np.zeros(blocks.size[y][z], dtype=bool)
-    for x in range(len(blocks.size)):
-        t, used = blocks.fetch((x, y, z))
-        if t.max(initial=0.0) > 1.0:
-            t = np.minimum(t, 1.0, out=blocks.scratch()[used : used + t.size].reshape(t.shape))
-        sa, sg, sc = t.shape
-        terms = np.dot(t.reshape(sa * sg, sc), np.ones(sc)).reshape(sa, sg)
-        nnz += terms.sum(axis=0)  # terms[a, g]: the terms of a g
-        branching |= (terms >= 2.0).any(axis=0)
-    return nnz, branching
+def _middle_law(blocks, g, y, z):
+    """Whether (a g) b = a (g b) for generator g of Mor(z -> y), every a in
+    Mor(y -> x) and every b in Mor(w -> z), over all objects x and w, in
+    the integer blocks of ``blocks`` (``_generator_certificate``)."""
+    size = blocks.size
+    objs = range(len(size))
+    for x in objs:
+        sxy, sxz = size[x][y], size[x][z]
+        if not sxy:
+            continue
+        # a g for every a in Mor(y -> x), copied: work and held change below
+        ag = blocks.part((x, y, z), slice(None), slice(g, g + 1))
+        ag = (ag if ag.flags.owndata else ag.copy()).reshape(sxy, sxz)
+        for w in objs:
+            szw, sxw = size[z][w], size[x][w]
+            if not (szw and sxw):
+                continue
+            mb, used = blocks.fetch((x, z, w))  # m b for m in Mor(z -> x)
+            mb = mb.reshape(sxz, szw * sxw)
+            gb = blocks.part((y, z, w), slice(g, g + 1), slice(None)).reshape(szw, size[y][w])
+            step = blocks.step(sxy, blocks.per_row(x, y, z, w, blocks.ready((x, y, w))), used)
+            work = blocks.scratch()[used:]
+            failed = False
+            for lo in range(0, sxy, step):
+                m = min(step, sxy - lo)
+                span = m * szw * sxw
+                left = work[:span].reshape(m, szw * sxw)
+                right = work[span : 2 * span].reshape(m, szw, sxw)
+                aq = blocks.part((x, y, w), slice(lo, lo + m), slice(None), work[2 * span :])
+                np.matmul(ag[lo : lo + m], mb, out=left)  # (a g) b
+                np.matmul(gb, aq, out=right)  # a (g b)
+                np.subtract(right, left.reshape(m, szw, sxw), out=right)  # in place: no mask
+                failed = failed or bool(right.any())
+            if failed:
+                return False
+    return True
+
+
+def _closure_rows(rows, blocks, g, uncertified, home, y, z):
+    """The rows ``(weight, pending, owner)`` of ``_generator_certificate``'s
+    closure with those of a new generator g in Mor(z -> y) added, and with
+    every row dropped whose support has no uncertified arrow left (1 in
+    the int8 ``uncertified``): such a row never gets one."""
+    size = blocks.size
+    xs = [x for x in range(len(size)) if size[x][y]]
+    fresh = np.concatenate([np.arange(home[x, y].start, home[x, y].stop) for x in xs])
+    added = np.zeros((fresh.size, uncertified.size), dtype=np.int8)
+    first = 0
+    for x in xs:  # the support N[a, g, c] > 0 of a g for a in Mor(y -> x), c in Mor(z -> x)
+        ag = blocks.part((x, y, z), slice(None), slice(g, g + 1)).reshape(size[x][y], size[x][z])
+        np.greater(ag, 0.0, out=added[first : first + size[x][y], home[x, z]])
+        first += size[x][y]
+    counts = (added & uncertified).sum(axis=1)
+    added[np.arange(fresh.size), fresh] += 2
+    live = counts > 0
+    added, fresh = added[live], fresh[live]
+    counts = counts[live] + 2 * uncertified[fresh]
+    weight, pending, owner = rows
+    if not pending.size:
+        return added, counts, fresh
+    alive = pending > 2 * uncertified[owner]
+    return (
+        np.concatenate((weight[alive], added)),
+        np.concatenate((pending[alive], counts)),
+        np.concatenate((owner[alive], fresh)),
+    )
 
 
 def _rescaled_ring(comp, units, star, tol: float) -> bool:
@@ -571,8 +603,15 @@ def _rescaled_ring(comp, units, star, tol: float) -> bool:
 
     ``comp[x][y][z]``, ``units[x]`` and ``star[x][y]`` are as in
     ``groupoid.Hypergroupoid``; a table is the one-object grid ``(((lam,),),)``
-    with its unit and involution.  The weights ``mu_a = 1 / comp[x][y][x][a,
-    a*, units[x]]`` of the arrows a in Mor(y -> x) give the scales: ``d =
+    with its unit and involution.  False at once, before anything is
+    read, unless the budget of ``_certificate_plan`` covers two
+    generators in every hom-space that holds more than a unit: on one
+    object that is n >= 16 (``_SCREEN_MIN_N``), and a smaller grid, such
+    as the double-coset groupoids of D8 or Z2 x D4 (16 group elements,
+    a budget of about 1.5 generators a hom-space), would spend more on
+    recognition and on generators that run out than the quadruple pass
+    it skips.  The weights ``mu_a = 1 / comp[x][y][x][a, a*,
+    units[x]]`` of the arrows a in Mor(y -> x) give the scales: ``d =
     sqrt(mu)`` first (fusion rings, ``N[a, a*, unit] = 1``), then ``d =
     mu`` (groups, classes, double cosets and their groupoids, where
     ``comp[a, b, c] mu_a mu_b / mu_c`` counts pairs).  For one d, in
@@ -596,12 +635,15 @@ def _rescaled_ring(comp, units, star, tol: float) -> bool:
     about the largest block's size each, where N and ``fl(L)`` are formed
     block by block, never all at once.
     """
+    blocks = _RingBlocks(comp)
+    cost, budget, spaces = _certificate_plan(blocks.size)
+    if not spaces or 2 * sum(cost[x][y] for x, y in spaces) > budget:
+        return False
     objs = range(len(comp))
     order = sorted(itertools.product(objs, repeat=3), key=lambda q: comp[q[0]][q[1]][q[2]].size)
     tensors = [t for t in (comp[x][y][z] for x, y, z in order) if t.size]
     big = max(max(float(np.maximum.reduce(t, axis=None)), -float(np.minimum.reduce(t, axis=None)))
               for t in tensors)
-    blocks = _RingBlocks(comp)
     with np.errstate(all="ignore"):
         mu = [
             [1.0 / comp[x][y][x][np.arange(len(s)), np.asarray(s, dtype=np.intp), units[x]]

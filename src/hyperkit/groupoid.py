@@ -270,14 +270,16 @@ def validate_groupoid(g: Hypergroupoid, tol: float = DEFAULT_TOL) -> ValidationR
 
     Runs the hypergroup checks of ``core.validate`` once per object
     tuple, so each defect is reported once.  Associativity dominates.
-    When a hom-space has 16 (``_SCREEN_MIN_N``) or more arrows,
-    ``core._rescaled_ring`` first tries to prove it for the whole grid:
-    it reads a scale per arrow off the weights, rounds every block to an
+    ``core._rescaled_ring`` first tries to prove it for the whole grid,
+    when a quarter of the quadruple pass below covers two generators in
+    every hom-space that holds more than a unit (so not below 16 arrows
+    on one object, nor for the 16-element groups D8 and Z2 x D4): it
+    reads a scale per arrow off the weights, rounds every block to an
     integer block N and bounds the grid's distance from its rescaling,
     in time linear in the grid, then certifies N from generators, in
     ``sum_xw s_xy s_zw s_xw (s_xz + s_yw)`` multiply-adds a generator of
     Mor(z -> y) for hom-space sizes s, at most a quarter of the
-    quadruple pass below; both in two buffers of about the largest
+    quadruple pass in all; both in two buffers of about the largest
     block's size.  Double-coset groupoids of 24 or more arrows pass with
     a few generators.  Otherwise the k^4 object quadruples run, at most
     2 k^4 n^5 multiply-adds and O(n^3) memory for arrow bases of size
@@ -302,8 +304,7 @@ def validate_groupoid(g: Hypergroupoid, tol: float = DEFAULT_TOL) -> ValidationR
         _row_violations(c[x][y][z], (x, y, z), tol, vios)
     for x, y in itertools.product(objs, repeat=2):
         _unit_violations(c[x][x][y], c[x][y][y], u[x], u[y], x == y, (x, y), tol, vios)
-    largest = max(len(arrows) for row in g.mor for arrows in row)
-    if not (largest >= _SCREEN_MIN_N and _rescaled_ring(c, u, star, tol)):
+    if not _rescaled_ring(c, u, star, tol):
         _associativity_by_quadruple(g, tol, vios, not any(unpaired))
 
     for x in objs:
