@@ -28,8 +28,8 @@ import warnings
 
 import numpy as np
 
-from .core import DEFAULT_TOL, HypergroupTable, ValidationReport
-from .core import _RHO, _RingBlocks, _as_index_tuple, _associativity_violations, _float_tensor
+from .core import DEFAULT_TOL, HypergroupTable, ValidationReport, _RHO, _RingBlocks
+from .core import _as_index_tuple, _associativity_violations, _certificate_plan, _float_tensor
 from .core import _generator_certificate, _grid, _int_tensor, _report, _rescaling_margin
 from .errors import AxiomError, NumericalError, PreconditionError, StructureError
 
@@ -322,10 +322,12 @@ def validate_fusion_ring(ring: FusionRing) -> None:
     reciprocity ``N[i, j, l] == N[conj(i), l, j]`` is reported as a
     warning only, since rescalings of group-like data may lack it.
 
-    ``FusionRing`` runs it once, on construction.  Associativity is
-    first certified from a generating set (``core._generator_certificate``,
-    2 n^4 multiply-adds a generator, one for SU(2)_k); when that fails,
-    the kernel of ``validate`` runs at tol 0.5, in n^5 or 2 n^5
+    ``FusionRing`` runs it once, on construction.  From 8 elements on,
+    where ``core._certificate_plan`` budgets a generator, associativity
+    is first certified from a generating set
+    (``core._generator_certificate``, 2 n^4 multiply-adds a generator,
+    one for SU(2)_k); below that or when it fails, the kernel of
+    ``validate`` runs at tol 0.5, in n^5 or 2 n^5
     multiply-adds.  ``FusionRing`` keeps ``n * max(N)**2`` below 2**53,
     so every partial sum is an integer that float64 holds and every
     defect a whole number.  The certificate passes only an associative
@@ -345,7 +347,8 @@ def validate_fusion_ring(ring: FusionRing) -> None:
     if not np.array_equal(N, frob):
         warnings.warn("fusion ring lacks Frobenius symmetry N[i,j,l] = N[conj(i),l,j]")
     Nf = N.astype(np.float64)
-    if _generator_certificate(_RingBlocks((((Nf,),),)), (unit,)):
+    cost, budget, _ = _certificate_plan([[ring.n]])
+    if cost[0][0] <= budget and _generator_certificate(_RingBlocks((((Nf,),),)), (unit,)):
         return
     vios = []
     _associativity_violations(Nf, Nf, Nf, Nf, (), 0.5, vios, star=ring.conj)

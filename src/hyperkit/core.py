@@ -424,7 +424,8 @@ class _RingBlocks:
         x, y, z = key
         d = self.scales
         outer = d[x][y][rows][:, None] * d[y][z][cols][None, :]
-        np.multiply(self.comp[x][y][z][rows, cols], outer[:, :, None], out=out)
+        # einsum, unlike a broadcasting multiply, takes no ufunc buffer
+        np.einsum("abc,ab->abc", self.comp[x][y][z][rows, cols], outer, out=out)
         np.divide(out, d[x][z], out=out)
         np.rint(out, out=out)
 
@@ -769,16 +770,15 @@ def _first_failing_step(t, cut, dev, right, star=None) -> int:
     return n
 
 
-def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, star=None) -> float:
+def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, star=None) -> None:
     """Report ``|sum_m ab[a,b,m] mc[m,c,p] - sum_q bc[b,c,q] aq[a,q,p]| > tol``.
 
     Violations come in (a, b, c, p) order.  One first index ``a`` at a
     time, with two matrix products into two reused buffers, so for basis
     sizes up to n this takes 2 n^5 multiply-adds and O(n^3) memory.  The
     deviations of a slice are formed in place, and only a slice whose
-    largest deviation exceeds tol is scanned for its indices.  Returns
-    the largest deviation of the slices scanned in full (0.0 if none;
-    NaN is skipped, as the comparison with tol skips it).
+    largest deviation exceeds tol is scanned for its indices (NaN is
+    skipped, as the comparison with tol skips it).
 
     When all four operands are one tensor ``t`` on ``_SCREEN_MIN_N`` or
     more elements and ``star`` (``b -> b*``; None is the identity) is an
@@ -833,7 +833,6 @@ def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, star=None) -> f
             if cut is not None:
                 steps = _first_failing_step(ab, cut, dev, right, s)
                 slices = sorted((ident if s is None else s)[steps:].tolist())  # not cleared
-    worst = 0.0
     for a in slices:
         np.matmul(ab[a], mc_flat, out=dev)
         np.matmul(bc_flat, aq[a], out=right)
@@ -841,16 +840,12 @@ def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, star=None) -> f
         np.abs(dev, out=dev)
         if dev.size == 0:
             continue
-        largest = np.fmax.reduce(dev, axis=None)  # skips NaN, as the comparisons do
-        if largest > worst:
-            worst = float(largest)
-        if not largest > tol:
+        if not np.fmax.reduce(dev, axis=None) > tol:  # skips NaN, as the comparisons do
             continue
         slab = dev.reshape(nb, nc, np_)
         for b, c, p in zip(*np.where(slab > tol)):
             where = (*prefix, a, int(b), int(c), int(p))
             vios.append(Violation("associativity", where, float(slab[b, c, p])))
-    return worst
 
 
 def _involution_violations(t, unit, star, prefix, tol, vios) -> None:

@@ -32,7 +32,7 @@ one correctly rounded division each.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,18 +41,17 @@ from .core import (
     HypergroupTable,
     ValidationReport,
     Violation,
-    _SCREEN_MIN_N,
+    _RHO,
     _as_index,
     _as_index_tuple,
     _associativity_violations,
     _convolve,
-    _cut,
     _float_tensor,
     _grid,
     _involution_violations,
     _rescaled_ring,
+    _rescaling_margin,
     _row_violations,
-    _star_defect,
     _unit_violations,
     _weight_symmetry_violations,
 )
@@ -84,6 +83,12 @@ class Hypergroupoid:
     every level a list, tuple or array of exactly k entries for k
     objects.  A missing or extra entry, a tensor of the wrong shape, or
     an index that is not an integer in range raises StructureError.
+
+    Each comp block is a read-only copy.  A private record, set by
+    ``double_coset_groupoid`` alone (never by this constructor,
+    ``dataclasses.replace`` or ``parse_groupoid``), marks a grid whose
+    associativity its group proves; ``validate_groupoid`` trusts it only
+    while every block stays read-only.
     """
 
     objects: tuple[str, ...]
@@ -91,6 +96,7 @@ class Hypergroupoid:
     comp: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
     star: tuple[tuple[tuple[int, ...], ...], ...]
     units: tuple[int, ...]
+    _from_group: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         objects = tuple(str(x) for x in self.objects)
@@ -208,107 +214,93 @@ def _groupoids_equal(g1: Hypergroupoid, g2: Hypergroupoid) -> bool:
     )
 
 
-def _associativity_by_quadruple(g: Hypergroupoid, tol: float, vios: list, pairs: bool) -> None:
-    """Associativity violations in object-quadruple order, the mirror of a clean one skipped.
+def _associativity_by_quadruple(g: Hypergroupoid, tol: float, vios: list) -> None:
+    """Associativity violations in object-quadruple order.
 
     Quadruple ``(x, y, z, w)`` checks ``(a . b) . c`` against ``a . (b .
     c)`` for ``a`` in Mor(y -> x), ``b`` in Mor(z -> y) and ``c`` in
-    Mor(w -> z); its mirror is ``(w, z, y, x)``.  Under the star law
-    ``comp[x][y][z][a, b, c] == comp[z][y][x][b*, a*, c*]`` their defects
-    obey ``D[c*, b*, a*, p*] = -D[a, b, c, p]``, as on a hypergroup
-    (``core._associativity_violations``).  With ``delta`` the largest
-    star-law defect of the pair's eight tensors, ``M`` their largest
-    entry and ``n`` the longer sum, exactly ``|D[c*, b*, a*, p*] + D[a,
-    b, c, p]| <= 4 n M delta``, and a computed defect is off by at most
-    ``e``.  So when a quadruple's largest deviation is at or below ``tol
-    - margin``, ``margin = 5 n M delta + 2 e`` as for the screen
-    (``_cut``), no computed defect of its mirror exceeds tol, and the
-    later mirror is skipped; otherwise it runs and reports in its turn.
-    Pairs are tried only when the star is an involution (``pairs``) and
-    an arrow basis of the pair has ``_SCREEN_MIN_N`` or more elements;
-    ``delta`` and ``M`` are found once per pair of tensors, in linear
-    time.  An endo quadruple takes the kernel's screen under ``star[x][x]``.
+    Mor(w -> z).  An endo quadruple takes the kernel's screen under
+    ``star[x][x]``.
     """
-    objs = range(g.n_objects)
     c, star = g.comp, g.star
-    size = [[len(arrows) for arrows in row] for row in g.mor]
-    laws: dict[tuple[int, int, int], tuple[float, float]] = {}
-    clean: set[tuple[int, ...]] = set()
-
-    def star_law(x, y, z):
-        """(star-law defect, largest entry) of comp[x][y][z] and comp[z][y][x]."""
-        key = (min(x, z), y, max(x, z))
-        if key not in laws:
-            t, u = c[x][y][z], c[z][y][x]
-            stars = (star[x][y], star[y][z], star[x][z])
-            delta = _star_defect(t, u, stars, np.empty(t.size), np.empty(t.size))
-            big = max(max(v.max(initial=0.0), -v.min(initial=0.0)) for v in (t, u))
-            laws[key] = (delta, float(big))
-        return laws[key]
-
-    for q in itertools.product(objs, repeat=4):
+    for q in itertools.product(range(g.n_objects), repeat=4):
         x, y, z, w = q
-        mirror = (w, z, y, x)
-        if mirror in clean:
-            continue
         endo = star[x][x] if x == y == z == w else None
-        worst = _associativity_violations(
+        _associativity_violations(
             c[x][y][z], c[x][z][w], c[y][z][w], c[x][y][w], q, tol, vios, star=endo
         )
-        bases = (size[x][y], size[y][z], size[z][w], size[x][z], size[y][w], size[x][w])
-        if not (pairs and mirror != q and max(bases) >= _SCREEN_MIN_N and worst <= tol):
-            continue
-        triples = ((x, y, z), (y, z, w), (x, y, w), (x, z, w))
-        delta, big = map(max, zip(*(star_law(*t) for t in triples)))
-        cut = _cut(tol, max(size[x][z], size[y][w]), big, delta)
-        if cut is not None and worst <= cut:
-            clean.add(q)
+
+
+def _proved_by_group(g: Hypergroupoid, tol: float) -> bool:
+    """Whether ``g`` carries the associativity of the group it was built
+    from: its record is set (``double_coset_groupoid``), every comp block
+    is still read-only, so unchanged, and ``_rescaling_margin(n, M, _RHO
+    M)`` is below tol, for n the largest hom-space and M the largest entry.
+
+    Each entry of such a grid is a pair count divided once by ``|A_a|
+    |B_b|``, so it lies within ``eps / 2`` times itself, and within
+    ``_RHO M``, of the exact convolution of uniform measures.  The exact
+    values are the structure constants of the Hecke algebras ``e_{H_x}
+    C[G] e_{H_z}`` (Curtis & Reiner, Methods of Representation Theory I,
+    1981, section 11D), associative because G is (``CayleyGroup``
+    certifies its table when it is built).  By the lemma of
+    ``_rescaling_margin`` no computed associativity defect then exceeds
+    tol, so the quadruple pass could report nothing.  Time linear in the
+    grid.
+    """
+    tensors = [t for grid in g.comp for row in grid for t in row]
+    if not g._from_group or any(t.flags.writeable for t in tensors):
+        return False
+    n = max(len(arrows) for row in g.mor for arrows in row)
+    big = max(max(float(t.max(initial=0.0)), -float(t.min(initial=0.0))) for t in tensors)
+    return _rescaling_margin(n, big, _RHO * big) < tol  # NaN compares False
 
 
 def validate_groupoid(g: Hypergroupoid, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check all hypergroupoid axioms; violations carry object indices first.
 
     Runs the hypergroup checks of ``core.validate`` once per object
-    tuple, so each defect is reported once.  Associativity dominates.
-    ``core._rescaled_ring`` first tries to prove it for the whole grid,
-    when a quarter of the quadruple pass below covers two generators in
-    every hom-space that holds more than a unit (so not below 16 arrows
-    on one object, nor for the 16-element groups D8 and Z2 x D4): it
-    reads a scale per arrow off the weights, rounds every block to an
-    integer block N and bounds the grid's distance from its rescaling,
-    in time linear in the grid, then certifies N from generators, in
-    ``sum_xw s_xy s_zw s_xw (s_xz + s_yw)`` multiply-adds a generator of
-    Mor(z -> y) for hom-space sizes s, at most a quarter of the
-    quadruple pass in all; both in two buffers of about the largest
-    block's size.  Double-coset groupoids of 24 or more arrows pass with
-    a few generators.  Otherwise the k^4 object quadruples run, at most
-    2 k^4 n^5 multiply-adds and O(n^3) memory for arrow bases of size
-    up to n, in order; where the star is an involution and the star law
-    holds within the margin, one that passes skips its later mirror
-    (``_associativity_by_quadruple``), so a groupoid that passes takes
-    about half of that.  An endo quadruple ``(x, x, x, x)`` is
-    ``core.validate``'s check on Mor(x -> x), with its screen: n^5
-    multiply-adds there when that hypergroup passes and obeys the star
-    law.  Either way the report is the quadruple pass's.
+    tuple, so each defect is reported once.  Associativity dominates,
+    and is checked in the first of three ways that applies.  A groupoid
+    built by ``double_coset_groupoid``, its comp blocks still read-only,
+    carries the proof of its group: when the round-off margin of its
+    entries is below tol, nothing is checked (``_proved_by_group``).
+    Otherwise ``core._rescaled_ring`` tries to prove it for the whole
+    grid, when a quarter of the quadruple pass below covers two
+    generators in every hom-space that holds more than a unit (so not
+    below 16 arrows on one object, nor for the 16-element groups D8 and
+    Z2 x D4): it reads a scale per arrow off the weights, rounds every
+    block to an integer block N and bounds the grid's distance from its
+    rescaling, in time linear in the grid, then certifies N from
+    generators, in ``sum_xw s_xy s_zw s_xw (s_xz + s_yw)`` multiply-adds
+    a generator of Mor(z -> y) for hom-space sizes s, at most a quarter
+    of the quadruple pass in all; both in two buffers of about the
+    largest block's size.  Parsed or hand-built double-coset groupoids
+    of 24 or more arrows pass with a few generators.  Otherwise the k^4
+    object quadruples run in order (``_associativity_by_quadruple``), at
+    most 2 k^4 n^5 multiply-adds and O(n^3) memory for arrow bases of
+    size up to n; an endo quadruple ``(x, x, x, x)`` is
+    ``core.validate``'s check on Mor(x -> x), with its screen.  Every
+    way gives the quadruple pass's report.
     """
     objs = range(g.n_objects)
     c, u, star = g.comp, g.units, g.star
     vios: list[Violation] = []
-    # per object x, the arrows a in Mor(y -> x) with star(star(a)) != a
-    unpaired = [
-        [(x, y, a) for y in objs for a, sa in enumerate(star[x][y]) if star[y][x][sa] != a]
-        for x in objs
-    ]
 
     for x, y, z in itertools.product(objs, repeat=3):
         _row_violations(c[x][y][z], (x, y, z), tol, vios)
     for x, y in itertools.product(objs, repeat=2):
         _unit_violations(c[x][x][y], c[x][y][y], u[x], u[y], x == y, (x, y), tol, vios)
-    if not _rescaled_ring(c, u, star, tol):
-        _associativity_by_quadruple(g, tol, vios, not any(unpaired))
+    if not (_proved_by_group(g, tol) or _rescaled_ring(c, u, star, tol)):
+        _associativity_by_quadruple(g, tol, vios)
 
     for x in objs:
-        vios += (Violation("star-involution", where, 1.0) for where in unpaired[x])
+        vios += (
+            Violation("star-involution", (x, y, a), 1.0)
+            for y in objs
+            for a, sa in enumerate(star[x][y])
+            if star[y][x][sa] != a
+        )
         if star[x][x][u[x]] != u[x]:
             vios.append(Violation("star-unit", (x, u[x]), 1.0))
 
@@ -392,6 +384,10 @@ def double_coset_groupoid(group: CayleyGroup, subgroup) -> Hypergroupoid:
     ``prefix + index`` with a distinct prefix per hom-space (``g``,
     ``u``, ``v``, ``h`` for Mor(0 -> 0), Mor(1 -> 0), Mor(0 -> 1),
     Mor(1 -> 1)) so that names stay globally unique.
+
+    The groupoid records that it comes from a group, whose associativity
+    ``validate_groupoid`` then takes as proved while every comp block
+    stays read-only; a rebuild through the constructor drops the record.
     """
     subgroups = [[group.identity], subgroup_elements(group, subgroup)]
     objs = range(len(subgroups))
@@ -412,4 +408,6 @@ def double_coset_groupoid(group: CayleyGroup, subgroup) -> Hypergroupoid:
         tuple(tuple(f"{_ARROW_PREFIXES[x][y]}{i}" for i in range(len(cosets[x, y]))) for y in objs)
         for x in objs
     )
-    return Hypergroupoid(tuple(f"X{x}" for x in objs), mor, comp, star, units)
+    g = Hypergroupoid(tuple(f"X{x}" for x in objs), mor, comp, star, units)
+    object.__setattr__(g, "_from_group", True)
+    return g

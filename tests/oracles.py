@@ -351,6 +351,25 @@ def direct_product(g1, g2):
     return CayleyGroup(mul.reshape(size, size), g1.identity * n2 + g2.identity)
 
 
+def dihedral_group(n):
+    """Symmetries of the n-gon, order 2n: ``r^s f^t`` has index ``2 s + t``
+    and ``f r = r^-1 f``."""
+    s, t = np.divmod(np.arange(2 * n), 2)
+    turn = np.where(t[:, None] == 1, -s[None, :], s[None, :])
+    mul = 2 * ((s[:, None] + turn) % n) + (t[:, None] + t[None, :]) % 2
+    return CayleyGroup(mul, 0)
+
+
+def dicyclic_group(n):
+    """``<a, x | a^2n = 1, x^2 = a^n, x a x^-1 = a^-1>``, order 4n: ``a^s x^t``
+    has index ``2 s + t``."""
+    s, t = np.divmod(np.arange(4 * n), 2)
+    turn = np.where(t[:, None] == 1, -s[None, :], s[None, :])
+    carry = np.where((t[:, None] == 1) & (t[None, :] == 1), n, 0)  # x x = a^n
+    mul = 2 * ((s[:, None] + turn + carry) % (2 * n)) + (t[:, None] + t[None, :]) % 2
+    return CayleyGroup(mul, 0)
+
+
 _INT_RE = re.compile(r"^-?[0-9]+$")
 
 

@@ -11,6 +11,8 @@ slice writes its ``a(bc)`` half into a 3-d buffer, a full slice into an
 """
 
 import contextlib
+import dataclasses
+import hashlib
 import itertools
 import tracemalloc
 import warnings
@@ -26,6 +28,7 @@ from hyperkit import core
 from test_constructions import assert_associativity_matches_reference, su2_ring, unital_tensors
 from test_constructions import verlinde_dims
 from test_core import assert_matches_reference, associativity_found, su2_table
+from test_golden import DIGESTS
 
 EPS = np.finfo(np.float64).eps
 
@@ -768,15 +771,27 @@ class TestStarScreen:
         assert (vios, paths(shapes, n)) == ([], (n, 0))
 
 
+def proof_groupoid(group):
+    """``double_coset_groupoid`` over the first subgroup of order 2, as built."""
+    subgroup = next(s for s in oracles.cyclic_subgroups(group) if len(s) == 2)
+    return hk.double_coset_groupoid(group, subgroup)
+
+
+def rebuilt(g):
+    """``g`` through the public constructor, which keeps no record of a group."""
+    return hk.Hypergroupoid(g.objects, g.mor, g.comp, g.star, g.units)
+
+
 def coset_groupoid(group, seed=None):
-    """``double_coset_groupoid`` over the first subgroup of order 2, the
-    group relabeled by a seeded permutation unless ``seed`` is None."""
+    """``proof_groupoid``, the group relabeled by a seeded permutation unless
+    ``seed`` is None, rebuilt through the public constructor: without the
+    group's record, ``validate_groupoid`` takes the certificate or the
+    quadruple pass."""
     from test_constructions import relabel_group
 
     if seed is not None:
         group = relabel_group(group, np.random.default_rng(seed).permutation(group.order))
-    subgroup = next(s for s in oracles.cyclic_subgroups(group) if len(s) == 2)
-    return hk.double_coset_groupoid(group, subgroup)
+    return rebuilt(proof_groupoid(group))
 
 
 def groupoid_run(g, tol=hk.DEFAULT_TOL):
@@ -824,7 +839,7 @@ def perturbed_groupoid(g, changes):
 
 
 class TestMirroredQuadruples:
-    """``validate_groupoid`` skips the later mirror ``(w, z, y, x)`` of a clean quadruple."""
+    """Defects of a quadruple and of its mirror ``(w, z, y, x)``, each reported in its turn."""
 
     @pytest.fixture(scope="class")
     def base(self, groups):
@@ -857,24 +872,6 @@ class TestMirroredQuadruples:
         c = g.comp
         left = np.einsum("abm,mcp->abcp", c[x][y][z], c[x][z][w])
         return np.abs(left - np.einsum("bcq,aqp->abcp", c[y][z][w], c[x][y][w]))
-
-    def test_clean_groupoid_checks_one_member_of_each_pair(self, base, monkeypatch):
-        # the quadruple pass, which a recognised rescaling skips
-        monkeypatch.setattr(hk.groupoid, "_rescaled_ring", lambda *args: False)
-        found, checked = self.run(base)
-        assert found == []
-        assert checked == sorted(checked)  # quadruple order
-        sizes = [[len(m) for m in row] for row in base.mor]
-        assert max(map(max, sizes)) >= core._SCREEN_MIN_N
-        for q in itertools.product(range(2), repeat=4):
-            mirror = q[::-1]
-            x, y, z, w = q
-            big = max(sizes[x][y], sizes[y][z], sizes[z][w], sizes[x][z], sizes[y][w], sizes[x][w])
-            if mirror == q or big < core._SCREEN_MIN_N:
-                assert checked.count(q) == 1
-            elif q < mirror:
-                assert (checked.count(q), checked.count(mirror)) == (1, 0)
-        assert len(checked) < 16
 
     def test_violations_in_one_member_only(self, base):
         # comp[0][0][1] raised alone deviates (0, 0, 0, 1) by twice the amount,
@@ -1025,6 +1022,98 @@ class TestGroupoidCertificate:
         raise_pair(lam, 2, 3, 4, 1e-3)
         found, checked, certified = groupoid_run(groupoid(lam))
         assert found and checked and certified == []
+
+
+class TestGroupProof:
+    """A groupoid built by ``double_coset_groupoid`` carries its group's
+    associativity: ``validate_groupoid`` runs neither the certificate nor
+    the quadruple pass on it, and reports as its rebuild does.
+
+    A copy, a parsed document, a block opened for writing or a tol at or
+    below the round-off margin takes the rebuild's path.
+    """
+
+    @pytest.fixture(scope="class")
+    def built(self, groups):
+        """The groupoids of S3, S4, Dic3, D8, S3 x S3, Dic10 and Z2 x S4 over
+        every cyclic subgroup."""
+        s3, s4 = groups["s3"], groups["s4"]
+        family = [
+            s3, s4, oracles.dicyclic_group(3), oracles.dihedral_group(8),
+            oracles.direct_product(s3, s3), oracles.dicyclic_group(10),
+            oracles.direct_product(groups["z2"], s4),
+        ]
+        return [
+            hk.double_coset_groupoid(group, sorted(sub))
+            for group in family
+            for sub in oracles.cyclic_subgroups(group)
+        ]
+
+    def recorded(self, g, tol=hk.DEFAULT_TOL):
+        """``validate_groupoid``'s report and the names of the certificate and
+        kernel calls it made."""
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name in (
+                (core, "_generator_certificate"), (hk.groupoid, "_associativity_violations")
+            ):
+                def recording(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+
+                mp.setattr(module, name, recording)
+            report = hk.validate_groupoid(g, tol)
+        return report, calls
+
+    def fails_closed(self, g, tol=hk.DEFAULT_TOL):
+        """``g``'s report, which must come from the certificate or the
+        quadruple pass and equal its rebuild's and the einsum reference
+        (``groupoid_run``)."""
+        _, checked, certified = groupoid_run(g, tol)
+        assert checked or certified
+        report = hk.validate_groupoid(g, tol)
+        assert report == hk.validate_groupoid(rebuilt(g), tol)
+        return report
+
+    def test_built_groupoids_take_no_certificate_or_kernel(self, built):
+        assert len(built) > 50
+        for g in built:
+            report, calls = self.recorded(g)
+            assert calls == []
+            assert report.passed and report == hk.validate_groupoid(rebuilt(g))
+
+    def test_tol_below_the_margin(self, groups):
+        g = proof_groupoid(groups["s4"])
+        n = max(len(arrows) for row in g.mor for arrows in row)
+        assert core._rescaling_margin(n, 1.0, core._RHO * 1.0) > 1e-18
+        self.fails_closed(g, 1e-18)
+
+    def test_raised_entry_in_a_replaced_copy(self, groups):
+        g = proof_groupoid(groups["s4"])
+        assert not dataclasses.replace(g)._from_group
+        comp = [[[np.array(t) for t in row] for row in grid] for grid in g.comp]
+        comp[0][0][1][0, 0, 0] += 1e-6
+        report = self.fails_closed(dataclasses.replace(g, comp=comp))
+        assert associativity_found(report)
+
+    def test_raised_entry_in_a_block_opened_for_writing(self, groups):
+        g = proof_groupoid(groups["s4"])
+        block = g.comp[0][0][1]
+        block.setflags(write=True)
+        block[0, 0, 0] += 1e-6
+        assert g._from_group
+        report = self.fails_closed(g)
+        assert associativity_found(report)
+
+    def test_two_object_builtin_carries_the_record(self, groupoids):
+        g = groupoids["two-object"]
+        text = hk.serialize_groupoid(g)
+        assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS["groupoid", "two-object"]
+        parsed = hk.parse_groupoid(text)
+        assert g._from_group and not parsed._from_group
+        report, calls = self.recorded(g)
+        assert calls == []
+        assert report.passed and report == hk.validate_groupoid(parsed)
 
 
 def reference_report(table, tol):
