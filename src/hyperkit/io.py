@@ -30,13 +30,14 @@ the library API alike.
 
 Serialization is canonical: keys sorted, floats printed with 17
 significant digits, identical objects always produce identical bytes.
-Arrays are emitted in bulk: O(N log N) to sort the N entries, and one
-formatting call per distinct value.
+Arrays are emitted in bulk: O(U log U) to sort the U nonzero entries,
+one formatting pass over the distinct values, and an O(N) gather.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import re
@@ -258,36 +259,46 @@ def _emit(value, indent: int, out: list[str]) -> None:
         out.append(_scalar_token(value))
 
 
+@functools.lru_cache(maxsize=64)
+def _rows(shape: tuple[int, ...], indent: int):
+    """How an array of this shape at ``indent`` opens, the separator after a row
+    by its count of trailing indices at their maximum, and each row's count (read-only)."""
+    pads = ["\n" + "  " * (indent + d) for d in range(len(shape))]
+    opens = ["".join(f"{p}[" for p in pads[first:]) for first in range(len(shape) + 1)]
+    closes = ["]" + "".join(f"{p}]" for p in pads[-1 - t:-1][::-1]) for t in range(len(shape))]
+    ends = np.arange(1, math.prod(shape[:-1]) + 1)
+    trailing = sum((ends % math.prod(shape[d:-1]) == 0 for d in range(len(shape) - 1)), 0 * ends)
+    trailing.flags.writeable = False
+    separators = [f"{c},{o}" for c, o in zip(closes[:-1], opens[-2::-1])] + closes[-1:]
+    return "[" + opens[1], separators, trailing
+
+
 def _emit_array(arr: np.ndarray, indent: int, out: list[str]) -> None:
     """Emit an array exactly as ``_emit(arr.tolist())`` would.
 
-    Each distinct value is formatted once: ``np.unique`` sorts the
-    entries (O(N log N)), ``_scalar_token`` runs once per distinct
-    value, and the tokens are gathered back through the inverse index.
+    Only the U nonzero entries are sorted (``np.unique``, O(U log U)); an
+    O(N) gather through one intp index fills one object array of N token
+    references, with the row separators of ``_rows`` in its last column.
     """
-    if arr.ndim == 0:
-        out.append(_scalar_token(arr.item()))
+    if arr.ndim == 0 or arr.size == 0:
+        _emit(arr.tolist(), indent, out)
         return
-    distinct, inverse = np.unique(arr.ravel(), return_inverse=True)
-    tokens = np.array([_scalar_token(v) for v in distinct.tolist()], dtype=object)
-    rows = tokens[inverse].reshape(math.prod(arr.shape[:-1]), arr.shape[-1]).tolist()
-    _emit_rows(arr.shape, iter(rows), indent, out)
-
-
-def _emit_rows(shape: tuple[int, ...], rows, indent: int, out: list[str]) -> None:
-    if len(shape) == 1:
-        out.append("[" + ", ".join(next(rows)) + "]")
-        return
-    if shape[0] == 0:
-        out.append("[]")
-        return
-    pad = "  " * indent
-    out.append("[\n")
-    for pos in range(shape[0]):
-        out.append(pad + "  ")
-        _emit_rows(shape[1:], rows, indent + 1, out)
-        out.append(",\n" if pos + 1 < shape[0] else "\n")
-    out.append(pad + "]")
+    flat = arr.ravel()
+    nonzero = flat.nonzero()[0]  # -0.0 is zero, as in _format_float
+    distinct, inverse = np.unique(flat[nonzero], return_inverse=True)
+    values = [arr.dtype.type(0).item(), *distinct.tolist()]  # index 0 is zero
+    if arr.dtype.kind == "f":  # _format_float, one pass
+        whole = [True, *((distinct == np.floor(distinct)) & (np.abs(distinct) < 1e17)).tolist()]
+        tokens = [f"{x:.17g}.0" if w else f"{x:.17g}" for x, w in zip(values, whole)]
+    else:
+        tokens = [_scalar_token(v) for v in values]
+    opening, separators, trailing = _rows(arr.shape, indent)
+    table = np.array([t + ", " for t in tokens] + tokens + separators, dtype=object)
+    index = np.zeros((len(trailing), arr.shape[-1] + 1), dtype=np.intp)
+    index.ravel()[nonzero + nonzero // arr.shape[-1]] = inverse + 1
+    index[:, -2] += len(tokens)  # the token that ends a row has no ", "
+    index[:, -1] = trailing + 2 * len(tokens)
+    out.append(opening + "".join(table[index.ravel()].tolist()))
 
 
 def _scalar_token(value) -> str:
@@ -378,18 +389,21 @@ def _scalar_entry(entry, where: str) -> float:
 def _scalar_tensor(data, where: str) -> np.ndarray:
     """A float64 tensor from nested lists of numbers or quadratic literals.
 
-    A rectangular tensor of plain JSON numbers converts in one
-    ``astype``; anything else (literals, booleans, ragged rows) goes
-    entry by entry through ``_scalar_tensor_entries``.
+    Nested lists flatten a level at a time; N leaves of plain JSON numbers
+    convert in one ``np.array`` call, O(N), and anything else (literals,
+    booleans, ragged rows) goes through ``_scalar_tensor_entries``.
     """
-    try:
-        entries = np.array(data, dtype=object)
-    except ValueError:
+    shape, level = [], [data]
+    while (types := set(map(type, level))) == {list}:
+        lengths = set(map(len, level))
+        if len(lengths) > 1:
+            return _scalar_tensor_entries(data, where)
+        shape.append(lengths.pop())
+        level = list(itertools.chain.from_iterable(level))
+    if not types <= {int, float}:
         return _scalar_tensor_entries(data, where)
-    if not set(map(type, entries.ravel().tolist())) <= {int, float}:
-        return _scalar_tensor_entries(data, where)
     try:
-        return entries.astype(np.float64)
+        return np.array(level, dtype=np.float64).reshape(shape)
     except OverflowError as exc:
         raise StructureError(f"{where}: number out of the float64 range") from exc
 

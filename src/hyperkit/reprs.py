@@ -116,10 +116,6 @@ def _haar_inner(chars_m, chars_k, mu):
     return complex(np.sum(np.conj(chars_m) * mu * chars_k) / mu.sum())
 
 
-def _sort_key(row):
-    return tuple((round(float(z.real), 9), round(float(z.imag), 9)) for z in row)
-
-
 def characters(
     table: HypergroupTable,
     seed: int = DEFAULT_SEED,
@@ -169,7 +165,9 @@ def characters(
     rows = np.where(np.abs(rows.imag) < 1e-12, rows.real + 0.0j, rows)
     trivial = int(np.argmin(np.max(np.abs(rows - 1.0), axis=1)))
     rows[trivial] = np.ones(n, dtype=np.complex128)
-    order = [trivial] + sorted((m for m in range(n) if m != trivial), key=lambda m: _sort_key(rows[m]))
+    keys = [[(round(x, 9), round(y, 9)) for x, y in zip(re, im)]
+            for re, im in zip(rows.real.tolist(), rows.imag.tolist())]
+    order = [trivial] + sorted((m for m in range(n) if m != trivial), key=keys.__getitem__)
     rows = rows[order]
 
     mu = weights(table, tol)
@@ -182,8 +180,10 @@ def characters(
 
 def _check_character_axioms(table: HypergroupTable, rows, mu) -> tuple[float, ...]:
     """The normalization, multiplicativity, conjugation and orthogonality
-    defects of ``rows``; NumericalError if one exceeds 1e-7."""
+    defects of ``rows``, in real arithmetic exactly when every imaginary
+    part is 0; NumericalError if one exceeds 1e-7."""
     n = table.n
+    rows = rows if rows.imag.any() else rows.real
     normalization = float(np.max(np.abs(rows[:, table.unit] - 1.0)))
     if normalization > _CHAR_TOL:
         raise NumericalError("characters are not normalized at the unit")
@@ -245,12 +245,13 @@ def dual_hypergroup(
     """Structure constants of the character basis under pointwise product.
 
     ``c[m, m', p] = (chi_p, chi_m chi_m') / (chi_p, chi_p)`` in the
-    Haar inner product.  Raises AxiomError (with the offending triple
-    in ``detail``) if some coefficient is negative beyond tol, in which
-    case the dual is not a hypergroup.
+    Haar inner product, in real arithmetic exactly when every imaginary
+    part of the characters is 0.  Raises AxiomError (with the offending
+    triple in ``detail``) if some coefficient is negative beyond tol, in
+    which case the dual is not a hypergroup.
     """
     ct = chars if chars is not None else characters(table, seed=seed, tol=tol)
-    rows = ct.chars
+    rows = ct.chars if ct.chars.imag.any() else ct.chars.real
     mu = ct.haar_weights
     n = table.n
     # coefficients of chi_m chi_m' in the character basis

@@ -135,4 +135,12 @@ REPORT
 # n^5 kernel; the rescaled table's round-off margin skips the kernel too
 python -c 'import json; k = 100; n = k + 1; N = [[[int(abs(i - j) <= l <= min(i + j, 2 * k - i - j) and (i + j + l) % 2 == 0) for l in range(n)] for j in range(n)] for i in range(n)]; print(json.dumps({"format_version": 1, "kind": "fusion_ring", "labels": [f"j{i}" for i in range(n)], "unit": 0, "N": N}))' > "$work/su2-100.json"
 timeout 60 "$@" build fusion "$work/su2-100.json" --json > "$work/out.json"
+# SU(2)_30 through the bulk array paths: the rescaled table is written twice,
+# byte for byte the same, then read back by validate and by characters --dual
+python3 -c 'import json; k = 30; n = k + 1; N = [[[int(abs(i - j) <= l <= min(i + j, 2 * k - i - j) and (i + j + l) % 2 == 0) for l in range(n)] for j in range(n)] for i in range(n)]; print(json.dumps({"format_version": 1, "kind": "fusion_ring", "labels": [f"j{i}" for i in range(n)], "unit": 0, "N": N}))' > "$work/su2-30.json"
+"$@" build fusion "$work/su2-30.json" --json -o "$work/su2-30-table.json"
+"$@" build fusion "$work/su2-30.json" --json -o "$work/su2-30-again.json"
+cmp "$work/su2-30-table.json" "$work/su2-30-again.json"
+"$@" validate "$work/su2-30-table.json"
+"$@" characters "$work/su2-30-table.json" --dual --json > "$work/su2-30-characters.json"
 echo "console checks passed: $*"

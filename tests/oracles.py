@@ -18,6 +18,9 @@ vectorized involution check replaced.
 ``canonical_text_reference`` is the canonical JSON emitter that formats
 every scalar on its own; the library now formats each distinct value of
 an array once.
+``dual_structure_constants_reference`` is the dual's formula in complex
+arithmetic throughout; the library now takes real characters in real
+arithmetic.
 """
 
 import itertools
@@ -443,3 +446,23 @@ def canonical_text_reference(document: dict) -> str:
     _emit_reference(_as_lists(document), 0, out)
     out.append("\n")
     return "".join(out)
+
+
+def dual_structure_constants_reference(ct):
+    """The dual's structure constants ``c[m, m', p] = (chi_p, chi_m chi_m')
+    / (chi_p, chi_p)`` of a character table, in complex128 whatever the
+    characters, with their real parts clipped at 0."""
+    rows = np.asarray(ct.chars, dtype=np.complex128)
+    mu = ct.haar_weights
+    n = len(mu)
+    pointwise = rows[:, None, :] * rows[None, :, :]
+    gram = (pointwise.reshape(n * n, n) @ (np.conj(rows) * mu).T).reshape(n, n, n) / mu.sum()
+    return np.clip((gram * ct.dual_weights[None, None, :]).real, 0.0, None)
+
+
+def ulp_distance(a, b):
+    """Entrywise distance of two float arrays in units in the last place
+    of the larger magnitude (0 where they are equal)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    scale = np.spacing(np.maximum(np.abs(a), np.abs(b)))
+    return np.where(a == b, 0.0, np.abs(a - b) / scale)

@@ -477,6 +477,11 @@ EDGE_ARRAYS = {
     "empty-leading": np.zeros((0, 3, 3)),
     "empty-middle": np.zeros((2, 0, 3), dtype=np.int64),
     "empty-last": np.zeros((3, 2, 0)),
+    "4d-size-one-axes": np.array([0.0, 1.5, -0.0, 2.0, 0.0, 3e17]).reshape(1, 2, 1, 3),
+    "5d-size-one-axes": (np.arange(12.0) % 3 - 1.0).reshape(2, 1, 3, 1, 2),
+    "5d-int-size-one-last": np.arange(6, dtype=np.int64).reshape(3, 1, 2, 1, 1),
+    "4d-empty-axis": np.zeros((2, 1, 0, 3)),
+    "5d-empty-axis": np.zeros((1, 2, 3, 0, 1), dtype=np.int64),
 }
 
 
@@ -501,7 +506,7 @@ class TestBulkEmission:
     @settings(max_examples=200, deadline=None)
     @given(arr=hnp.arrays(
         dtype=st.sampled_from([np.float64, np.int64]),
-        shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+        shape=hnp.array_shapes(min_dims=1, max_dims=5, min_side=0, max_side=4),
     ))
     def test_hypothesis_arrays(self, arr):
         doc = {"lambda": arr, "rows": [arr, arr]}
@@ -529,7 +534,7 @@ class TestBulkEmission:
         assert hk.canonical_text(doc) == oracles.canonical_text_reference(doc)
 
     def test_rescaled_su2(self):
-        for k in [*range(1, 13), 18, 26, 36, 60]:
+        for k in [*range(1, 13), 18, 26, 36, 60, 80, 100]:
             document, text = emitted_document(hk.serialize_hypergroup, rescaled_su2(k))
             assert text == oracles.canonical_text_reference(document), k
 

@@ -123,6 +123,13 @@ class TestCharacters:
         with pytest.raises(hk.NumericalError):
             hk.characters(shifty)
 
+    def test_z3_rows_sort_by_imaginary_part_on_every_seed(self, tables):
+        # the two nontrivial rows agree in their real parts; the eigensolver
+        # returns them in either order, and the imaginary parts break the tie
+        for seed in range(1, 9):
+            ct = hk.characters(tables["z3"], seed=seed)
+            assert ct.chars[1, 1].imag < 0 < ct.chars[2, 1].imag, seed
+
     def test_determinism_bit_identical(self, tables):
         for name in COMMUTATIVE_BUILTINS:
             first = hk.characters(tables[name], seed=0xC0FFEE)
@@ -263,6 +270,33 @@ class TestDualHypergroup:
             table = oracles.relabel(table, np.random.default_rng(seed).permutation(k + 1))
         dual = hk.dual_hypergroup(table)
         assert hk.validate(dual, tol=1e-7).passed
+
+    @pytest.mark.parametrize("name", ["su2-12", "su2-36", "su2-60", "conj-s3"])
+    def test_real_characters_match_the_complex_reference(self, tables, name):
+        if name.startswith("su2-"):
+            k = int(name[4:])
+            labels = tuple(f"j{j}" for j in range(k + 1))
+            table = hk.from_fusion_ring(hk.fusion_ring(labels, 0, oracles.su2_fusion_tensor(k)))
+        else:
+            table = tables[name]
+        ct = hk.characters(table)
+        assert not ct.chars.imag.any()
+        dual = hk.dual_hypergroup(table, chars=ct)
+        reference = oracles.dual_structure_constants_reference(ct)
+        assert oracles.ulp_distance(dual.lam, reference).max() <= 4
+
+    def test_z3_keeps_complex_characters_and_its_closed_form_dual(self, tables):
+        # chi_m(g^a) = exp(-2 pi i m a / 3), so chi_m chi_m' = chi_(m + m' mod 3)
+        ct = hk.characters(tables["z3"])
+        assert np.allclose(np.abs(ct.chars.imag[1:, 1:]), SQRT3 / 2, atol=1e-12)
+        dual = hk.dual_hypergroup(tables["z3"], chars=ct)
+        m = np.arange(3)
+        expected = np.zeros((3, 3, 3))
+        expected[m[:, None], m[None, :], (m[:, None] + m[None, :]) % 3] = 1.0
+        assert np.allclose(dual.lam, expected, atol=1e-12)
+        assert dual.involution == (0, 2, 1)
+        reference = oracles.dual_structure_constants_reference(ct)
+        assert oracles.ulp_distance(dual.lam, reference).max() <= 4
 
     def test_every_commutative_builtin_has_a_dual(self, tables):
         for name in COMMUTATIVE_BUILTINS:
