@@ -326,8 +326,8 @@ def validate_fusion_ring(ring: FusionRing) -> None:
     where ``core._certificate_plan`` budgets a generator, associativity
     is first certified from a generating set
     (``core._generator_certificate``, 2 n^4 multiply-adds a generator,
-    one for SU(2)_k); below that or when it fails, the kernel of
-    ``validate`` runs at tol 0.5, in n^5 or 2 n^5
+    one or two for SU(2)_k in any basis order); below that or when it
+    fails, the kernel of ``validate`` runs at tol 0.5, in 2 n^5
     multiply-adds.  ``FusionRing`` keeps ``n * max(N)**2`` below 2**53,
     so every partial sum is an integer that float64 holds and every
     defect a whole number.  The certificate passes only an associative
@@ -348,10 +348,12 @@ def validate_fusion_ring(ring: FusionRing) -> None:
         warnings.warn("fusion ring lacks Frobenius symmetry N[i,j,l] = N[conj(i),l,j]")
     Nf = N.astype(np.float64)
     cost, budget, _ = _certificate_plan([[ring.n]])
-    if cost[0][0] <= budget and _generator_certificate(_RingBlocks((((Nf,),),)), (unit,)):
+    if cost[0][0] <= budget and _generator_certificate(
+        _RingBlocks((((Nf,),),)), (unit,), ((ring.conj,),)
+    ):
         return
     vios = []
-    _associativity_violations(Nf, Nf, Nf, Nf, (), 0.5, vios, star=ring.conj)
+    _associativity_violations(Nf, Nf, Nf, Nf, (), 0.5, vios)
     if vios:
         report = ValidationReport(False, tuple(vios))
         raise AxiomError(f"fusion ring is not associative at {vios[0].indices}", report=report)

@@ -39,10 +39,12 @@ DEFAULT_TOL = 1e-9
 _EPS = float(np.finfo(np.float64).eps)
 _INT64_MAX = np.iinfo(np.int64).max
 _BOOL_TYPES = frozenset({bool, np.bool_})
-#: Smallest basis on which ``_associativity_violations`` screens.  Below
-#: it a slice's matrix products cost mostly call overhead, so halving
-#: their flops does not repay the screen's set-up.
-_SCREEN_MIN_N = 16
+#: Smallest basis on which ``validate`` tries the certificate of
+#: ``_rescaled_ring``: from there on a quarter of the kernel's work covers
+#: two generators (``_certificate_plan``).  Below it ``_RingBlocks`` gives a
+#: generator's products twice the room, for one block of matrix products
+#: where two would cost mostly call overhead.
+_CERTIFY_MIN_N = 16
 
 
 def _integers(seq):
@@ -277,14 +279,6 @@ def _unit_violations(left, right, lu, ru, endo, prefix, tol, vios) -> None:
             vios.append(Violation("unit", (*prefix, int(a), ru, int(c)), float(dev[a, c])))
 
 
-def _dot_error(n, big) -> float:
-    """``e = 2 (gamma_n + eps)(1 + gamma_n) n M^2`` for ``M = big``: how far a
-    computed associativity defect on n-term sums with entries up to M may be
-    off (``_associativity_violations`` derives it)."""
-    gamma = n * _EPS / (1.0 - n * _EPS)
-    return 2.0 * (gamma + _EPS) * (1.0 + gamma) * n * big * big
-
-
 #: ``gamma_3 / (1 - gamma_3)``: ``N * d_c / (d_a * d_b)``, computed for an
 #: integer N and normal floats d, is within this fraction of itself of the
 #: exact value (three roundings, Higham 2002, lemma 3.1).
@@ -292,16 +286,23 @@ _RHO = 3.0 * _EPS / (1.0 - 6.0 * _EPS)
 
 
 def _rescaling_margin(n, big, delta) -> float:
-    """``2 n (2 M delta + delta^2) + _dot_error(n, M)`` for ``M = big``.
+    """``2 n (2 M delta + delta^2) + e`` for ``M = big`` and ``e = 2 (gamma_n +
+    eps)(1 + gamma_n) n M^2``, ``gamma_n = n eps / (1 - n eps)``.
 
     If every entry of a table t with ``max|t| = M`` lies within delta of
     an exactly associative table L, then with ``E = t - L`` each sum
     ``sum_m t[a,b,m] t[m,c,p]`` differs from L's by ``sum_m (E t + t E -
     E E)``, at most ``n (2 M delta + delta^2)``, and likewise in ``a (b
-    c)``, where L's sums agree.  So no computed associativity defect of t
-    exceeds this margin, the kernel's own round-off included.
+    c)``, where L's sums agree.  A dot product of length n computed in
+    any order is off by at most ``gamma_n sum|x_i y_i|`` (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 2002, section 3.1);
+    with the rounding of the subtraction, a computed defect of
+    ``_associativity_violations`` is off by at most e.  So no computed
+    associativity defect of t exceeds this margin.
     """
-    return 2.0 * n * (2.0 * big * delta + delta * delta) + _dot_error(n, big)
+    gamma = n * _EPS / (1.0 - n * _EPS)
+    error = 2.0 * (gamma + _EPS) * (1.0 + gamma) * n * big * big
+    return 2.0 * n * (2.0 * big * delta + delta * delta) + error
 
 
 class _RingBlocks:
@@ -317,7 +318,7 @@ class _RingBlocks:
     nothing is copied.  Two
     buffers bound the memory: ``held``, of the largest block's size,
     keeps the last block rounded into it, and ``work``, of about that
-    size (``room``, twice that below ``_SCREEN_MIN_N`` arrows, where one
+    size (``room``, twice that below ``_CERTIFY_MIN_N`` arrows, where one
     block of products is cheaper), takes a block of at most half of it
     at its front and the caller's products behind it.
     """
@@ -328,7 +329,7 @@ class _RingBlocks:
         self.size = [[comp[x][y][0].shape[0] for y in objs] for x in objs]
         self.n = max(map(max, self.size))
         self.largest = max(t.size for grid in comp for row in grid for t in row)
-        self.room = self.largest * (1 if self.n >= _SCREEN_MIN_N else 2)
+        self.room = self.largest * (1 if self.n >= _CERTIFY_MIN_N else 2)
         self.held = self.work = None
         self.rescale(None)
 
@@ -368,6 +369,24 @@ class _RingBlocks:
             return rows
         parts = -(-rows * per_row // (self.room - used))
         return -(-rows // parts)
+
+    def branches(self, star):
+        """For each arrow g of Mor(y -> x), hom-space by hom-space in (x, y)
+        order, how many arrows c have ``N[g, g*, c] > 0`` for ``g* =
+        star[x][y][g]``: 1 just when g is invertible.  Read off ``comp[g, g*,
+        c] d_g d_g* / d_c > 0.5``, computed as ``_round`` computes it, one row
+        of Mor(x -> x) an arrow: O(n^2) on one object."""
+        objs = range(len(self.size))
+        counts = []
+        for x, y in itertools.product(objs, repeat=2):
+            s = np.asarray(star[x][y], dtype=np.intp)
+            rows = self.comp[x][y][x][np.arange(s.size), s]  # a copy
+            if self.scales is not None:
+                d = self.scales
+                np.multiply(rows, (d[x][y] * d[y][x][s])[:, None], out=rows)
+                np.divide(rows, d[x][x], out=rows)
+            counts.append(np.count_nonzero(rows > 0.5, axis=1))
+        return np.concatenate(counts)
 
     def ready(self, key) -> bool:
         """Whether block ``key`` is at hand in full, without rounding."""
@@ -451,7 +470,7 @@ def _certificate_plan(size):
     return cost, budget, spaces
 
 
-def _generator_certificate(blocks: _RingBlocks, units) -> bool:
+def _generator_certificate(blocks: _RingBlocks, units, star) -> bool:
     """Whether a generating set proves the integer blocks of ``blocks`` associative.
 
     The arrows span an algebra: ``a b = sum_c N[x][y][z][a, b, c] c`` for
@@ -465,9 +484,15 @@ def _generator_certificate(blocks: _RingBlocks, units) -> bool:
     and N is nonnegative.  If c is the only uncertified arrow in the
     support of a product ``a g`` of a certified arrow and a generator,
     ``N[a, g, c] c`` is ``a g`` minus certified arrows, so c is in A.
-    When no such product remains, the least uncertified arrow of the
-    first hom-space Mor(y -> x), in (x, y) order, that has one becomes
-    the next generator (j1 of SU(2)_k in level order).
+    When no such product remains, the next generator comes from the
+    first hom-space Mor(z -> y), in (y, z) order, with an uncertified
+    arrow.  Its arrows are ranked by how many arrows ``g g*`` holds
+    (``star[y][z]`` gives g*, ``_RingBlocks.branches``), read once, in
+    O(n^2) on one object: the first generator is the uncertified g whose
+    ``g g*`` holds the fewest but more than the unit (j1 or j(k-1) of
+    SU(2)_k in any basis order); a later one is an invertible arrow
+    while there is one, since it certifies ``a g`` for every certified a,
+    else again the fewest; ties go to the least index.
     A generator g in Mor(z -> y) is tested by (a g) b = a (g b) for a in
     Mor(y -> x) and b in Mor(w -> z) over every object pair (x, w): two
     matrix products a pair, ``cost[y][z]`` of ``_certificate_plan`` (2
@@ -483,8 +508,8 @@ def _generator_certificate(blocks: _RingBlocks, units) -> bool:
     one more generator would bring the tests above the budget of
     ``_certificate_plan``, a quarter of the quadruple pass (n^5 / 4 on
     one object: at most n / 8 generators); so, before any allocation,
-    always on 2 to 7 elements.  SU(2)_k needs one generator, groups and
-    the double-coset groupoids a few.
+    always on 2 to 7 elements.  SU(2)_k needs one or two generators,
+    groups and the double-coset groupoids a few.
     """
     size = blocks.size
     objs = range(len(size))
@@ -499,6 +524,8 @@ def _generator_certificate(blocks: _RingBlocks, units) -> bool:
     uncertified = np.ones(total, dtype=np.int8)
     for x in objs:
         uncertified[home[x, x].start + units[x]] = 0
+    rank = blocks.branches(star)
+    rank[rank == 1] = total + 1  # the first generator's g g* branches
     # one row per generator g and arrow a = owner[r] that it follows, while
     # the support of a g has an uncertified arrow: weight[r, c] is 1 where
     # N[a, g, c] > 0, plus 2 at c = a, so that pending[r], the weight of the
@@ -516,7 +543,8 @@ def _generator_certificate(blocks: _RingBlocks, units) -> bool:
             spent += cost[y][z]
             if spent > budget:
                 return False
-            g = int(uncertified[home[y, z]].argmax())
+            g = int(np.where(uncertified[home[y, z]], rank[home[y, z]], total + 2).argmin())
+            rank[rank == total + 1] = 1  # later ones: invertible arrows first
             if not _middle_law(blocks, g, y, z):
                 return False
             weight, pending, owner = _closure_rows(
@@ -607,7 +635,7 @@ def _rescaled_ring(comp, units, star, tol: float) -> bool:
     with its unit and involution.  False at once, before anything is
     read, unless the budget of ``_certificate_plan`` covers two
     generators in every hom-space that holds more than a unit: on one
-    object that is n >= 16 (``_SCREEN_MIN_N``), and a smaller grid, such
+    object that is n >= 16 (``_CERTIFY_MIN_N``), and a smaller grid, such
     as the double-coset groupoids of D8 or Z2 x D4 (16 group elements,
     a budget of about 1.5 generators a hom-space), would spend more on
     recognition and on generators that run out than the quadruple pass
@@ -659,7 +687,7 @@ def _rescaled_ring(comp, units, star, tol: float) -> bool:
                 break
         else:
             return False
-    return _generator_certificate(blocks, units)
+    return _generator_certificate(blocks, units, star)
 
 
 def _within_margin(blocks, order, units, big, tol) -> bool:
@@ -695,82 +723,7 @@ def _within_margin(blocks, order, units, big, tol) -> bool:
     return True
 
 
-def _cut(tol, n, big, delta):
-    """``tol - margin`` if ``margin < tol``, else None.
-
-    ``margin = 5 n M delta + 2 _dot_error(n, M)`` with ``M = big``;
-    ``_associativity_violations`` derives it.
-    """
-    margin = 5.0 * n * big * delta + 2.0 * _dot_error(n, big)
-    return tol - margin if margin < tol else None
-
-
-def _star_defect(t, u, stars, buf, spare) -> float:
-    """``max |t[a, b, c] - u[b*, a*, c*]|``, where ``stars`` maps a, b, c to a*, b*, c*.
-
-    One gather of the rows ``u[b*, a*, :]`` into ``buf``, one of their
-    entries ``c*`` into ``spare`` (both flat, of ``t.size`` or more), so
-    O(t.size) time and nothing of that size allocated.  0.0 on an empty ``t``.
-    """
-    if t.size == 0:
-        return 0.0
-    sa, sb, sc = (np.asarray(s, dtype=np.intp) for s in stars)
-    rows = (sb[None, :] * u.shape[1] + sa[:, None]).ravel()  # u[b*, a*] at (a, b)
-    nc = t.shape[2]
-    gathered, dev = buf[: t.size].reshape(-1, nc), spare[: t.size].reshape(-1, nc)
-    # mode "clip" writes into out unbuffered; every index is in range
-    np.take(u.reshape(-1, nc), rows, axis=0, out=gathered, mode="clip")
-    np.take(gathered, sc, axis=1, out=dev, mode="clip")
-    np.subtract(t.reshape(-1, nc), dev, out=dev)
-    np.abs(dev, out=dev)
-    return float(np.maximum.reduce(dev, axis=None))
-
-
-def _screen_cut(t, tol, buf, star=None, spare=None):
-    """Largest screened deviation that proves a slice and its mirror clean, or None.
-
-    ``_cut`` of ``delta = max|t[a, b, c] - t[b*, a*, c*]|`` and ``M =
-    max|t|`` for ``b* = star[b]``.  The identity star (``None``) takes
-    ``delta = max|t - t^T|`` (the first two indices swapped), formed in
-    ``buf``, of ``t``'s shape; any other star gathers it with
-    ``_star_defect`` into ``buf`` and ``spare``, each of ``t``'s size.
-    """
-    if star is None:
-        np.subtract(t, t.transpose(1, 0, 2), out=buf)
-        np.abs(buf, out=buf)
-        delta = float(np.maximum.reduce(buf, axis=None))  # NaN on NaN input: no screen
-    else:
-        delta = _star_defect(t, t, (star, star, star), buf.reshape(-1), spare.reshape(-1))
-    big = max(float(np.maximum.reduce(t, axis=None)), -float(np.minimum.reduce(t, axis=None)))
-    return _cut(tol, t.shape[0], big, delta)
-
-
-def _first_failing_step(t, cut, dev, right, star=None) -> int:
-    """First step ``i`` whose screen ``max |S[a, b, c, p]|`` exceeds cut, else n.
-
-    Step i screens the columns ``c >= i`` of slice ``a = star[i]`` (``a =
-    i`` under the identity, ``None``).  ``dev`` and ``right`` are the
-    kernel's two n^3 buffers; both products read views of ``t``.
-    """
-    n = t.shape[0]
-    t_flat = t.reshape(n, n * n)
-    bc = t.transpose(1, 0, 2) if star is None else t  # [b, c, q]: t[c,b,q], else t[b,c,q]
-    left_flat, right_flat = dev.reshape(-1), right.reshape(-1)
-    for i in range(n):
-        a = i if star is None else int(star[i])
-        size = n * (n - i) * n
-        left = left_flat[:size].reshape(n, -1)                 # (ab)c, columns c >= i
-        slab = right_flat[:size].reshape(n, -1, n)             # sum_q bc[b,c,q] t[a,q,p]
-        np.matmul(t[a], t_flat[:, i * n :], out=left)
-        np.matmul(bc[:, i:], t[a], out=slab)
-        np.subtract(left, slab.reshape(n, -1), out=left)
-        np.abs(left, out=left)
-        if not np.maximum.reduce(left, axis=None) <= cut:  # NaN fails the screen
-            return i
-    return n
-
-
-def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, star=None) -> None:
+def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios) -> None:
     """Report ``|sum_m ab[a,b,m] mc[m,c,p] - sum_q bc[b,c,q] aq[a,q,p]| > tol``.
 
     Violations come in (a, b, c, p) order.  One first index ``a`` at a
@@ -778,44 +731,9 @@ def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, star=None) -> N
     sizes up to n this takes 2 n^5 multiply-adds and O(n^3) memory.  The
     deviations of a slice are formed in place, and only a slice whose
     largest deviation exceeds tol is scanned for its indices (NaN is
-    skipped, as the comparison with tol skips it).
-
-    When all four operands are one tensor ``t`` on ``_SCREEN_MIN_N`` or
-    more elements and ``star`` (``b -> b*``; None is the identity) is an
-    involution, a screen first halves the work, for n^5 multiply-adds on
-    a table that passes and nearly obeys the star law ``t[a,b,c] ==
-    t[b*,a*,c*]`` (a hypergroup's involution is an anti-automorphism; a
-    commutative table obeys the law under the identity).  Write ``L``
-    for ``(ab)c``, ``R`` for ``a(bc)`` and ``D = L - R``.  Under the star
-    law each term ``t[c*,b*,m] t[m,a*,p*]`` of ``L[c*,b*,a*,p*]`` is the
-    term ``t[b,c,m*] t[a,m*,p]`` of ``R[a,b,c,p]``, and the terms of
-    ``R[c*,b*,a*,p*]`` are those of ``L[a,b,c,p]``, so ``D[c*,b*,a*,p*]
-    = -D[a,b,c,p]``.  Step ``i`` of the screen covers the columns ``c >=
-    i`` of slice ``a = i*`` only, with ``S[a,b,c,p] = L[a,b,c,p] - sum_q
-    t[b,c,q] t[a,q,p]``, so ``S = D`` there; the identity star keeps the
-    commutative screen's ``t[c,b,q]`` for ``t[b,c,q]``, off by ``|S -
-    D[a,b,c,p]| <= n M delta``.  Both products read views of ``t``, no
-    copy.  With ``delta = max|t[a,b,c] - t[b*,a*,c*]|`` and ``M =
-    max|t|``, exactly ``|D[c*,b*,a*,p*] + D[a,b,c,p]| <= 4 n M delta``.
-    A dot product of length n computed in any order is off by at most
-    ``gamma_n sum|x_i y_i|``, ``gamma_n = n eps / (1 - n eps)`` (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
-    section 3.1); with the rounding of the subtraction, a computed ``S``
-    or ``D`` is off by at most ``e = 2 (gamma_n + eps)(1 + gamma_n) n
-    M^2``.  So a step whose computed ``|S|`` stays within ``tol -
-    margin``, ``margin = 5 n M delta + 2 e``, has no computed ``|D|``
-    above tol at ``(a, b, c, p)`` or at ``(c*, b*, a*, p*)`` for any ``c
-    >= a*``.  On integer entries with ``n max|t|^2 < 2**53`` every sum
-    is exact and every defect a whole number, so tol 0.5 reports exactly
-    the nonzero defects.  The screen runs while ``margin < tol``.  If
-    step ``i0`` is the first whose screen fails, every slice ``a``
-    screened before it (``a* < i0``) is clean: its columns ``c >= a*``
-    by its own step, the others as the mirrors of column ``a*`` of slice
-    ``c*``, which step ``c < a*`` screened (``c** = c`` since ``star`` is
-    an involution).  So the full scan takes the other slices, ``a* >=
-    i0``, and reports exactly what it reports without the screen, at the
-    cost of one screened step more.  Memory: the two n^3 buffers, which
-    ``delta``'s two gathers reuse.
+    skipped, as the comparison with tol skips it).  On integer entries
+    with ``n max|t|^2 < 2**53`` every sum is exact and every defect a
+    whole number, so tol 0.5 reports exactly the nonzero defects.
     """
     nm, nc, np_ = mc.shape
     nb, nq = bc.shape[0], bc.shape[2]
@@ -823,17 +741,7 @@ def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios, star=None) -> N
     bc_flat = bc.reshape(nb * nc, nq)
     dev = np.empty((nb, nc * np_))
     right = np.empty((nb * nc, np_))
-    slices = range(ab.shape[0])
-    if ab is mc is bc is aq and nm >= _SCREEN_MIN_N:
-        ident = np.arange(nm)
-        s = ident if star is None else np.asarray(star, dtype=np.intp)
-        if np.array_equal(s[s], ident):
-            s = None if np.array_equal(s, ident) else s
-            cut = _screen_cut(ab, tol, dev.reshape(ab.shape), s, right)
-            if cut is not None:
-                steps = _first_failing_step(ab, cut, dev, right, s)
-                slices = sorted((ident if s is None else s)[steps:].tolist())  # not cleared
-    for a in slices:
+    for a in range(ab.shape[0]):
         np.matmul(ab[a], mc_flat, out=dev)
         np.matmul(bc_flat, aq[a], out=right)
         dev -= right.reshape(nb, nc * np_)
@@ -875,16 +783,14 @@ def validate(table: HypergroupTable, tol: float = DEFAULT_TOL) -> ValidationRepo
     involution fixing the unit, and unit mass appears exactly on
     conjugate pairs), and symmetry of the unit coefficients across each
     conjugate pair (equal weights for ``i`` and ``inv(i)``).
-    Associativity dominates: n^5 multiply-adds on a table that passes
-    and whose involution is one and obeys the star law ``lam[a, b, c] ==
-    lam[inv(b), inv(a), inv(c)]`` within the screen's margin (from 16
-    elements on, see ``_associativity_violations``), 2 n^5 otherwise,
-    and 2 n^3 floats of memory.  From 16 elements on, a table within
+    Associativity dominates.  From 16 elements on, a table within
     round-off of a rescaled associative integer ring (parsed documents
-    and duals of fusion rings, group, class and double-coset tables)
-    skips that kernel: O(n^3) to recognise it and 2 n^4 multiply-adds
-    per generator to certify the ring, in the same memory
-    (``_rescaled_ring``), with the same report.
+    and duals of fusion rings, group, class and double-coset tables, in
+    any basis order) is certified instead: O(n^3) to recognise it and 2
+    n^4 multiply-adds per generator to certify the ring, in 2 n^3 floats
+    (``_rescaled_ring``).  Any other table, or one the certificate
+    cannot prove, takes the kernel, 2 n^5 multiply-adds in 2 n^3 floats
+    (``_associativity_violations``).  The report is the kernel's either way.
     """
     return _report(table, tol, True)
 
@@ -900,8 +806,8 @@ def _report(table: HypergroupTable, tol: float, associativity: bool) -> Validati
     _row_violations(lam, (), tol, vios)
     _unit_violations(lam, lam, unit, unit, True, (), tol, vios)
     grid = (((lam,),),), (unit,), ((inv,),)
-    if associativity and not (table.n >= _SCREEN_MIN_N and _rescaled_ring(*grid, tol)):
-        _associativity_violations(lam, lam, lam, lam, (), tol, vios, star=inv)
+    if associativity and not (table.n >= _CERTIFY_MIN_N and _rescaled_ring(*grid, tol)):
+        _associativity_violations(lam, lam, lam, lam, (), tol, vios)
 
     if inv[unit] != unit:
         vios.append(Violation("involution-permutation", (unit,), 1.0))

@@ -219,16 +219,12 @@ def _associativity_by_quadruple(g: Hypergroupoid, tol: float, vios: list) -> Non
 
     Quadruple ``(x, y, z, w)`` checks ``(a . b) . c`` against ``a . (b .
     c)`` for ``a`` in Mor(y -> x), ``b`` in Mor(z -> y) and ``c`` in
-    Mor(w -> z).  An endo quadruple takes the kernel's screen under
-    ``star[x][x]``.
+    Mor(w -> z).
     """
-    c, star = g.comp, g.star
+    c = g.comp
     for q in itertools.product(range(g.n_objects), repeat=4):
         x, y, z, w = q
-        endo = star[x][x] if x == y == z == w else None
-        _associativity_violations(
-            c[x][y][z], c[x][z][w], c[y][z][w], c[x][y][w], q, tol, vios, star=endo
-        )
+        _associativity_violations(c[x][y][z], c[x][z][w], c[y][z][w], c[x][y][w], q, tol, vios)
 
 
 def _proved_by_group(g: Hypergroupoid, tol: float) -> bool:
@@ -280,8 +276,8 @@ def validate_groupoid(g: Hypergroupoid, tol: float = DEFAULT_TOL) -> ValidationR
     object quadruples run in order (``_associativity_by_quadruple``), at
     most 2 k^4 n^5 multiply-adds and O(n^3) memory for arrow bases of
     size up to n; an endo quadruple ``(x, x, x, x)`` is
-    ``core.validate``'s check on Mor(x -> x), with its screen.  Every
-    way gives the quadruple pass's report.
+    ``core.validate``'s kernel on Mor(x -> x).  Every way gives the
+    quadruple pass's report.
     """
     objs = range(g.n_objects)
     c, u, star = g.comp, g.units, g.star

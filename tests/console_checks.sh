@@ -102,9 +102,11 @@ hypergroup on 16 element(s): j0, j1, j2, j3, j4, j5, j6, j7, j8, j9, j10, j11, j
   associativity at (15, 14, 1, 2): defect 2.000e-09
 REPORT
 # SU(2)_20 with its basis in a seeded shuffled order: the certificate's first
-# generator is j1 or j19, whichever comes first, so the rescaled table passes
-# with no associativity kernel: exit 0; with lambda[j1][j1][j2] raised by 2e-9
-# the kernel runs and gives the same report as before: exit 1
+# generator is j1 or j19, whichever comes first (the squares of both hold two
+# levels, the fewest above the unit's one), and either generates the ring, so
+# the rescaled table passes with no associativity kernel: exit 0; with
+# lambda[j1][j1][j2] raised by 2e-9 the kernel runs and gives the same report
+# as before: exit 1
 python -c 'import json, random; k = 20; n = k + 1; p = list(range(n)); random.Random(20).shuffle(p); q = sorted(range(n), key=p.__getitem__); N = [[[int(abs(i - j) <= l <= min(i + j, 2 * k - i - j) and (i + j + l) % 2 == 0) for l in q] for j in q] for i in q]; print(json.dumps({"format_version": 1, "kind": "fusion_ring", "labels": [f"j{i}" for i in q], "unit": p[0], "N": N}))' > "$work/su2-20.json"
 "$@" build fusion "$work/su2-20.json" --json > "$work/su2-20-table.json"
 "$@" validate "$work/su2-20-table.json"
@@ -129,6 +131,36 @@ hypergroup on 21 element(s): j15, j12, j10, j18, j20, j16, j14, j8, j19, j4, j17
   associativity at (20, 20, 4, 3): defect 2.000e-09
   associativity at (20, 20, 8, 10): defect 1.315e-09
   associativity at (20, 20, 13, 9): defect 1.080e-09
+REPORT
+# SU(2)_31 in a seeded shuffled order where j30 comes before j1: j30 is the
+# first generator and reaches the even levels only, the invertible j31 the
+# second, so the rescaled table passes with no associativity kernel: exit 0
+# (least-index generators needed the kernel on this order); with
+# lambda[j1][j1][j2] raised by 2e-9 the kernel gives the same report: exit 1
+python -c 'import json, random; k = 31; n = k + 1; p = list(range(n)); random.Random(38).shuffle(p); q = sorted(range(n), key=p.__getitem__); N = [[[int(abs(i - j) <= l <= min(i + j, 2 * k - i - j) and (i + j + l) % 2 == 0) for l in q] for j in q] for i in q]; print(json.dumps({"format_version": 1, "kind": "fusion_ring", "labels": [f"j{i}" for i in q], "unit": p[0], "N": N}))' > "$work/su2-31.json"
+"$@" build fusion "$work/su2-31.json" --json > "$work/su2-31-table.json"
+"$@" validate "$work/su2-31-table.json"
+python -c 'import json, sys; doc = json.load(open(sys.argv[1])); i, l = (doc["labels"].index(s) for s in ("j1", "j2")); doc["lambda"][i][i][l] += 2e-9; print(json.dumps(doc))' "$work/su2-31-table.json" > "$work/raised.json"
+code=0
+"$@" validate "$work/raised.json" > "$work/out.txt" || code=$?
+cat "$work/out.txt"
+test "$code" -eq 1
+diff - "$work/out.txt" <<'REPORT'
+hypergroup on 32 element(s): j5, j21, j26, j27, j10, j19, j8, j9, j15, j12, j16, j25, j3, j30, j23, j4, j6, j14, j18, j20, j13, j1, j24, j28, j29, j22, j31, j7, j11, j17, j2, j0
+13 axiom violation(s):
+  convexity at (21, 21): defect 2.000e-09
+  associativity at (13, 21, 21, 23): defect 1.325e-09
+  associativity at (13, 26, 21, 30): defect 2.000e-09
+  associativity at (21, 13, 26, 30): defect 2.000e-09
+  associativity at (21, 21, 13, 23): defect 1.325e-09
+  associativity at (21, 21, 24, 3): defect 1.098e-09
+  associativity at (21, 21, 26, 24): defect 2.000e-09
+  associativity at (21, 21, 30, 15): defect 1.098e-09
+  associativity at (21, 26, 13, 30): defect 2.000e-09
+  associativity at (24, 21, 21, 3): defect 1.098e-09
+  associativity at (26, 13, 21, 30): defect 2.000e-09
+  associativity at (26, 21, 21, 24): defect 2.000e-09
+  associativity at (30, 21, 21, 15): defect 1.098e-09
 REPORT
 # SU(2)_100 from the truncated Clebsch-Gordan rule: its associativity is
 # checked once, when the ring is built, by the generator certificate, not the

@@ -9,8 +9,8 @@ eigenvector of their sum.
 the vectorized ``match_quadratic`` replaced, and the two
 ``associativity_reference`` functions are the n^4 einsum checks that the
 per-slice kernel of ``validate`` and ``validate_groupoid`` replaced, and
-``associativity_kernel_reference`` is that per-slice kernel without the
-commutative screen that now runs ahead of it.
+``associativity_kernel_reference`` is that per-slice kernel written out
+on its own, which the library's must match bit for bit.
 ``table_isomorphism_reference`` is the loop over all basis permutations
 that the colour-refined search of ``table_isomorphism`` replaced.
 ``involution_reference`` is the loop over unit coefficients that the
@@ -142,7 +142,7 @@ def associativity_reference(lam, tol):
 
 
 def associativity_kernel_reference(ab, mc, bc, aq, tol):
-    """[((a, b, c, p), defect)] from every full slice, as the kernel ran before its screen."""
+    """[((a, b, c, p), defect)] from every slice, with the kernel's products and buffers."""
     nm, nc, np_ = mc.shape
     nb, nq = bc.shape[0], bc.shape[2]
     mc_flat = mc.reshape(nm, nc * np_)

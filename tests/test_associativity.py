@@ -1,13 +1,12 @@
-"""The commutative screen of the associativity kernel.
+"""Associativity: the per-slice kernel and the generator certificate.
 
-Every case compares the screened kernel with the unscreened per-slice
-kernel (``oracles.associativity_kernel_reference``: same lists, order
-and magnitudes, bit for bit) and with the n^4 einsum check
+Every kernel case compares the kernel with the per-slice reference
+(``oracles.associativity_kernel_reference``: same lists, order and
+magnitudes, bit for bit) and with the n^4 einsum check
 (``oracles.associativity_reference``: same lists and order, magnitudes
 within 1e-12, since einsum sums in another order).  The matrix products
-the kernel computes are recorded to tell which path it took: a screened
-slice writes its ``a(bc)`` half into a 3-d buffer, a full slice into an
-(n^2, n) matrix.
+the certificate computes are recorded to tell how many generators it
+tested.
 """
 
 import contextlib
@@ -30,8 +29,6 @@ from test_constructions import verlinde_dims
 from test_core import assert_matches_reference, associativity_found, su2_table
 from test_golden import DIGESTS
 
-EPS = np.finfo(np.float64).eps
-
 
 def relabel(lam, perm):
     """``lam`` with basis element i renamed perm[i]."""
@@ -43,15 +40,6 @@ def relabel(lam, perm):
 def commutative_base(k, seed):
     """SU(2)_k with its basis shuffled, so the unit is rarely slice 0."""
     return relabel(su2_table(k).lam, np.random.default_rng(seed).permutation(k + 1))
-
-
-def integer_spins():
-    """The integer spins of SU(2)_31: 16 elements, commutative and associative.
-
-    No element but the unit is invertible, so off the unit row and
-    column every coefficient is at most 0.75.
-    """
-    return np.array(su2_table(31).lam[::2, ::2, ::2])
 
 
 def raise_pair(lam, i, j, l, amount):
@@ -75,179 +63,54 @@ def recorded_products():
         yield shapes
 
 
-def paths(shapes, n):
-    """(screened slices, full slices) among the recorded products.
-
-    Either no slice is screened and all n are full, or all n are
-    screened and clean, or the first failing screened slice is the
-    first full one: at most two products more than without the screen.
-    """
-    screened = sum(len(s) == 3 for s in shapes)
-    full = sum(s == (n * n, n) for s in shapes)
-    assert len(shapes) == 2 * (screened + full)
-    assert (screened, full) in ((0, n), (n, 0)) or full == n - screened + 1
-    return screened, full
-
-
 def kernel_run(lam, tol):
-    """Violations of the kernel on (lam, lam, lam, lam) and its (screened, full) slices."""
+    """Violations of the kernel on (lam, lam, lam, lam)."""
     vios = []
-    with recorded_products() as shapes:
-        core._associativity_violations(lam, lam, lam, lam, (), tol, vios)
-    return [(v.indices, v.magnitude) for v in vios], paths(shapes, len(lam))
+    core._associativity_violations(lam, lam, lam, lam, (), tol, vios)
+    return [(v.indices, v.magnitude) for v in vios]
 
 
 def assert_kernel_matches(lam, tol, einsum=True):
-    """Screened kernel == unscreened kernel (== einsum); returns (found, screened, full)."""
+    """Kernel == its per-slice reference (== einsum) == ``validate``; returns the violations."""
     kernel = oracles.associativity_kernel_reference(lam, lam, lam, lam, tol)
-    found, (screened, full) = kernel_run(lam, tol)
+    found = kernel_run(lam, tol)
     assert found == kernel
     if einsum:
         assert_matches_reference(found, oracles.associativity_reference(lam, tol))
     table = hk.HypergroupTable(tuple(map(str, range(len(lam)))), 0, range(len(lam)), lam)
     report = hk.validate(table, tol)
     assert [(v.indices, v.magnitude) for v in report.violations if v.axiom == "associativity"] == kernel
-    return found, screened, full
+    return found
 
 
 def deviations(lam):
-    """|(ab)c - a(bc)| and the screened |S| (c >= a, zero elsewhere), by einsum."""
-    n = len(lam)
+    """|(ab)c - a(bc)|, by einsum."""
     left = np.einsum("abm,mcp->abcp", lam, lam)
-    dev = np.abs(left - np.einsum("bcq,aqp->abcp", lam, lam))
-    screened = np.abs(left - np.einsum("cbq,aqp->abcp", lam, lam))
-    upper = np.arange(n)[None, None, :, None] >= np.arange(n)[:, None, None, None]
-    return dev, np.where(upper, screened, 0.0)
-
-
-def margin_of(lam):
-    """``5 n M delta + 2 e``, computed here from the documented formula."""
-    n = len(lam)
-    delta = np.max(np.abs(lam - lam.transpose(1, 0, 2)))
-    big = np.max(np.abs(lam))
-    gamma = n * EPS / (1 - n * EPS)
-    e = 2 * (gamma + EPS) * (1 + gamma) * n * big**2
-    return 5 * n * big * delta + 2 * e
-
-
-class TestScreenCut:
-    def test_margin_formula(self):
-        rng = np.random.default_rng(3)
-        for k in (15, 20, 30):
-            lam = commutative_base(k, k)
-            lam[1, 2, 3] += 1e-12  # delta = 1e-12
-            for tol in (1e-9, 1e-6):
-                cut = core._screen_cut(lam, tol, np.empty_like(lam))
-                assert cut == pytest.approx(tol - margin_of(lam), rel=0, abs=1e-24)
-            lam = rng.random((k + 1, k + 1, k + 1))
-            assert core._screen_cut(lam, 1e-9, np.empty_like(lam)) is None
-
-    def test_exact_path_needs_a_commutative_ring(self):
-        # integer defects: tol 0.5 reports exactly the nonzero ones
-        N = oracles.su2_fusion_tensor(15).astype(float)
-        cut = core._screen_cut(N, 0.5, np.empty_like(N))
-        assert cut == pytest.approx(0.5 - margin_of(N), rel=0, abs=1e-24)
-        assert core._screen_cut(N, 0.0, np.empty_like(N)) is None
-        N[1, 2, 3] += 1.0  # delta = 1
-        assert core._screen_cut(N, 0.5, np.empty_like(N)) is None
-
-    def test_delta_just_below_and_above_the_cut_off(self):
-        tol = 1e-9
-        base = commutative_base(16, 5)
-        n = len(base)
-        i, j, l = next(e for e in zip(*np.nonzero((base > 0) & (base < 0.5))) if e[0] != e[1])
-        big = np.max(base)
-        critical = (tol - margin_of(base)) / (5 * n * big)  # base is commutative: 2 e only
-        for factor, screens in ((0.99, True), (1.01, False)):
-            lam = base.copy()
-            lam[i, j, l] += factor * critical
-            assert np.max(lam) == big
-            cut = core._screen_cut(lam, tol, np.empty_like(lam))
-            assert (cut is not None) == screens
-            found, screened, full = assert_kernel_matches(lam, tol)
-            assert found == []
-            assert (screened > 0) == screens
+    return np.abs(left - np.einsum("bcq,aqp->abcp", lam, lam))
 
 
 class TestScreenedKernel:
     def test_commutative_table_that_passes_is_screened_only(self):
         for k in (15, 24):
-            found, screened, full = assert_kernel_matches(su2_table(k).lam, hk.DEFAULT_TOL)
-            assert (found, screened, full) == ([], k + 1, 0)
+            assert assert_kernel_matches(su2_table(k).lam, hk.DEFAULT_TOL) == []
 
     def test_small_tables_are_not_screened(self):
-        n = core._SCREEN_MIN_N - 1
-        found, screened, full = assert_kernel_matches(su2_table(n - 1).lam, hk.DEFAULT_TOL)
-        assert (found, screened, full) == ([], 0, n)
+        assert assert_kernel_matches(su2_table(14).lam, hk.DEFAULT_TOL) == []
 
     def test_symmetric_perturbation_fails_and_resumes_at_first_failing_slice(self):
         for seed in range(6):
             lam = commutative_base(17, seed)
             rng = np.random.default_rng(seed)
             raise_pair(lam, *rng.integers(18, size=3), 1e-3)
-            found, screened, full = assert_kernel_matches(lam, hk.DEFAULT_TOL)
-            assert found
-            first = min(idx[0] for idx, _ in found)
-            # slices before the first violating one are screened and clean
-            assert screened == first + 1 and full == 18 - first
+            assert assert_kernel_matches(lam, hk.DEFAULT_TOL)
 
     def test_resume_from_the_first_slice(self):
         lam = commutative_base(17, 0)
         n = len(lam)
         j, l = next((j, l) for j in range(1, n) for l in range(1, n) if lam[0, j, l] > 0.1)
         raise_pair(lam, 0, j, l, 1e-4)
-        found, screened, full = assert_kernel_matches(lam, hk.DEFAULT_TOL)
+        found = assert_kernel_matches(lam, hk.DEFAULT_TOL)
         assert any(idx[0] == 0 for idx, _ in found)
-        assert (screened, full) == (1, n)
-
-    def test_resume_from_the_last_slice(self):
-        # the unit moved last and its left law raised by eps: the screen of
-        # the last slice sees eps, every other slice at most 0.75 eps, so
-        # with tol between them only the last slice is scanned in full
-        lam = relabel(integer_spins(), np.roll(np.arange(16), 1))
-        n = len(lam)
-        lam[n - 1, 3, 5] += 1e-11
-        _, screened_dev = deviations(lam)
-        per_slice = screened_dev.reshape(n, -1).max(axis=1)
-        assert per_slice[-1] > 1.2 * per_slice[:-1].max()
-        tol = margin_of(lam) + (per_slice[-1] + per_slice[:-1].max()) / 2
-        assert assert_kernel_matches(lam, tol) == ([], n, 1)
-
-    def test_worst_deviation_inside_the_margin_falls_back_and_passes(self):
-        lam = commutative_base(16, 2)
-        raise_pair(lam, 3, 5, 7, 1e-7)
-        lam[4, 6, 8] += 1e-10  # delta > 0 widens the margin
-        dev, screened_dev = deviations(lam)
-        margin = margin_of(lam)
-        worst = max(dev.max(), screened_dev.max())
-        assert 2 * margin < worst
-        tol = worst + margin / 2  # worst lies in [tol - margin, tol]
-        found, screened, full = assert_kernel_matches(lam, tol)
-        assert found == [] and full >= 1 and screened + full == len(lam) + 1
-
-    def test_margin_covers_the_mirror_of_a_cleared_slice(self):
-        # a symmetric defect, then a small asymmetric one that deepens the
-        # mirror (c, b, a, p) of the worst screened entry (a, b, c, p): the
-        # mirror now exceeds every screened deviation, so a tol between them
-        # is caught only through the margin
-        n = 16
-        upper = np.arange(n)[None, None, :, None] >= np.arange(n)[:, None, None, None]
-        for i, j, l in ((3, 5, 7), (2, 6, 9), (4, 8, 11), (1, 9, 12)):
-            lam = integer_spins()
-            raise_pair(lam, i, j, l, 1e-6)
-            left = np.einsum("abm,mcp->abcp", lam, lam)
-            signed = left - np.einsum("bcq,aqp->abcp", lam, lam)
-            a, b, c, p = np.unravel_index(np.argmax(np.abs(signed) * upper), signed.shape)
-            q = np.argmax(lam[c, :, p])
-            lam[b, a, q] -= np.sign(signed[c, b, a, p]) * 1e-9  # raises |D[c, b, a, p]|
-            dev, screened_dev = deviations(lam)
-            if dev.max() > screened_dev.max() + 1e-11 > 2 * margin_of(lam):
-                break
-        else:
-            pytest.fail("no defect in the list puts a mirror above every screened deviation")
-        tol = (dev.max() + screened_dev.max()) / 2
-        found, screened, full = assert_kernel_matches(lam, tol)
-        assert found and full > 0
 
     def test_non_commutative_table_skips_the_screen(self):
         # x * b = alpha_b x and b * x = 0: violations only in the last slice
@@ -256,20 +119,21 @@ class TestScreenedKernel:
         lam = np.zeros((n, n, n))
         lam[:-1, :-1, :-1] = base.lam
         lam[-1, :, -1] = np.linspace(0.5, 1.5, n)
-        found, screened, full = assert_kernel_matches(lam, hk.DEFAULT_TOL)
+        found = assert_kernel_matches(lam, hk.DEFAULT_TOL)
         assert found and {idx[0] for idx, _ in found} == {n - 1}
-        assert (screened, full) == (0, n)
 
 
-def certificate(N, unit=0):
-    """``core._generator_certificate`` on the integer tensor N, the one-object grid."""
-    return core._generator_certificate(core._RingBlocks((((N,),),)), (unit,))
+def certificate(N, unit=0, conj=None):
+    """``core._generator_certificate`` on the integer tensor N, the one-object
+    grid, with conjugation ``conj`` (the identity if None)."""
+    star = ((tuple(range(len(N))) if conj is None else conj,),)
+    return core._generator_certificate(core._RingBlocks((((N,),),)), (unit,), star)
 
 
 def certificate_products(n, generators):
     """The products of ``core._generator_certificate``: two a row block, one
-    or (from ``core._SCREEN_MIN_N`` elements on) two blocks a generator."""
-    rows = n if n < core._SCREEN_MIN_N else -(-n // 2)
+    or (from ``core._CERTIFY_MIN_N`` elements on) two blocks a generator."""
+    rows = n if n < core._CERTIFY_MIN_N else -(-n // 2)
     blocks = [m for m in (rows, n - rows) if m]
     return [shape for m in blocks for shape in ((m, n * n), (m, n, n))] * generators
 
@@ -297,7 +161,7 @@ class TestFusionRingScreen:
         N = oracles.su2_fusion_tensor(17)
         # validate_fusion_ring certifies it from the generator j1 alone, without the kernel
         assert self.check(N) == ([], certificate_products(18, 1))
-        assert kernel_run(N.astype(float), 0.5) == ([], (18, 0))
+        assert kernel_run(N.astype(float), 0.5) == []
 
     def test_commutative_non_associative_rings(self):
         for i, j, l in ((1, 2, 3), (5, 5, 6), (16, 3, 17), (2, 9, 11)):
@@ -307,15 +171,14 @@ class TestFusionRingScreen:
             # the generator j1 fails its middle law, and the kernel runs
             head = certificate_products(18, 1)
             assert shapes[: len(head)] == head
-            screened, full = paths(shapes[len(head) :], 18)
-            assert found and screened >= 1 and full == 18 - screened + 1
+            assert found and len(shapes) > len(head)
 
     def test_non_commutative_ring_takes_no_exact_screen(self, groups):
         group = groups["s4"]
         n = group.order
         N = np.zeros((n, n, n))
         N[np.arange(n)[:, None], np.arange(n)[None, :], group.mul] = 1.0
-        assert kernel_run(N, 0.5) == ([], (0, n))
+        assert kernel_run(N, 0.5) == oracles.associativity_kernel_reference(N, N, N, N, 0.5) == []
 
 
 def group_ring(group):
@@ -391,28 +254,29 @@ class TestGeneratorCertificate:
             raise_pair(N, i, j, l, 1)
         assert_associativity_matches_reference(N, conj)
 
-    def odd_levels_first(self):
-        """SU(2)_31 with the odd levels 3, 5, ..., 31 listed right after the unit.
+    def elementary_abelian_ring(self):
+        """The group ring of Z2^5: ``N[a, b, a ^ b] = 1``, every element its own inverse.
 
-        A product of two odd levels from 3 up holds only even levels, two
-        or more of them nonzero, so the products of the unit and the first
-        n / 8 = 4 greedy generators (levels 3, 5, 7, 9) certify nothing new,
-        and the certificate gives up before a fifth.
+        Every element is invertible, and each generator only doubles the
+        subgroup certified so far, so the certificate needs five generators
+        against its budget of n / 8 = 4 and gives up before a fifth.
         """
-        order = [0, *range(3, 32, 2), 1, *range(2, 32, 2)]
-        return relabel(oracles.su2_fusion_tensor(31), np.argsort(order))
+        n = 32
+        N = np.zeros((n, n, n), dtype=np.int64)
+        N[np.arange(n)[:, None], np.arange(n)[None, :], np.arange(n)[:, None] ^ np.arange(n)] = 1
+        return N
 
     def test_ring_without_triangular_steps_falls_back_to_the_kernel(self):
-        N = self.odd_levels_first()
+        N = self.elementary_abelian_ring()
         n = len(N)
         with recorded_products() as shapes:
             assert not certificate(N.astype(float))
         assert shapes == certificate_products(n, n // 8)
         with recorded_products() as shapes:
-            ring = hk.FusionRing(tuple(f"j{i}" for i in range(n)), 0, range(n), N)
+            ring = hk.FusionRing(tuple(f"g{i}" for i in range(n)), 0, range(n), N)
         head = certificate_products(n, 4)
         assert shapes[: len(head)] == head
-        assert paths(shapes[len(head) :], n) == (n, 0)
+        assert len(shapes) > len(head)  # the kernel ran
         with recorded_products() as shapes:
             table = hk.from_fusion_ring(ring)
         assert shapes == []
@@ -510,6 +374,60 @@ class TestGeneratorCertificate:
                 hk.FusionRing(labels, 0, conj, N)
 
 
+@contextlib.contextmanager
+def generators_tested():
+    """The generators ``(y, z, g)`` the certificate tests inside, with a
+    kernel that fails the test if it runs."""
+    tested = []
+    middle_law = core._middle_law
+
+    def recording(blocks, g, y, z):
+        tested.append((y, z, g))
+        return middle_law(blocks, g, y, z)
+
+    def kernel(*args):
+        raise AssertionError("the associativity kernel ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_middle_law", recording)
+        for module in (core, hk.constructions):
+            mp.setattr(module, "_associativity_violations", kernel)
+        yield tested
+
+
+class TestGeneratorChoice:
+    """The certificate proves rings and tables in any basis order: its first
+    generator is the arrow g whose ``g g*`` holds the fewest arrows but more
+    than the unit, and later ones are invertible arrows first."""
+
+    @pytest.mark.parametrize("k", [15, 20, 31, 40, 60, 100])
+    def test_shuffled_su2_needs_at_most_two_generators(self, k):
+        # j1 or j(k-1) comes first; j(k-1) leaves the invertible j(k) for a second
+        N, table = oracles.su2_fusion_tensor(k), hk.from_fusion_ring(su2_ring(k))
+        labels = tuple(f"j{i}" for i in range(k + 1))
+        for seed in range(20):
+            perm = np.random.default_rng(seed).permutation(k + 1)
+            with generators_tested() as by_ring:
+                hk.FusionRing(labels, int(perm[0]), range(k + 1), relabel(N, perm))
+            with generators_tested() as by_table:
+                assert hk.validate(oracles.relabel(table, perm)).passed
+            assert 1 <= len(by_ring) <= 2 and 1 <= len(by_table) <= 2, seed
+            first = {int(perm[1]), int(perm[k - 1])}
+            assert by_ring[0][2] in first and by_table[0][2] in first
+
+    def test_s5_double_cosets_in_level_order_and_shuffled(self):
+        s5 = hk.registry.symmetric_group(5)
+        table = hk.double_coset_hypergroup(s5, [s5.identity, 1])
+        assert table.n == 33
+        with generators_tested() as tested:
+            assert hk.validate(table).passed
+        assert len(tested) == 3
+        for seed in range(20):
+            shuffled = oracles.relabel(table, np.random.default_rng(seed).permutation(table.n))
+            with generators_tested():
+                assert hk.validate(shuffled).passed
+
+
 class TestGroupoidScreen:
     def test_only_violations_in_a_screened_endo_quadruple(self, tables):
         first = hk.HypergroupTable(
@@ -541,10 +459,6 @@ class TestGroupoidScreen:
         assert reference and {idx[:4] for idx, _ in reference} == {(0, 0, 0, 0)}
         assert found == [((0, 0, 0, 0, *idx), m) for idx, m in kernel]
         assert_matches_reference(found, reference)
-        with recorded_products() as shapes:
-            hk.validate_groupoid(g)
-        # the 18-element endo quadruple is screened; ghj's 2 elements are not
-        assert sum(len(s) == 3 for s in shapes) >= 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -556,6 +470,7 @@ class TestGroupoidScreen:
     tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
 )
 def test_commutative_tables_match_the_unscreened_kernel(k, seed, kind, size, tol):
+    """The kernel on shuffled SU(2)_k, raised or not, and on random commutative tables."""
     rng = np.random.default_rng(seed)
     n = k + 1
     lam = commutative_base(k, seed)
@@ -572,31 +487,8 @@ def test_commutative_tables_match_the_unscreened_kernel(k, seed, kind, size, tol
     # einsum rounds differently from the kernel, so a deviation within
     # round-off of tol (10**size == tol times a unit coefficient, say) may
     # fall on either side of it; only draws clear of that band compare
-    clear = np.all(np.abs(deviations(lam)[0] - tol) > 1e-14)
+    clear = np.all(np.abs(deviations(lam) - tol) > 1e-14)
     assert_kernel_matches(lam, tol, einsum=clear)
-
-
-def star_kernel_run(lam, star, tol):
-    """The kernel on (lam, lam, lam, lam) under ``star``.
-
-    Returns its violations, the output shapes of its matrix products and
-    the slices it scanned in full, read off the ``lam[a]`` operand of
-    each full slice's ``a(bc)`` product.
-    """
-    n = len(lam)
-    vios, shapes, full = [], [], []
-    matmul = np.matmul
-
-    def recording(x, y, out=None):
-        shapes.append(out.shape)
-        if out.shape == (n * n, n):
-            full.append((y.ctypes.data - lam.ctypes.data) // y.nbytes)
-        return matmul(x, y, out=out)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core.np, "matmul", recording)
-        core._associativity_violations(lam, lam, lam, lam, (), tol, vios, star=star)
-    return [(v.indices, v.magnitude) for v in vios], shapes, full
 
 
 def group_table(group, seed):
@@ -623,12 +515,13 @@ def star_pair(table, seed, amount):
     return lam
 
 
-def star_law_defect(lam, star):
-    return core._star_defect(lam, lam, (star, star, star), np.empty(lam.size), np.empty(lam.size))
+def obeys_star_law(lam, star):
+    """Whether ``lam[a, b, c] == lam[b*, a*, c*]`` exactly."""
+    return np.array_equal(lam, lam[np.ix_(star, star, star)].transpose(1, 0, 2))
 
 
 class TestStarScreen:
-    """Non-commutative tables screen through their involution, ``lam[a,b,c] == lam[b*,a*,c*]``."""
+    """Non-commutative tables: the kernel against its reference and ``validate``."""
 
     @pytest.fixture(scope="class")
     def group_tables(self, groups):
@@ -636,93 +529,40 @@ class TestStarScreen:
         return [group_table(group, seed) for group in (groups["s4"], z2_s4) for seed in (1, 2)]
 
     def check(self, table, lam, tol=hk.DEFAULT_TOL):
-        """Kernel under the table's star == unscreened kernel == ``validate``.
-
-        Returns the violations, the (screened, full) counts and the full slices.
-        """
+        """Kernel == its per-slice reference == ``validate``; returns the violations."""
         reference = oracles.associativity_kernel_reference(lam, lam, lam, lam, tol)
-        found, shapes, full_slices = star_kernel_run(lam, table.involution, tol)
-        screened, full = paths(shapes, len(lam))
+        found = kernel_run(lam, tol)
         assert found == reference
         broken = hk.HypergroupTable(table.labels, table.unit, table.involution, lam)
         report = hk.validate(broken, tol)
         assert associativity_found(report) == reference
-        return found, screened, full, full_slices
-
-    def test_star_defect_against_a_loop(self):
-        rng = np.random.default_rng(11)
-        for na, nb, nc in ((5, 5, 5), (3, 4, 6), (7, 2, 1)):
-            t, u = rng.random((na, nb, nc)), rng.random((nb, na, nc))
-            stars = [rng.permutation(size) for size in (na, nb, nc)]
-            want = max(
-                abs(t[a, b, c] - u[stars[1][b], stars[0][a], stars[2][c]])
-                for a in range(na) for b in range(nb) for c in range(nc)
-            )
-            got = core._star_defect(t, u, stars, np.empty(t.size), np.empty(t.size))
-            assert got == want
+        return found
 
     def test_group_tables_are_screened_only(self, group_tables):
         for table in group_tables:
             assert not hk.is_commutative(table)
             assert table.involution != tuple(range(table.n))
             lam = np.array(table.lam)
-            assert star_law_defect(lam, table.involution) == 0.0
-            assert self.check(table, lam) == ([], table.n, 0, [])
-            # the identity star is the commutative screen, which these tables fail
-            found, shapes, _ = star_kernel_run(lam, None, hk.DEFAULT_TOL)
-            assert (found, paths(shapes, table.n)) == ([], (0, table.n))
+            assert obeys_star_law(lam, table.involution)
+            assert self.check(table, lam) == []
 
     def test_one_raised_entry(self, group_tables):
         for seed, table in enumerate(group_tables):
-            n, inv = table.n, table.involution
+            n = table.n
             rng = np.random.default_rng(seed)
             a, b = rng.integers(n, size=2)
             c = int(np.argmax(table.lam[a, b]))
             for amount, tol in ((1e-3, hk.DEFAULT_TOL), (1e-12, hk.DEFAULT_TOL), (1e-12, 1e-13)):
                 lam = np.array(table.lam)
                 lam[a, b, c] += amount  # breaks the star law by amount
-                buffers = np.empty_like(lam), np.array(inv), np.empty(lam.size)
-                cut = core._screen_cut(lam, tol, *buffers)
-                found, screened, full, _ = self.check(table, lam, tol)
-                # a wide margin declines the screen; a narrow one clears every step
-                assert (screened, full) == ((n, 0) if cut is not None else (0, n))
+                found = self.check(table, lam, tol)
                 assert bool(found) == (amount > tol)
 
     def test_star_symmetric_raised_pair(self, group_tables):
         for seed, table in enumerate(group_tables):
-            n, inv = table.n, table.involution
             lam = star_pair(table, seed, 1e-4)
-            assert star_law_defect(lam, inv) == 0.0
-            found, screened, full, full_slices = self.check(table, lam)
-            assert found and screened >= 1 and full == n - screened + 1
-            # step i screens slice inv[i], so these are the slices not cleared
-            assert full_slices == sorted(a for a in range(n) if inv[a] >= screened - 1)
-
-    def test_each_step_screens_the_starred_slice(self):
-        # step i covers the columns c >= i of slice star[i], where S = D exactly
-        rng = np.random.default_rng(5)
-        n = 20
-        lam = rng.random((n, n, n))
-        star = np.arange(n)
-        pairs = rng.permutation(n)[:12].reshape(6, 2)
-        star[pairs[:, 0]], star[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
-        dev = np.abs(np.einsum("abm,mcp->abcp", lam, lam) - np.einsum("bcq,aqp->abcp", lam, lam))
-        per_step = np.array([dev[star[i], :, i:].max() for i in range(n)])
-        levels = np.sort(per_step)
-        assert np.min(np.diff(levels)) > 1e-9
-        for cut in (*(levels[:-1] + levels[1:]) / 2, levels[-1] + 1.0):
-            want = next((i for i in range(n) if per_step[i] > cut), n)
-            buffers = np.empty((n, n * n)), np.empty((n * n, n))
-            got = core._first_failing_step(lam, cut, *buffers, star)
-            assert got == want, cut
-
-    def test_full_scan_takes_the_slices_of_the_later_steps(self, group_tables, monkeypatch):
-        table = group_tables[2]
-        n, inv = table.n, table.involution
-        for first_failing in (0, 1, n // 2, n - 1):
-            monkeypatch.setattr(core, "_first_failing_step", lambda *args: first_failing)
-            _, _, full = star_kernel_run(np.array(table.lam), inv, hk.DEFAULT_TOL)
-            assert full == sorted(a for a in range(n) if inv[a] >= first_failing)
+            assert obeys_star_law(lam, table.involution)
+            assert self.check(table, lam)
 
     def test_non_involutive_star_skips_the_screen(self, group_tables):
         # x* = g x^-1 g^-1 for g of order 3 obeys the star law, but x** = g^2 x g^-2
@@ -731,27 +571,14 @@ class TestStarScreen:
         mul = np.argmax(lam, axis=2)
         g = next(g for g in range(n) if g != table.unit and mul[g, mul[g, g]] == table.unit)
         star = [int(mul[mul[g, inv[x]], inv[g]]) for x in range(n)]
-        assert star_law_defect(lam, star) == 0.0
+        assert obeys_star_law(lam, star)
         assert any(star[star[x]] != x for x in range(n))
-        found, shapes, full = star_kernel_run(lam, star, hk.DEFAULT_TOL)
-        assert (found, paths(shapes, n), full) == ([], (0, n), list(range(n)))
+        assert kernel_run(lam, hk.DEFAULT_TOL) == []
         report = hk.validate(hk.HypergroupTable(table.labels, table.unit, star, lam))
         assert [v.indices for v in report.violations if v.axiom == "involution-permutation"] == [
             (x,) for x in range(n) if star[star[x]] != x
         ]
         assert not [v for v in report.violations if v.axiom == "associativity"]
-
-    def test_identity_star_takes_no_gather(self, monkeypatch):
-        def gather(*args):
-            raise AssertionError("the identity star needs no gather")
-
-        monkeypatch.setattr(core, "_star_defect", gather)
-        table = su2_table(20)  # its involution is the identity tuple
-        lam, star, vios = table.lam, table.involution, []
-        with recorded_products() as shapes:
-            core._associativity_violations(lam, lam, lam, lam, (), hk.DEFAULT_TOL, vios, star=star)
-        assert vios == []
-        assert paths(shapes, table.n) == (table.n, 0)
 
     def test_non_commutative_ring_screens_exactly(self, groups):
         group = oracles.direct_product(groups["z2"], groups["s4"])
@@ -765,10 +592,8 @@ class TestStarScreen:
         # certified from its greedy generators, without the kernel
         generators = oracles.greedy_generators(group.mul, group.identity)
         assert shapes == certificate_products(n, len(generators))
-        Nf, vios = N.astype(float), []
-        with recorded_products() as shapes:
-            core._associativity_violations(Nf, Nf, Nf, Nf, (), 0.5, vios, star=inv)
-        assert (vios, paths(shapes, n)) == ([], (n, 0))
+        Nf = N.astype(float)
+        assert kernel_run(Nf, 0.5) == oracles.associativity_kernel_reference(Nf, Nf, Nf, Nf, 0.5) == []
 
 
 def proof_groupoid(group):
@@ -967,7 +792,7 @@ class TestGroupoidCertificate:
         # on one object the same rule is validate's cut-off of 16 elements
         for n in range(2, 40):
             cost, budget, spaces = core._certificate_plan([[n]])
-            assert (budget >= 2 * cost[0][0]) == (n >= core._SCREEN_MIN_N)
+            assert (budget >= 2 * cost[0][0]) == (n >= core._CERTIFY_MIN_N)
 
     def test_non_associative_rescaled_grid(self, groupoids):
         # in the group Mor(X0 -> X0) of S4 the point mass a b moves to another
@@ -1118,7 +943,7 @@ class TestGroupProof:
 
 def reference_report(table, tol):
     """``validate``'s report from its parts, in its order: the other axioms
-    around the unscreened kernel's associativity violations."""
+    around the kernel reference's associativity violations."""
     lam = table.lam
     others = core._report(table, tol, False).violations
     first = [v for v in others if v.axiom in ("nonnegativity", "convexity", "unit")]
@@ -1308,7 +1133,7 @@ class TestScreenMemory:
         assert peak <= 2 * largest + 128 * 2**10
 
     def test_peak_of_validate_is_two_cubes(self, groups):
-        # the screen reads views of the table, under any star: no n^3 copy
+        # the kernel and the certificate read views of the table: no n^3 copy
         group = oracles.direct_product(groups["z2"], groups["s4"])
         for table in (su2_table(40), group_table(group, 3)):
             assert self.peak(table) <= 2 * table.n**3 * 8 + 128 * 2**10
