@@ -28,8 +28,8 @@ import warnings
 
 import numpy as np
 
-from .core import DEFAULT_TOL, HypergroupTable, ValidationReport, _RHO, _RingBlocks
-from .core import _as_index_tuple, _associativity_violations, _certificate_plan, _float_tensor
+from .core import DEFAULT_TOL, HypergroupTable, ValidationReport, _RHO
+from .core import _as_index_tuple, _associativity_violations, _float_tensor
 from .core import _generator_certificate, _grid, _int_tensor, _report, _rescaling_margin
 from .errors import AxiomError, NumericalError, PreconditionError, StructureError
 
@@ -322,17 +322,17 @@ def validate_fusion_ring(ring: FusionRing) -> None:
     reciprocity ``N[i, j, l] == N[conj(i), l, j]`` is reported as a
     warning only, since rescalings of group-like data may lack it.
 
-    ``FusionRing`` runs it once, on construction.  From 8 elements on,
-    where ``core._certificate_plan`` budgets a generator, associativity
-    is first certified from a generating set
-    (``core._generator_certificate``, 2 n^4 multiply-adds a generator,
-    one or two for SU(2)_k in any basis order); below that or when it
-    fails, the kernel of ``validate`` runs at tol 0.5, in 2 n^5
-    multiply-adds.  ``FusionRing`` keeps ``n * max(N)**2`` below 2**53,
-    so every partial sum is an integer that float64 holds and every
-    defect a whole number.  The certificate passes only an associative
-    ring, so the outcome and the report are the kernel's alone.  Memory
-    is O(n^3).  The error's ``report`` lists every violation.
+    ``FusionRing`` runs it once, on construction.  Associativity is
+    first certified from a generating set (``core._generator_certificate``,
+    2 n^4 multiply-adds a generator, at most n / 8 of them; one or two
+    for SU(2)_k in any basis order).  On 2 to 7 elements, where the
+    budget holds no generator, or when the certificate fails, the kernel
+    of ``validate`` runs at tol 0.5, in 2 n^5 multiply-adds.
+    ``FusionRing`` keeps ``n * max(N)**2`` below 2**53, so every partial
+    sum is an integer that float64 holds and every defect a whole number.
+    The certificate passes only an associative ring, so the outcome and
+    the report are the kernel's alone.  Memory is O(n^3).  The error's
+    ``report`` lists every violation.
     """
     N = ring.N
     unit = ring.unit
@@ -347,10 +347,7 @@ def validate_fusion_ring(ring: FusionRing) -> None:
     if not np.array_equal(N, frob):
         warnings.warn("fusion ring lacks Frobenius symmetry N[i,j,l] = N[conj(i),l,j]")
     Nf = N.astype(np.float64)
-    cost, budget, _ = _certificate_plan([[ring.n]])
-    if cost[0][0] <= budget and _generator_certificate(
-        _RingBlocks((((Nf,),),)), (unit,), ((ring.conj,),)
-    ):
+    if _generator_certificate(Nf, unit, ring.conj):
         return
     vios = []
     _associativity_violations(Nf, Nf, Nf, Nf, (), 0.5, vios)

@@ -25,7 +25,6 @@ pure function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -40,10 +39,10 @@ _EPS = float(np.finfo(np.float64).eps)
 _INT64_MAX = np.iinfo(np.int64).max
 _BOOL_TYPES = frozenset({bool, np.bool_})
 #: Smallest basis on which ``validate`` tries the certificate of
-#: ``_rescaled_ring``: from there on a quarter of the kernel's work covers
-#: two generators (``_certificate_plan``).  Below it ``_RingBlocks`` gives a
-#: generator's products twice the room, for one block of matrix products
-#: where two would cost mostly call overhead.
+#: ``_rescaled_ring``: from there on the certificate's budget of n / 8
+#: generators, a quarter of the kernel's work, covers two.  Below it
+#: ``_middle_law`` multiplies all rows of a generator's products at once,
+#: where two row blocks would cost mostly call overhead.
 _CERTIFY_MIN_N = 16
 
 
@@ -305,312 +304,114 @@ def _rescaling_margin(n, big, delta) -> float:
     return 2.0 * n * (2.0 * big * delta + delta * delta) + error
 
 
-class _RingBlocks:
-    """The integer blocks ``N[x][y][z]`` of a composition grid, rounded as they are needed.
+def _generator_certificate(N, unit, star, work=None) -> bool:
+    """Whether a generating set proves the integer ring N associative.
 
-    ``comp[x][y][z]`` composes Mor(y -> x) with Mor(z -> y) into Mor(z ->
-    x), of shape (|Mor(y->x)|, |Mor(z->y)|, |Mor(z->x)|), as in
-    ``groupoid.Hypergroupoid``; a table is the one-object grid
-    ``(((lam,),),)``.  After ``rescale(scales)`` (``scales[x][y]``, one
-    positive float per arrow of Mor(y -> x)), ``N[a, b, c] =
-    rint(comp[x][y][z][a, b, c] d_a d_b / d_c)``, each entry rounded
-    alike in whatever slice asks for it; before, ``comp`` holds N and
-    nothing is copied.  Two
-    buffers bound the memory: ``held``, of the largest block's size,
-    keeps the last block rounded into it, and ``work``, of about that
-    size (``room``, twice that below ``_CERTIFY_MIN_N`` arrows, where one
-    block of products is cheaper), takes a block of at most half of it
-    at its front and the caller's products behind it.
-    """
-
-    def __init__(self, comp):
-        objs = range(len(comp))
-        self.comp = comp
-        self.size = [[comp[x][y][0].shape[0] for y in objs] for x in objs]
-        self.n = max(map(max, self.size))
-        self.largest = max(t.size for grid in comp for row in grid for t in row)
-        self.room = self.largest * (1 if self.n >= _CERTIFY_MIN_N else 2)
-        self.held = self.work = None
-        self.rescale(None)
-
-    def rescale(self, scales):
-        """Round with ``scales`` from now on; no block is at hand."""
-        self.scales = scales
-        self.at_hand = {}  # block -> the array holding it rounded in full
-        self.in_held = self.in_front = None
-
-    def scratch(self):
-        """``work``, flat, allocated on first use with room for any block
-        ``_generator_certificate`` may round into it and the products behind."""
-        if self.work is None:
-            size, objs = self.size, range(len(self.size))
-            need = self.room
-            for x, y, z, w in itertools.product(objs, repeat=4):
-                front = self.comp[x][z][w].size
-                at_front = self.scales is not None and 2 * front <= self.room
-                for used in {0, front if at_front else 0}:
-                    per_row = self.per_row(x, y, z, w, y == z or self.scales is None)
-                    need = max(need, used + self.step(size[x][y], per_row, used) * per_row)
-            self.work = np.empty(need)
-        return self.work
-
-    def per_row(self, x, y, z, w, ready):
-        """Floats of ``work`` that one arrow a in Mor(y -> x) takes in the test
-        of a generator in Mor(z -> y) against Mor(w -> z): its rows of ``(a g) b``
-        and ``a (g b)``, and of ``N[x][y][w]`` unless that block is ``ready``."""
-        size = self.size
-        return size[x][w] * (2 * size[z][w] + (0 if ready else size[y][w]))
-
-    def step(self, rows, per_row, used):
-        """Rows a block: ``rows`` split evenly into as few blocks as keep each
-        block's products, give or take a row, within ``room`` less the ``used``
-        floats at ``work``'s front (``scratch`` sizes ``work`` for the row)."""
-        if not rows * per_row:
-            return rows
-        parts = -(-rows * per_row // (self.room - used))
-        return -(-rows // parts)
-
-    def branches(self, star):
-        """For each arrow g of Mor(y -> x), hom-space by hom-space in (x, y)
-        order, how many arrows c have ``N[g, g*, c] > 0`` for ``g* =
-        star[x][y][g]``: 1 just when g is invertible.  Read off ``comp[g, g*,
-        c] d_g d_g* / d_c > 0.5``, computed as ``_round`` computes it, one row
-        of Mor(x -> x) an arrow: O(n^2) on one object."""
-        objs = range(len(self.size))
-        counts = []
-        for x, y in itertools.product(objs, repeat=2):
-            s = np.asarray(star[x][y], dtype=np.intp)
-            rows = self.comp[x][y][x][np.arange(s.size), s]  # a copy
-            if self.scales is not None:
-                d = self.scales
-                np.multiply(rows, (d[x][y] * d[y][x][s])[:, None], out=rows)
-                np.divide(rows, d[x][x], out=rows)
-            counts.append(np.count_nonzero(rows > 0.5, axis=1))
-        return np.concatenate(counts)
-
-    def ready(self, key) -> bool:
-        """Whether block ``key`` is at hand in full, without rounding."""
-        return self.scales is None or key in self.at_hand
-
-    def block(self, key, front=False):
-        """Block ``key = (x, y, z)`` of N in full: ``comp``'s own, one at hand,
-        or rounded now into ``held`` or (``front``) ``work``'s front."""
-        x, y, z = key
-        if self.scales is None:
-            return self.comp[x][y][z]
-        arr = self.at_hand.get(key)
-        if arr is not None:
-            return arr
-        if front:
-            self.at_hand.pop(self.in_front, None)
-            self.in_front, buf = key, self.scratch()
-        else:
-            self.at_hand.pop(self.in_held, None)
-            if self.held is None:
-                self.held = np.empty(self.largest)
-            self.in_held, buf = key, self.held
-        t = self.comp[x][y][z]
-        arr = self.at_hand[key] = buf[: t.size].reshape(t.shape)
-        self._round(key, slice(None), slice(None), arr)
-        return arr
-
-    def fetch(self, key):
-        """``block(key)`` for a caller that then writes into ``work``: the block,
-        at ``work``'s front if it fits in half of it, and how many floats of
-        ``work`` it takes there (0 if none; a block held there before is dropped)."""
-        x, y, z = key
-        small = 2 * self.comp[x][y][z].size <= self.room
-        arr = self.block(key, front=small and not self.ready(key))
-        if key == self.in_front:
-            return arr, arr.size
-        self.at_hand.pop(self.in_front, None)
-        self.in_front = None
-        return arr, 0
-
-    def part(self, key, rows, cols, buf=None):
-        """``N[x][y][z][rows, cols]`` for slices ``rows`` and ``cols``: a view of
-        a block at hand, else rounded into the flat ``buf`` (a new array if None)."""
-        x, y, z = key
-        arr = self.comp[x][y][z] if self.scales is None else self.at_hand.get(key)
-        if arr is not None:
-            return arr[rows, cols]
-        t = self.comp[x][y][z][rows, cols]
-        out = np.empty(t.shape) if buf is None else buf[: t.size].reshape(t.shape)
-        self._round(key, rows, cols, out)
-        return out
-
-    def _round(self, key, rows, cols, out):
-        x, y, z = key
-        d = self.scales
-        outer = d[x][y][rows][:, None] * d[y][z][cols][None, :]
-        # einsum, unlike a broadcasting multiply, takes no ufunc buffer
-        np.einsum("abc,ab->abc", self.comp[x][y][z][rows, cols], outer, out=out)
-        np.divide(out, d[x][z], out=out)
-        np.rint(out, out=out)
-
-
-def _certificate_plan(size):
-    """The cost model of ``_generator_certificate`` for hom-space sizes
-    ``size[x][y] = |Mor(y -> x)|``: ``cost[y][z]``, the multiply-adds of
-    testing one generator in Mor(z -> y), ``sum_xw s_xy s_zw s_xw (s_xz +
-    s_yw)``; the budget, a quarter of the quadruple pass that a passing
-    grid takes, ``sum_xyzw s_xy s_yz s_zw s_xw (s_xz + s_yw) / 2``; and
-    the hom-spaces (x, y) that hold more than a unit."""
-    objs = range(len(size))
-    cost = [
-        [
-            sum(size[x][y] * size[z][w] * size[x][w] * (size[x][z] + size[y][w])
-                for x in objs for w in objs)
-            for z in objs
-        ]
-        for y in objs
-    ]
-    budget = sum(cost[y][z] * size[y][z] for y in objs for z in objs) / 8
-    spaces = [(x, y) for x in objs for y in objs if size[x][y] > (x == y)]
-    return cost, budget, spaces
-
-
-def _generator_certificate(blocks: _RingBlocks, units, star) -> bool:
-    """Whether a generating set proves the integer blocks of ``blocks`` associative.
-
-    The arrows span an algebra: ``a b = sum_c N[x][y][z][a, b, c] c`` for
-    a in Mor(y -> x) and b in Mor(z -> y), and 0 when they do not
-    compose; one object gives a ring.  Its associativity is that of
-    every object quadruple.  The set A = {a : (x a) y = x (a y) for all
+    The basis spans a ring: ``a b = sum_c N[a, b, c] c``, N a float
+    tensor of whole numbers.  The set A = {a : (x a) y = x (a y) for all
     x, y} is closed under products: for a, b in A, (x(ab))y = ((xa)b)y =
     (xa)(by) = x(a(by)) = x((ab)y) (Light's test; Clifford & Preston,
-    Algebraic Theory of Semigroups I, 1961, section 1.2).  Every unit
-    ``units[x]`` is in A by the unit laws, which the caller checks first,
-    and N is nonnegative.  If c is the only uncertified arrow in the
-    support of a product ``a g`` of a certified arrow and a generator,
-    ``N[a, g, c] c`` is ``a g`` minus certified arrows, so c is in A.
-    When no such product remains, the next generator comes from the
-    first hom-space Mor(z -> y), in (y, z) order, with an uncertified
-    arrow.  Its arrows are ranked by how many arrows ``g g*`` holds
-    (``star[y][z]`` gives g*, ``_RingBlocks.branches``), read once, in
-    O(n^2) on one object: the first generator is the uncertified g whose
-    ``g g*`` holds the fewest but more than the unit (j1 or j(k-1) of
-    SU(2)_k in any basis order); a later one is an invertible arrow
-    while there is one, since it certifies ``a g`` for every certified a,
-    else again the fewest; ties go to the least index.
-    A generator g in Mor(z -> y) is tested by (a g) b = a (g b) for a in
-    Mor(y -> x) and b in Mor(w -> z) over every object pair (x, w): two
-    matrix products a pair, ``cost[y][z]`` of ``_certificate_plan`` (2
-    n^4 multiply-adds on one object), exactly, since the caller keeps
-    ``n * max(N)**2`` below 2**53.  The blocks of N come from ``blocks``
-    as they are needed, and the products go into its ``work`` in row
-    blocks of a (``_middle_law``), so memory stays within its two
-    buffers, plus one byte an arrow for each generator g and arrow a
-    whose product ``a g`` still holds an uncertified arrow (n^2 a
-    generator on one object; ``_closure_rows``), and a few blocks of
-    ``a g`` and ``g b``.  Each arrow certified costs five numpy calls.
-    False, for the caller to run the kernel, when a test fails, or when
-    one more generator would bring the tests above the budget of
-    ``_certificate_plan``, a quarter of the quadruple pass (n^5 / 4 on
-    one object: at most n / 8 generators); so, before any allocation,
-    always on 2 to 7 elements.  SU(2)_k needs one or two generators,
-    groups and the double-coset groupoids a few.
+    Algebraic Theory of Semigroups I, 1961, section 1.2).  The unit is
+    in A by the unit laws, which the caller checks first, and N is
+    nonnegative.  If c is the only uncertified element in the support
+    of a product ``a g`` of a certified element and a generator, ``N[a,
+    g, c] c`` is ``a g`` minus certified elements, so c is in A.  When
+    no such product remains, the next generator is taken by how many
+    elements ``g g*`` holds (``star`` gives g*), read once, in O(n^2):
+    the first generator is the uncertified g whose ``g g*`` holds the
+    fewest but more than the unit (j1 or j(k-1) of SU(2)_k in any basis
+    order); a later one is an invertible element while there is one,
+    since it certifies ``a g`` for every certified a, else again the
+    fewest; ties go to the least index.  A generator is tested by ``(a
+    g) b = a (g b)`` for all a and b, 2 n^4 multiply-adds
+    (``_middle_law``), exactly, since the caller keeps ``n * max(N)**2``
+    below 2**53.  Memory: the products' ``work`` (allocated if None;
+    ``_work_size``), plus one byte an element for each generator g and
+    element a whose product ``a g`` still holds an uncertified element
+    (n^2 a generator; ``_closure_rows``).  Each element certified costs
+    five numpy calls.  False, for the caller to run the kernel, when a
+    test fails, or when it would take more than n / 8 generators, a
+    quarter of the kernel's 2 n^5 multiply-adds; so, before any
+    allocation, always on 2 to 7 elements.  SU(2)_k needs one or two
+    generators, groups and double-coset tables a few.
     """
-    size = blocks.size
-    objs = range(len(size))
-    cost, budget, spaces = _certificate_plan(size)
-    if not spaces:
+    n = len(N)
+    if n == 1:
         return True
-    if min(cost[x][y] for x, y in spaces) > budget:
+    budget = n // 8
+    if not budget:
         return False
-    home, total = {}, 0  # arrows numbered hom-space by hom-space, in (x, y) order
-    for x, y in itertools.product(objs, repeat=2):
-        home[x, y], total = slice(total, total + size[x][y]), total + size[x][y]
-    uncertified = np.ones(total, dtype=np.int8)
-    for x in objs:
-        uncertified[home[x, x].start + units[x]] = 0
-    rank = blocks.branches(star)
-    rank[rank == 1] = total + 1  # the first generator's g g* branches
-    # one row per generator g and arrow a = owner[r] that it follows, while
-    # the support of a g has an uncertified arrow: weight[r, c] is 1 where
+    uncertified = np.ones(n, dtype=np.int8)
+    uncertified[unit] = 0
+    rank = np.count_nonzero(N[np.arange(n), list(star)] > 0.0, axis=1)  # |g g*|
+    rank[rank == 1] = n + 1  # the first generator's g g* branches
+    if work is None:
+        work = np.empty(_work_size(n))
+    # one row per generator g and element a = owner[r] that it follows, while
+    # the support of a g has an uncertified element: weight[r, c] is 1 where
     # N[a, g, c] > 0, plus 2 at c = a, so that pending[r], the weight of the
-    # uncertified arrows, is 1 just when a is certified and c is the one
-    # uncertified arrow of that support
-    weight = np.zeros((0, total), dtype=np.int8)
+    # uncertified elements, is 1 just when a is certified and c is the one
+    # uncertified element of that support
+    weight = np.zeros((0, n), dtype=np.int8)
     pending = owner = np.zeros(0, dtype=np.intp)
-    todo, spent = total - len(units), 0.0  # arrows left to certify
+    todo = n - 1  # elements left to certify
     while todo:
         r = int((pending == 1).argmax()) if pending.size else 0
         if pending.size and pending[r] == 1:
             c = int((weight[r] & uncertified).argmax())
         else:
-            y, z = next(s for s in spaces if uncertified[home[s]].any())
-            spent += cost[y][z]
-            if spent > budget:
+            budget -= 1
+            if budget < 0:
                 return False
-            g = int(np.where(uncertified[home[y, z]], rank[home[y, z]], total + 2).argmin())
-            rank[rank == total + 1] = 1  # later ones: invertible arrows first
-            if not _middle_law(blocks, g, y, z):
+            c = int(np.where(uncertified, rank, n + 2).argmin())
+            rank[rank == n + 1] = 1  # later ones: invertible elements first
+            if not _middle_law(N, c, work):
                 return False
-            weight, pending, owner = _closure_rows(
-                (weight, pending, owner), blocks, g, uncertified, home, y, z
-            )
-            c = home[y, z].start + g
+            weight, pending, owner = _closure_rows((weight, pending, owner), N[:, c], uncertified)
         uncertified[c] = 0
         todo -= 1
         pending -= weight[:, c]
     return True
 
 
-def _middle_law(blocks, g, y, z):
-    """Whether (a g) b = a (g b) for generator g of Mor(z -> y), every a in
-    Mor(y -> x) and every b in Mor(w -> z), over all objects x and w, in
-    the integer blocks of ``blocks`` (``_generator_certificate``)."""
-    size = blocks.size
-    objs = range(len(size))
-    for x in objs:
-        sxy, sxz = size[x][y], size[x][z]
-        if not sxy:
-            continue
-        # a g for every a in Mor(y -> x), copied: work and held change below
-        ag = blocks.part((x, y, z), slice(None), slice(g, g + 1))
-        ag = (ag if ag.flags.owndata else ag.copy()).reshape(sxy, sxz)
-        for w in objs:
-            szw, sxw = size[z][w], size[x][w]
-            if not (szw and sxw):
-                continue
-            mb, used = blocks.fetch((x, z, w))  # m b for m in Mor(z -> x)
-            mb = mb.reshape(sxz, szw * sxw)
-            gb = blocks.part((y, z, w), slice(g, g + 1), slice(None)).reshape(szw, size[y][w])
-            step = blocks.step(sxy, blocks.per_row(x, y, z, w, blocks.ready((x, y, w))), used)
-            work = blocks.scratch()[used:]
-            failed = False
-            for lo in range(0, sxy, step):
-                m = min(step, sxy - lo)
-                span = m * szw * sxw
-                left = work[:span].reshape(m, szw * sxw)
-                right = work[span : 2 * span].reshape(m, szw, sxw)
-                aq = blocks.part((x, y, w), slice(lo, lo + m), slice(None), work[2 * span :])
-                np.matmul(ag[lo : lo + m], mb, out=left)  # (a g) b
-                np.matmul(gb, aq, out=right)  # a (g b)
-                np.subtract(right, left.reshape(m, szw, sxw), out=right)  # in place: no mask
-                failed = failed or bool(right.any())
-            if failed:
-                return False
-    return True
+def _work_size(n) -> int:
+    """Floats of ``_middle_law``'s ``work``: two products of a row block
+    of a, all n rows below ``_CERTIFY_MIN_N`` elements and half of them,
+    rounded up, from there on; so at least n^3, which ``_rescaled_ring``
+    uses first."""
+    return 2 * (n if n < _CERTIFY_MIN_N else -(-n // 2)) * n * n
 
 
-def _closure_rows(rows, blocks, g, uncertified, home, y, z):
+def _middle_law(N, g, work) -> bool:
+    """Whether ``(a g) b = a (g b)`` for generator g, every a and every b
+    of the integer ring N (``_generator_certificate``): two matrix
+    products a row block of a, as many rows as ``work`` holds them for
+    (``_work_size``).  Every block runs, whatever an earlier one found."""
+    n = len(N)
+    step = work.size // (2 * n * n)
+    mb = N.reshape(n, n * n)  # m b for every m
+    failed = False
+    for lo in range(0, n, step):
+        m = min(step, n - lo)
+        span = m * n * n
+        left = work[:span].reshape(m, n * n)
+        right = work[span : 2 * span].reshape(m, n, n)
+        np.matmul(N[lo : lo + m, g], mb, out=left)  # (a g) b
+        np.matmul(N[g], N[lo : lo + m], out=right)  # a (g b)
+        np.subtract(right, left.reshape(m, n, n), out=right)  # in place: no mask
+        failed = failed or bool(right.any())
+    return not failed
+
+
+def _closure_rows(rows, ag, uncertified):
     """The rows ``(weight, pending, owner)`` of ``_generator_certificate``'s
-    closure with those of a new generator g in Mor(z -> y) added, and with
-    every row dropped whose support has no uncertified arrow left (1 in
-    the int8 ``uncertified``): such a row never gets one."""
-    size = blocks.size
-    xs = [x for x in range(len(size)) if size[x][y]]
-    fresh = np.concatenate([np.arange(home[x, y].start, home[x, y].stop) for x in xs])
-    added = np.zeros((fresh.size, uncertified.size), dtype=np.int8)
-    first = 0
-    for x in xs:  # the support N[a, g, c] > 0 of a g for a in Mor(y -> x), c in Mor(z -> x)
-        ag = blocks.part((x, y, z), slice(None), slice(g, g + 1)).reshape(size[x][y], size[x][z])
-        np.greater(ag, 0.0, out=added[first : first + size[x][y], home[x, z]])
-        first += size[x][y]
+    closure with those of a new generator g added, ``ag[a, c] = N[a, g,
+    c]``, and with every row dropped whose support has no uncertified
+    element left (1 in the int8 ``uncertified``): such a row never gets one."""
+    fresh = np.arange(uncertified.size)
+    added = (ag > 0.0).view(np.int8)  # the support of a g, a row for each a
     counts = (added & uncertified).sum(axis=1)
-    added[np.arange(fresh.size), fresh] += 2
+    added[fresh, fresh] += 2
     live = counts > 0
     added, fresh = added[live], fresh[live]
     counts = counts[live] + 2 * uncertified[fresh]
@@ -625,102 +426,68 @@ def _closure_rows(rows, blocks, g, uncertified, home, y, z):
     )
 
 
-def _rescaled_ring(comp, units, star, tol: float) -> bool:
-    """Whether the grid ``comp`` is so close to a rescaled associative integer
-    grid that ``_associativity_violations`` reports nothing beyond tol on any
-    of its object quadruples.
+def _rescaled_ring(lam, unit, inv, tol: float) -> bool:
+    """Whether the table ``lam`` is so close to a rescaled associative
+    integer ring that ``_associativity_violations`` reports nothing beyond tol.
 
-    ``comp[x][y][z]``, ``units[x]`` and ``star[x][y]`` are as in
-    ``groupoid.Hypergroupoid``; a table is the one-object grid ``(((lam,),),)``
-    with its unit and involution.  False at once, before anything is
-    read, unless the budget of ``_certificate_plan`` covers two
-    generators in every hom-space that holds more than a unit: on one
-    object that is n >= 16 (``_CERTIFY_MIN_N``), and a smaller grid, such
-    as the double-coset groupoids of D8 or Z2 x D4 (16 group elements,
-    a budget of about 1.5 generators a hom-space), would spend more on
-    recognition and on generators that run out than the quadruple pass
-    it skips.  The weights ``mu_a = 1 / comp[x][y][x][a, a*,
-    units[x]]`` of the arrows a in Mor(y -> x) give the scales: ``d =
-    sqrt(mu)`` first (fusion rings, ``N[a, a*, unit] = 1``), then ``d =
-    mu`` (groups, classes, double cosets and their groupoids, where
-    ``comp[a, b, c] mu_a mu_b / mu_c`` counts pairs).  For one d, in
-    [2**-64, 2**64] so that nothing below over- or underflows, every block
-    ``N = rint(comp[x][y][z][a, b, c] d_a d_b / d_c)`` must be nonnegative,
-    obey both unit laws exactly for every (x, y) and keep ``n *
-    max(N)**2`` below 2**53, for n the largest hom-space.  For any positive
-    d, ``L[a, b, c] = N[a, b, c] d_c / (d_a d_b)`` is exactly associative
-    when N is, since d_m cancels in ``L[a, b, m] L[m, c, p]`` and in ``L[b,
-    c, q] L[a, q, p]`` (see ``from_fusion_ring``).  Its computed value
-    ``fl(L)`` is within ``_RHO fl(L)`` of it, and a computed difference
-    within a factor ``1 - eps`` of the exact one, so every entry of a
-    block lies within ``delta = max|comp - fl(L)| / (1 - eps) + _RHO max
-    fl(L)`` of L.  Blocks go smallest first, and the first that fails,
-    or whose delta brings ``_rescaling_margin(n, max|comp|, delta)`` up to
-    tol (NaN and inf do), sends the next d; after the last, False.  Only
-    then is N certified, by ``_generator_certificate``.  So True means
-    that the kernel would report nothing: the report is the same
-    without it.  Time O(size of the grid) for the scales, plus the
-    certificate's tests; memory the two buffers of ``_RingBlocks``, of
-    about the largest block's size each, where N and ``fl(L)`` are formed
-    block by block, never all at once.
+    False at once below ``_CERTIFY_MIN_N`` elements.  The weights ``mu_a
+    = 1 / lam[a, inv(a), unit]`` give the scales: ``d = sqrt(mu)`` first
+    (fusion rings, ``N[a, a*, unit] = 1``), then ``d = mu`` (groups,
+    classes and double cosets, where ``lam[a, b, c] mu_a mu_b / mu_c``
+    counts pairs).  For one d, in [2**-64, 2**64] so that nothing below
+    over- or underflows, ``N = rint(lam[a, b, c] d_a d_b / d_c)`` must
+    be nonnegative, obey both unit laws exactly and keep ``n *
+    max(N)**2`` below 2**53.  For any positive d, ``L[a, b, c] = N[a, b,
+    c] d_c / (d_a d_b)`` is exactly associative when N is, since d_m
+    cancels in ``L[a, b, m] L[m, c, p]`` and in ``L[b, c, q] L[a, q,
+    p]`` (see ``from_fusion_ring``).  Its computed value ``fl(L)`` is
+    within ``_RHO fl(L)`` of it, and a computed difference within a
+    factor ``1 - eps`` of the exact one, so every entry of lam lies
+    within ``delta = max|lam - fl(L)| / (1 - eps) + _RHO max fl(L)`` of
+    L.  A d for which N fails, or whose delta brings
+    ``_rescaling_margin(n, max|lam|, delta)`` up to tol (NaN and inf
+    do), sends the next d; after the last, False.  Only then is N
+    certified, by ``_generator_certificate``.  So True means that the
+    kernel would report nothing: the report is the same without it.
+    Time O(n^3) for the scales, plus the certificate's tests; memory
+    about 2 n^3 floats: N, rounded into one buffer for either d, and the
+    certificate's ``work``, which holds fl(L) first.
     """
-    blocks = _RingBlocks(comp)
-    cost, budget, spaces = _certificate_plan(blocks.size)
-    if not spaces or 2 * sum(cost[x][y] for x, y in spaces) > budget:
+    n = len(lam)
+    if n < _CERTIFY_MIN_N:
         return False
-    objs = range(len(comp))
-    order = sorted(itertools.product(objs, repeat=3), key=lambda q: comp[q[0]][q[1]][q[2]].size)
-    tensors = [t for t in (comp[x][y][z] for x, y, z in order) if t.size]
-    big = max(max(float(np.maximum.reduce(t, axis=None)), -float(np.minimum.reduce(t, axis=None)))
-              for t in tensors)
+    big = max(float(np.maximum.reduce(lam, axis=None)), -float(np.minimum.reduce(lam, axis=None)))
+    N, work = np.empty(lam.shape), np.empty(_work_size(n))
+    spare = work[: lam.size].reshape(lam.shape)
     with np.errstate(all="ignore"):
-        mu = [
-            [1.0 / comp[x][y][x][np.arange(len(s)), np.asarray(s, dtype=np.intp), units[x]]
-             for y, s in enumerate(star[x])]
-            for x in objs
-        ]
-        for scales in ([[np.sqrt(m) for m in row] for row in mu], mu):
-            if not all(np.all((d >= 2.0**-64) & (d <= 2.0**64)) for row in scales for d in row):
+        mu = 1.0 / lam[np.arange(n), list(inv), unit]
+        for d in (np.sqrt(mu), mu):
+            if not np.all((d >= 2.0**-64) & (d <= 2.0**64)):
                 continue  # NaN fails too
-            blocks.rescale(scales)
-            if _within_margin(blocks, order, units, big, tol):
+            outer = d[:, None] * d[None, :]
+            # einsum, unlike a broadcasting multiply, takes no ufunc buffer
+            np.einsum("abc,ab->abc", lam, outer, out=N)
+            np.divide(N, d, out=N)
+            np.rint(N, out=N)
+            top = float(np.maximum.reduce(N, axis=None))
+            if not (
+                np.minimum.reduce(N, axis=None) >= 0.0
+                and n * top * top < 2.0**53
+                and np.array_equal(N[unit], np.eye(n))
+                and np.array_equal(N[:, unit, :], np.eye(n))
+            ):
+                continue
+            np.einsum("abc,c->abc", N, d, out=spare)  # fl(L), rounded as from_fusion_ring rounds it
+            np.divide(spare, outer[:, :, None], out=spare)
+            top = float(np.maximum.reduce(spare, axis=None))
+            np.subtract(lam, spare, out=spare)
+            np.abs(spare, out=spare)
+            delta = float(np.maximum.reduce(spare, axis=None)) / (1.0 - _EPS) + _RHO * top
+            if _rescaling_margin(n, big, delta) < tol:  # NaN compares False
                 break
         else:
             return False
-    return _generator_certificate(blocks, units, star)
-
-
-def _within_margin(blocks, order, units, big, tol) -> bool:
-    """Whether every block of ``blocks``, taken in ``order``, rounds to a
-    nonnegative integer block with exact unit laws and ``n * max(N)**2 <
-    2**53`` and lies so close to its rescaling that ``_rescaling_margin``
-    stays below tol (``_rescaled_ring``); False at the first that does not."""
-    comp, scales, n = blocks.comp, blocks.scales, blocks.n
-    delta = 0.0
-    for x, y, z in order:
-        t = comp[x][y][z]
-        if t.size == 0:
-            continue
-        ring = blocks.block((x, y, z))
-        top = float(np.maximum.reduce(ring, axis=None))
-        if not (
-            np.minimum.reduce(ring, axis=None) >= 0.0
-            and n * top * top < 2.0**53
-            and (x != y or np.array_equal(ring[units[x]], np.eye(t.shape[2])))
-            and (y != z or np.array_equal(ring[:, units[y], :], np.eye(t.shape[0])))
-        ):
-            return False
-        spare = blocks.scratch()[: t.size].reshape(t.shape)
-        outer = (scales[x][y][:, None] * scales[y][z][None, :])[:, :, None]
-        np.multiply(ring, scales[x][z], out=spare)  # fl(L), rounded as from_fusion_ring rounds it
-        np.divide(spare, outer, out=spare)
-        top = float(np.maximum.reduce(spare, axis=None))
-        np.subtract(t, spare, out=spare)
-        np.abs(spare, out=spare)
-        delta = max(delta, float(np.maximum.reduce(spare, axis=None)) / (1.0 - _EPS) + _RHO * top)
-        if not _rescaling_margin(n, big, delta) < tol:  # NaN compares False
-            return False
-    return True
+    return _generator_certificate(N, unit, inv, work)
 
 
 def _associativity_violations(ab, mc, bc, aq, prefix, tol, vios) -> None:
@@ -787,10 +554,11 @@ def validate(table: HypergroupTable, tol: float = DEFAULT_TOL) -> ValidationRepo
     round-off of a rescaled associative integer ring (parsed documents
     and duals of fusion rings, group, class and double-coset tables, in
     any basis order) is certified instead: O(n^3) to recognise it and 2
-    n^4 multiply-adds per generator to certify the ring, in 2 n^3 floats
-    (``_rescaled_ring``).  Any other table, or one the certificate
-    cannot prove, takes the kernel, 2 n^5 multiply-adds in 2 n^3 floats
-    (``_associativity_violations``).  The report is the kernel's either way.
+    n^4 multiply-adds per generator, at most n / 8 of them, to certify
+    the ring, in 2 n^3 floats (``_rescaled_ring``).  Any other table, or
+    one the certificate cannot prove, takes the kernel, 2 n^5
+    multiply-adds in 2 n^3 floats (``_associativity_violations``).  The
+    report is the kernel's either way.
     """
     return _report(table, tol, True)
 
@@ -805,8 +573,7 @@ def _report(table: HypergroupTable, tol: float, associativity: bool) -> Validati
 
     _row_violations(lam, (), tol, vios)
     _unit_violations(lam, lam, unit, unit, True, (), tol, vios)
-    grid = (((lam,),),), (unit,), ((inv,),)
-    if associativity and not (table.n >= _CERTIFY_MIN_N and _rescaled_ring(*grid, tol)):
+    if associativity and not _rescaled_ring(lam, unit, inv, tol):
         _associativity_violations(lam, lam, lam, lam, (), tol, vios)
 
     if inv[unit] != unit:

@@ -49,7 +49,6 @@ from .core import (
     _float_tensor,
     _grid,
     _involution_violations,
-    _rescaled_ring,
     _rescaling_margin,
     _row_violations,
     _unit_violations,
@@ -214,19 +213,6 @@ def _groupoids_equal(g1: Hypergroupoid, g2: Hypergroupoid) -> bool:
     )
 
 
-def _associativity_by_quadruple(g: Hypergroupoid, tol: float, vios: list) -> None:
-    """Associativity violations in object-quadruple order.
-
-    Quadruple ``(x, y, z, w)`` checks ``(a . b) . c`` against ``a . (b .
-    c)`` for ``a`` in Mor(y -> x), ``b`` in Mor(z -> y) and ``c`` in
-    Mor(w -> z).
-    """
-    c = g.comp
-    for q in itertools.product(range(g.n_objects), repeat=4):
-        x, y, z, w = q
-        _associativity_violations(c[x][y][z], c[x][z][w], c[y][z][w], c[x][y][w], q, tol, vios)
-
-
 def _proved_by_group(g: Hypergroupoid, tol: float) -> bool:
     """Whether ``g`` carries the associativity of the group it was built
     from: its record is set (``double_coset_groupoid``), every comp block
@@ -256,28 +242,16 @@ def validate_groupoid(g: Hypergroupoid, tol: float = DEFAULT_TOL) -> ValidationR
     """Check all hypergroupoid axioms; violations carry object indices first.
 
     Runs the hypergroup checks of ``core.validate`` once per object
-    tuple, so each defect is reported once.  Associativity dominates,
-    and is checked in the first of three ways that applies.  A groupoid
-    built by ``double_coset_groupoid``, its comp blocks still read-only,
-    carries the proof of its group: when the round-off margin of its
-    entries is below tol, nothing is checked (``_proved_by_group``).
-    Otherwise ``core._rescaled_ring`` tries to prove it for the whole
-    grid, when a quarter of the quadruple pass below covers two
-    generators in every hom-space that holds more than a unit (so not
-    below 16 arrows on one object, nor for the 16-element groups D8 and
-    Z2 x D4): it reads a scale per arrow off the weights, rounds every
-    block to an integer block N and bounds the grid's distance from its
-    rescaling, in time linear in the grid, then certifies N from
-    generators, in ``sum_xw s_xy s_zw s_xw (s_xz + s_yw)`` multiply-adds
-    a generator of Mor(z -> y) for hom-space sizes s, at most a quarter
-    of the quadruple pass in all; both in two buffers of about the
-    largest block's size.  Parsed or hand-built double-coset groupoids
-    of 24 or more arrows pass with a few generators.  Otherwise the k^4
-    object quadruples run in order (``_associativity_by_quadruple``), at
-    most 2 k^4 n^5 multiply-adds and O(n^3) memory for arrow bases of
-    size up to n; an endo quadruple ``(x, x, x, x)`` is
-    ``core.validate``'s kernel on Mor(x -> x).  Every way gives the
-    quadruple pass's report.
+    tuple, so each defect is reported once.  Associativity dominates.  A
+    groupoid built by ``double_coset_groupoid``, its comp blocks still
+    read-only, carries the proof of its group: when the round-off margin
+    of its entries is below tol, it is not checked (``_proved_by_group``).
+    Any other groupoid, parsed and hand-built ones included, has its k^4
+    object quadruples ``(x, y, z, w)`` checked in order, ``(a . b) . c``
+    against ``a . (b . c)`` for a in Mor(y -> x), b in Mor(z -> y) and c
+    in Mor(w -> z): at most 2 k^4 n^5 multiply-adds and O(n^3) memory for
+    arrow bases of size up to n.  An endo quadruple ``(x, x, x, x)`` is
+    ``core.validate``'s kernel on Mor(x -> x).
     """
     objs = range(g.n_objects)
     c, u, star = g.comp, g.units, g.star
@@ -287,8 +261,10 @@ def validate_groupoid(g: Hypergroupoid, tol: float = DEFAULT_TOL) -> ValidationR
         _row_violations(c[x][y][z], (x, y, z), tol, vios)
     for x, y in itertools.product(objs, repeat=2):
         _unit_violations(c[x][x][y], c[x][y][y], u[x], u[y], x == y, (x, y), tol, vios)
-    if not (_proved_by_group(g, tol) or _rescaled_ring(c, u, star, tol)):
-        _associativity_by_quadruple(g, tol, vios)
+    if not _proved_by_group(g, tol):
+        for q in itertools.product(objs, repeat=4):
+            x, y, z, w = q
+            _associativity_violations(c[x][y][z], c[x][z][w], c[y][z][w], c[x][y][w], q, tol, vios)
 
     for x in objs:
         vios += (

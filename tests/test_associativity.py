@@ -6,7 +6,9 @@ magnitudes, bit for bit) and with the n^4 einsum check
 (``oracles.associativity_reference``: same lists and order, magnitudes
 within 1e-12, since einsum sums in another order).  The matrix products
 the certificate computes are recorded to tell how many generators it
-tested.
+tested.  The certificate works on one integer ring, a table or a fusion
+ring; a groupoid takes its group's proof or the quadruple pass, and its
+report is compared with ``oracles.groupoid_associativity_reference``.
 """
 
 import contextlib
@@ -124,10 +126,9 @@ class TestScreenedKernel:
 
 
 def certificate(N, unit=0, conj=None):
-    """``core._generator_certificate`` on the integer tensor N, the one-object
-    grid, with conjugation ``conj`` (the identity if None)."""
-    star = ((tuple(range(len(N))) if conj is None else conj,),)
-    return core._generator_certificate(core._RingBlocks((((N,),),)), (unit,), star)
+    """``core._generator_certificate`` on the integer tensor N, with
+    conjugation ``conj`` (the identity if None)."""
+    return core._generator_certificate(N, unit, tuple(range(len(N))) if conj is None else conj)
 
 
 def certificate_products(n, generators):
@@ -376,14 +377,14 @@ class TestGeneratorCertificate:
 
 @contextlib.contextmanager
 def generators_tested():
-    """The generators ``(y, z, g)`` the certificate tests inside, with a
-    kernel that fails the test if it runs."""
+    """The generators g the certificate tests inside, with a kernel that
+    fails the test if it runs."""
     tested = []
     middle_law = core._middle_law
 
-    def recording(blocks, g, y, z):
-        tested.append((y, z, g))
-        return middle_law(blocks, g, y, z)
+    def recording(N, g, work):
+        tested.append(g)
+        return middle_law(N, g, work)
 
     def kernel(*args):
         raise AssertionError("the associativity kernel ran")
@@ -413,7 +414,7 @@ class TestGeneratorChoice:
                 assert hk.validate(oracles.relabel(table, perm)).passed
             assert 1 <= len(by_ring) <= 2 and 1 <= len(by_table) <= 2, seed
             first = {int(perm[1]), int(perm[k - 1])}
-            assert by_ring[0][2] in first and by_table[0][2] in first
+            assert by_ring[0] in first and by_table[0] in first
 
     def test_s5_double_cosets_in_level_order_and_shuffled(self):
         s5 = hk.registry.symmetric_group(5)
@@ -610,8 +611,7 @@ def rebuilt(g):
 def coset_groupoid(group, seed=None):
     """``proof_groupoid``, the group relabeled by a seeded permutation unless
     ``seed`` is None, rebuilt through the public constructor: without the
-    group's record, ``validate_groupoid`` takes the certificate or the
-    quadruple pass."""
+    group's record, ``validate_groupoid`` takes the quadruple pass."""
     from test_constructions import relabel_group
 
     if seed is not None:
@@ -698,6 +698,16 @@ class TestMirroredQuadruples:
         left = np.einsum("abm,mcp->abcp", c[x][y][z], c[x][z][w])
         return np.abs(left - np.einsum("bcq,aqp->abcp", c[y][z][w], c[x][y][w]))
 
+    def test_one_path_reports_the_reference(self, bases, groups):
+        # no certificate call, and exactly the einsum reference's report
+        z2_s4 = coset_groupoid(oracles.direct_product(groups["z2"], groups["s4"]))
+        for g in (*bases, z2_s4):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "_generator_certificate", lambda *args: pytest.fail("certified"))
+                report = hk.validate_groupoid(g)
+            found = associativity_found(report)
+            assert found == oracles.groupoid_associativity_reference(g, hk.DEFAULT_TOL)
+
     def test_violations_in_one_member_only(self, base):
         # comp[0][0][1] raised alone deviates (0, 0, 0, 1) by twice the amount,
         # and comp[1][0][0] raised alone its mirror (1, 0, 0, 0); every other
@@ -755,10 +765,10 @@ class TestMirroredQuadruples:
 
 
 class TestGroupoidCertificate:
-    """``validate_groupoid`` skips the quadruple pass on a grid within its
-    margin of a rescaled associative integer grid.
+    """``validate_groupoid`` has no certificate: a groupoid without its
+    group's record, parsed or rebuilt, takes the quadruple pass, in order.
 
-    Anything else runs the quadruple pass, so every report is its own.
+    So every report is the quadruple pass's own.
     """
 
     @pytest.fixture(scope="class")
@@ -772,27 +782,20 @@ class TestGroupoidCertificate:
             "z2 x d4": coset_groupoid(oracles.direct_product(z2, groups["d4"])),
         }
 
-    def test_certified_groupoids_take_no_kernel(self, groupoids):
+    def test_rebuilt_groupoids_take_the_kernel(self, groupoids):
+        quadruples = list(itertools.product(range(2), repeat=4))
         for name in ("s4", "z2 x s4"):
-            assert groupoid_run(groupoids[name]) == ([], [], [True]), name
+            assert groupoid_run(groupoids[name]) == ([], quadruples, []), name
 
     def test_budget_below_two_generators_a_hom_space_skips_recognition(self, groupoids):
-        # Z2 x D4: a quarter of the quadruple pass covers about 1.5 generators
-        # in each of its four hom-spaces, so no block is rounded, no generator
-        # is tested and the quadruple pass runs
         g = groupoids["z2 x d4"]
-        size = [[len(arrows) for arrows in row] for row in g.mor]
-        cost, budget, spaces = core._certificate_plan(size)
-        assert len(spaces) == 4 and budget < 2 * sum(cost[x][y] for x, y in spaces)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core._RingBlocks, "_round", lambda *args: pytest.fail("a block was rounded"))
-            found, checked, certified = groupoid_run(g)
+        found, checked, certified = groupoid_run(g)
         assert (found, certified) == ([], [])
         assert checked
-        # on one object the same rule is validate's cut-off of 16 elements
+        # on one object the certificate's budget of n / 8 generators covers
+        # two from validate's cut-off of 16 elements on
         for n in range(2, 40):
-            cost, budget, spaces = core._certificate_plan([[n]])
-            assert (budget >= 2 * cost[0][0]) == (n >= core._CERTIFY_MIN_N)
+            assert (n // 8 >= 2) == (n >= core._CERTIFY_MIN_N)
 
     def test_non_associative_rescaled_grid(self, groupoids):
         # in the group Mor(X0 -> X0) of S4 the point mass a b moves to another
@@ -811,7 +814,7 @@ class TestGroupoidCertificate:
         broken = hk.Hypergroupoid(g.objects, g.mor, comp, g.star, g.units)
         found, checked, certified = groupoid_run(broken)
         assert found and checked
-        assert certified == [False]
+        assert certified == []
 
     def test_margin_not_the_distance_decides(self, groupoids):
         # one entry raised by 5e-10 puts the grid 5e-10 from its rescaling,
@@ -842,7 +845,8 @@ class TestGroupoidCertificate:
             star = ((tables[0].involution, ()), ((), tables[1].involution))
             return hk.Hypergroupoid(("A", "B"), mor, comp, star, (0, 0))
 
-        assert groupoid_run(groupoid(tables[0].lam)) == ([], [], [True])
+        quadruples = list(itertools.product(range(2), repeat=4))
+        assert groupoid_run(groupoid(tables[0].lam)) == ([], quadruples, [])
         lam = np.array(tables[0].lam)
         raise_pair(lam, 2, 3, 4, 1e-3)
         found, checked, certified = groupoid_run(groupoid(lam))
@@ -1118,8 +1122,8 @@ class TestScreenMemory:
         return peak
 
     def test_peak_of_validate_groupoid_is_two_blocks(self, groups):
-        # the certificate rounds its integer blocks as it needs them, into two
-        # buffers of the largest block's size, instead of keeping them all
+        # the quadruple pass forms its products one first index at a time,
+        # into two buffers of at most the largest block's size
         g = coset_groupoid(oracles.direct_product(groups["z2"], groups["s4"]))
         largest = max(t.nbytes for grid in g.comp for row in grid for t in row)
         hk.validate_groupoid(g)
