@@ -7,9 +7,11 @@ Three families of constructions:
   with respect to a subgroup.  The group axioms are checked once, when
   a ``CayleyGroup`` is built (``validate_cayley``), so the constructions
   trust every group they are given.  Classes and double cosets come
-  from one vectorized orbit pass each, and their tables expand
-  products of normalized indicator sums from integer pair counts, with
-  one correctly rounded division each.
+  from one vectorized orbit pass each, the least member of every
+  element's part, which one label pass (``_labels``) turns into a
+  part-label vector in O(|G|).  Their tables expand products of
+  normalized indicator sums from integer pair counts of those vectors
+  (``_pair_counts``), with one correctly rounded division each.
 
 * From a fusion ring (nonnegative-integer structure constants with a
   conjugation): rescale each basis element by its Perron-Frobenius
@@ -150,15 +152,35 @@ def _orbits(least: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(part.tolist()) for part in np.split(order, bounds)]
 
 
-def conjugacy_classes(group: CayleyGroup) -> list[tuple[int, ...]]:
-    """Conjugacy classes, ordered by least member, each sorted.
-
-    The least conjugate ``min_g g i g^-1`` of every i is read off the
-    |G| x |G| table of conjugates: O(|G|^2) time and memory.
+def _labels(least: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The partition of ``_orbits`` as ``(firsts, part_of)``: the least
+    members in increasing order, and the index in ``firsts`` of each
+    element's part.  O(|G|): a mask of least members and its running count.
     """
-    mul = group.mul
-    inv = np.asarray(inverses(group))
-    return _orbits(mul[mul, inv[:, None]].min(axis=0))
+    first = least == np.arange(least.size)
+    return np.flatnonzero(first), (np.cumsum(first) - 1)[least]
+
+
+def _class_least(mul: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The least conjugate ``min_g g i g^-1`` of every i, from the
+    |G| x |G| table of conjugates: O(|G|^2) time and memory."""
+    return mul[mul, inv[:, None]].min(axis=0)
+
+
+def _coset_least(mul: np.ndarray, left, right) -> np.ndarray:
+    """The least member of each element's double coset ``L g R``.
+
+    It is ``min_r min_l l (g r)``: the least member of each ``L x``
+    first, then the least of those over ``x`` in ``g R``.  Since L and R
+    are subgroups, the double cosets partition the group, so equal least
+    members mean equal double cosets.  O(|G| (|L| + |R|)) time and memory.
+    """
+    return mul[left].min(axis=0)[mul[:, right]].min(axis=1)
+
+
+def conjugacy_classes(group: CayleyGroup) -> list[tuple[int, ...]]:
+    """Conjugacy classes, ordered by least member, each sorted (``_class_least``)."""
+    return _orbits(_class_least(group.mul, np.asarray(inverses(group))))
 
 
 def is_subgroup(group: CayleyGroup, elements) -> bool:
@@ -172,26 +194,20 @@ def is_subgroup(group: CayleyGroup, elements) -> bool:
 
 
 def subgroup_elements(group: CayleyGroup, subset) -> list[int]:
-    """``subset`` sorted; StructureError unless it is a subgroup."""
-    sub = sorted(int(x) for x in subset)
+    """``subset`` sorted; StructureError unless it is a subgroup of
+    integer indices (a float, a string or a boolean is not cast)."""
+    sub = sorted(_as_index_tuple(tuple(subset), group.order, "subgroup element"))
     if not is_subgroup(group, sub):
         raise StructureError("the given subset is not a subgroup")
     return sub
 
 
 def double_cosets(group: CayleyGroup, left, right) -> list[tuple[int, ...]]:
-    """Double cosets ``L g R`` of two subgroups, ordered by least member, each sorted.
-
-    The least member of ``L g R`` is ``min_r min_l l (g r)``: the least
-    member of each ``L x`` first, then the least of those over ``x`` in
-    ``g R``.  Since L and R are subgroups, the double cosets partition
-    the group, so equal least members mean equal double cosets.
-    O(|G| (|L| + |R|)) time and memory.  Raises StructureError unless
-    both are subgroups.
-    """
-    mul = group.mul
-    least_left = mul[subgroup_elements(group, left)].min(axis=0)
-    return _orbits(least_left[mul[:, subgroup_elements(group, right)]].min(axis=1))
+    """Double cosets ``L g R`` of two subgroups, ordered by least member,
+    each sorted (``_coset_least``).  Raises StructureError unless both
+    are subgroups."""
+    left, right = (subgroup_elements(group, h) for h in (left, right))
+    return _orbits(_coset_least(group.mul, left, right))
 
 
 def _part_of(group: CayleyGroup, parts) -> np.ndarray:
@@ -207,10 +223,16 @@ def _part_of(group: CayleyGroup, parts) -> np.ndarray:
     return part_of
 
 
-def _star(group: CayleyGroup, parts, back) -> tuple[int, ...]:
-    """For each part of ``parts``, the index of the part of ``back`` that holds its inverses."""
-    inv = np.asarray(inverses(group))
-    return tuple(_part_of(group, back)[inv[[part[0] for part in parts]]].tolist())
+def _pair_counts(mul, a, b, c) -> np.ndarray:
+    """``indicator_product_coefficients`` of three partitions, each given
+    as ``(parts, part_of)``: a sequence with one entry per part (only its
+    length is read) and the part-label vector."""
+    (na, pa), (nb, pb), (nc, pc) = ((len(parts), part_of) for parts, part_of in (a, b, c))
+    cell = (pa[:, None] * nb + pb[None, :]) * nc + pc[mul]
+    counts = np.bincount(cell.ravel(), minlength=na * nb * nc).reshape(na, nb, nc)
+    sizes_a = np.bincount(pa, minlength=na)
+    sizes_b = np.bincount(pb, minlength=nb)
+    return counts / (sizes_a[:, None, None] * sizes_b[None, :, None])
 
 
 def indicator_product_coefficients(
@@ -228,19 +250,18 @@ def indicator_product_coefficients(
     """
     parts_b = parts_a if parts_b is None else parts_b
     parts_c = parts_a if parts_c is None else parts_c
-    na, nb, nc = len(parts_a), len(parts_b), len(parts_c)
-    pa, pb, pc = (_part_of(group, parts) for parts in (parts_a, parts_b, parts_c))
-    cell = (pa[:, None] * nb + pb[None, :]) * nc + pc[group.mul]
-    counts = np.bincount(cell.ravel(), minlength=na * nb * nc).reshape(na, nb, nc)
-    sizes_a = np.bincount(pa, minlength=na)
-    sizes_b = np.bincount(pb, minlength=nb)
-    return counts / (sizes_a[:, None, None] * sizes_b[None, :, None])
+    a, b, c = ((parts, _part_of(group, parts)) for parts in (parts_a, parts_b, parts_c))
+    return _pair_counts(group.mul, a, b, c)
 
 
-def _partition_hypergroup(group, parts, labels) -> HypergroupTable:
-    unit = int(_part_of(group, parts)[group.identity])
-    lam = indicator_product_coefficients(group, parts)
-    return HypergroupTable(labels, unit, _star(group, parts, parts), lam)
+def _partition_hypergroup(group, inv, least, prefix) -> HypergroupTable:
+    """The table of the partition with least members ``least``; each
+    part is labelled ``prefix`` and the label of its least member."""
+    firsts, part_of = parts = _labels(least)
+    labels = tuple(f"{prefix}{group.label(g)}" for g in firsts.tolist())
+    star = tuple(part_of[inv[firsts]].tolist())
+    lam = _pair_counts(group.mul, parts, parts, parts)
+    return HypergroupTable(labels, int(part_of[group.identity]), star, lam)
 
 
 def group_hypergroup(group: CayleyGroup) -> HypergroupTable:
@@ -252,17 +273,15 @@ def group_hypergroup(group: CayleyGroup) -> HypergroupTable:
 
 def conjugacy_class_hypergroup(group: CayleyGroup) -> HypergroupTable:
     """Hypergroup of normalized conjugacy-class sums ``(1/|C|) sum_{g in C} g``."""
-    classes = conjugacy_classes(group)
-    labels = tuple(f"C{group.label(c[0])}" for c in classes)
-    return _partition_hypergroup(group, classes, labels)
+    inv = np.asarray(inverses(group))
+    return _partition_hypergroup(group, inv, _class_least(group.mul, inv), "C")
 
 
 def double_coset_hypergroup(group: CayleyGroup, subgroup) -> HypergroupTable:
     """Hypergroup of normalized double-coset sums with respect to a subgroup."""
     sub = subgroup_elements(group, subgroup)
-    cosets = double_cosets(group, sub, sub)
-    labels = tuple(f"D{group.label(c[0])}" for c in cosets)
-    return _partition_hypergroup(group, cosets, labels)
+    inv = np.asarray(inverses(group))
+    return _partition_hypergroup(group, inv, _coset_least(group.mul, sub, sub), "D")
 
 
 @dataclass(frozen=True, eq=False)

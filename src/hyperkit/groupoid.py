@@ -56,10 +56,10 @@ from .core import (
 )
 from .constructions import (
     CayleyGroup,
-    _part_of,
-    _star,
-    double_cosets,
-    indicator_product_coefficients,
+    _coset_least,
+    _labels,
+    _pair_counts,
+    inverses,
     subgroup_elements,
 )
 from .errors import PreconditionError, StructureError
@@ -351,8 +351,11 @@ def double_coset_groupoid(group: CayleyGroup, subgroup) -> Hypergroupoid:
 
     Object ``X0`` carries the trivial subgroup, ``X1`` the given one;
     the arrows of Mor(y -> x) are the double cosets ``H_x g H_y`` and
-    composition convolves their uniform indicator measures
-    (``indicator_product_coefficients``).  Arrow labels are
+    composition convolves their uniform indicator measures.  The subgroup
+    is checked once; each of the four hom-spaces is then one part-label
+    vector (``constructions._labels``), from which the pair-count kernel
+    of ``indicator_product_coefficients`` fills all eight comp blocks,
+    and the stars and units are read off.  Arrow labels are
     ``prefix + index`` with a distinct prefix per hom-space (``g``,
     ``u``, ``v``, ``h`` for Mor(0 -> 0), Mor(1 -> 0), Mor(0 -> 1),
     Mor(1 -> 1)) so that names stay globally unique.
@@ -361,25 +364,26 @@ def double_coset_groupoid(group: CayleyGroup, subgroup) -> Hypergroupoid:
     ``validate_groupoid`` then takes as proved while every comp block
     stays read-only; a rebuild through the constructor drops the record.
     """
+    mul = group.mul
     subgroups = [[group.identity], subgroup_elements(group, subgroup)]
     objs = range(len(subgroups))
-    cosets = {(x, y): double_cosets(group, subgroups[x], subgroups[y]) for x in objs for y in objs}
+    inv = np.asarray(inverses(group))
+    hom = {
+        (x, y): _labels(_coset_least(mul, subgroups[x], subgroups[y])) for x in objs for y in objs
+    }
     comp = tuple(
         tuple(
-            tuple(
-                indicator_product_coefficients(group, cosets[x, y], cosets[y, z], cosets[x, z])
-                for z in objs
-            )
-            for y in objs
+            tuple(_pair_counts(mul, hom[x, y], hom[y, z], hom[x, z]) for z in objs) for y in objs
         )
         for x in objs
     )
-    star = tuple(tuple(_star(group, cosets[x, y], cosets[y, x]) for y in objs) for x in objs)
-    units = tuple(int(_part_of(group, cosets[x, x])[group.identity]) for x in objs)
+    star = tuple(tuple(tuple(hom[y, x][1][inv[hom[x, y][0]]].tolist()) for y in objs) for x in objs)
+    units = tuple(int(hom[x, x][1][group.identity]) for x in objs)
     mor = tuple(
-        tuple(tuple(f"{_ARROW_PREFIXES[x][y]}{i}" for i in range(len(cosets[x, y]))) for y in objs)
+        tuple(tuple(f"{_ARROW_PREFIXES[x][y]}{i}" for i in range(hom[x, y][0].size)) for y in objs)
         for x in objs
     )
+    del hom  # the constructor copies every comp block: keep the peak at two grids
     g = Hypergroupoid(tuple(f"X{x}" for x in objs), mor, comp, star, units)
     object.__setattr__(g, "_from_group", True)
     return g

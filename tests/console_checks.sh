@@ -41,6 +41,13 @@ code=0
 cat "$work/err.txt"
 test "$code" -eq 2
 grep -q '^error: ' "$work/err.txt"
+# a subgroup element that is not an integer is malformed input: exit 2
+code=0
+"$@" build double-cosets --builtin s3 --subgroup 0,2.5 2> "$work/err.txt" || code=$?
+cat "$work/err.txt"
+test "$code" -eq 2
+grep -q '^error: ' "$work/err.txt"
+if grep -q 'Traceback' "$work/err.txt"; then exit 1; fi
 # a non-numeric HYPERKIT_TOL is a usage error: exit 2
 code=0
 HYPERKIT_TOL=abc "$@" validate --builtin ghj 2> "$work/err.txt" || code=$?

@@ -243,6 +243,70 @@ class TestGroupPartitions:
             assert not hk.constructions.is_subgroup(group, sorted(sub)[1:])
 
 
+def label_path_cases(groups):
+    """S3, S4, Z2 x S4, S5, and dicyclic and dihedral groups, each relabeled
+    by a seeded permutation."""
+    rng = np.random.default_rng(25)
+    cases = {
+        "s3": groups["s3"],
+        "s4": groups["s4"],
+        "z2xs4": oracles.direct_product(groups["z2"], groups["s4"]),
+        "s5": hk.registry.symmetric_group(5),
+        "dic3": oracles.dicyclic_group(3),
+        "dic5": oracles.dicyclic_group(5),
+        "d5": oracles.dihedral_group(5),
+        "d8": oracles.dihedral_group(8),
+    }
+    return {name: relabel_group(g, rng.permutation(g.order)) for name, g in cases.items()}
+
+
+def part_index(parts):
+    """Element -> index of its part, for a partition given as tuples."""
+    return {g: i for i, part in enumerate(parts) for g in part}
+
+
+class TestLabelPath:
+    """Tables built from part-label vectors equal, bit for bit, the tables
+    of the public tuple partitions."""
+
+    def test_class_and_double_coset_tables(self, groups):
+        for name, group in label_path_cases(groups).items():
+            inv = hk.constructions.inverses(group)
+            built = [(hk.conjugacy_class_hypergroup(group), hk.conjugacy_classes(group), "C")]
+            for sub in oracles.cyclic_subgroups(group):
+                cosets = hk.double_cosets(group, sub, sub)
+                built.append((hk.double_coset_hypergroup(group, sub), cosets, "D"))
+            for table, parts, prefix in built:
+                part_of = part_index(parts)
+                lam = hk.constructions.indicator_product_coefficients(group, parts)
+                assert table.labels == tuple(f"{prefix}{group.label(p[0])}" for p in parts), name
+                assert table.unit == part_of[group.identity], name
+                assert table.involution == tuple(part_of[inv[p[0]]] for p in parts), name
+                assert np.array_equal(table.lam, lam), name
+
+    def test_double_coset_groupoids(self, groups):
+        prefixes = (("g", "u"), ("v", "h"))
+        for name, group in label_path_cases(groups).items():
+            inv = hk.constructions.inverses(group)
+            for sub in oracles.cyclic_subgroups(group):
+                g = hk.double_coset_groupoid(group, sub)
+                subgroups = ([group.identity], sub)
+                cosets = {
+                    (x, y): hk.double_cosets(group, subgroups[x], subgroups[y])
+                    for x in range(2) for y in range(2)
+                }
+                part_of = {xy: part_index(parts) for xy, parts in cosets.items()}
+                for (x, y), parts in cosets.items():
+                    assert g.mor[x][y] == tuple(f"{prefixes[x][y]}{i}" for i in range(len(parts)))
+                    assert g.star[x][y] == tuple(part_of[y, x][inv[p[0]]] for p in parts), name
+                    for z in range(2):
+                        want = hk.constructions.indicator_product_coefficients(
+                            group, parts, cosets[y, z], cosets[x, z]
+                        )
+                        assert np.array_equal(g.comp[x][y][z], want), (name, x, y, z)
+                assert g.units == tuple(part_of[x, x][group.identity] for x in range(2)), name
+
+
 class TestGroupHypergroup:
     def test_z2(self, groups):
         table = hk.group_hypergroup(groups["z2"])
@@ -307,6 +371,16 @@ class TestDoubleCosetHypergroup:
     def test_not_a_subgroup(self, groups):
         with pytest.raises(hk.StructureError):
             hk.double_coset_hypergroup(groups["s3"], (0, 3))
+
+    def test_subgroup_elements_must_be_integers(self, groups):
+        # read as indices: a float, a boolean or a string is refused, not cast
+        s3 = groups["s3"]
+        assert hk.double_coset_hypergroup(s3, [0, 1]).n == 2
+        for bad in ([0, 1.5], [0, 1.0], [0, True], ["0", "1"]):
+            with pytest.raises(hk.StructureError, match="^subgroup element: expected integers"):
+                hk.double_coset_hypergroup(s3, bad)
+        with pytest.raises(hk.StructureError, match="^subgroup element: expected integers"):
+            hk.double_coset_groupoid(s3, [0, 1.5])
 
     def test_sample_against_oracle(self, groups):
         for name in ("s3", "d4", "q8"):

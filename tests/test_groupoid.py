@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,6 +400,22 @@ class TestTwoObjectExample:
     def test_not_a_subgroup_rejected(self, groups):
         with pytest.raises(hk.StructureError):
             hk.double_coset_groupoid(groups["s3"], (0, 3))
+
+    def test_peak_of_build_is_two_grids(self, groups):
+        # the constructor copies every comp block, so the blocks are held
+        # twice; the build from tuple partitions peaked 20.7 KiB above that
+        # on Z2 x S4, and the part-label vectors must add nothing to it
+        group = oracles.direct_product(groups["z2"], groups["s4"])
+        sub = order_two_subgroup(group)
+        hk.double_coset_groupoid(group, sub)
+        tracemalloc.start()
+        try:
+            g = hk.double_coset_groupoid(group, sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid = sum(t.nbytes for plane in g.comp for row in plane for t in row)
+        assert peak <= 2 * grid + 21 * 2**10
 
 
 class TestFromHypergroup:
