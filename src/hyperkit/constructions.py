@@ -31,7 +31,7 @@ import warnings
 import numpy as np
 
 from .core import DEFAULT_TOL, HypergroupTable, ValidationReport, _RHO
-from .core import _as_index_tuple, _associativity_violations, _float_tensor
+from .core import _as_index_tuple, _associativity_violations, _float_tensor, _integers
 from .core import _generator_certificate, _grid, _int_tensor, _report, _rescaling_margin
 from .errors import AxiomError, NumericalError, PreconditionError, StructureError
 
@@ -184,12 +184,12 @@ def conjugacy_classes(group: CayleyGroup) -> list[tuple[int, ...]]:
 
 
 def is_subgroup(group: CayleyGroup, elements) -> bool:
-    """Whether ``elements`` is a subgroup: a finite, nonempty, closed subset is one."""
-    elems = sorted({int(x) for x in elements})
-    if not elems or elems[0] < 0 or elems[-1] >= group.order:
+    """Whether ``elements`` is a nonempty, closed subset of integer indices (none is cast)."""
+    elems = _integers(tuple(elements))
+    if not elems or min(elems) < 0 or max(elems) >= group.order:
         return False
     member = np.zeros(group.order, dtype=bool)
-    member[elems] = True
+    member[list(elems)] = True
     return bool(member[group.mul[np.ix_(elems, elems)]].all())
 
 

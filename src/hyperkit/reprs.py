@@ -112,10 +112,6 @@ class CharacterTable:
         return len(self.labels)
 
 
-def _haar_inner(chars_m, chars_k, mu):
-    return complex(np.sum(np.conj(chars_m) * mu * chars_k) / mu.sum())
-
-
 def characters(
     table: HypergroupTable,
     seed: int = DEFAULT_SEED,
@@ -130,10 +126,11 @@ def characters(
     deterministic.  Two eigenvalues of Z closer than ``max(1e-8, 1e-5 *
     max|eigenvalue|)`` would mix their eigenvectors, and the dual would
     inherit the mixing, so such a draw is retried (at most 16 times)
-    before giving up.
+    before giving up.  A try is O(n^3) (``Z``, ``eig``); the check of
+    multiplicativity is n^4 multiply-adds in O(n^3) memory.
 
     Raises PreconditionError for non-commutative input and
-    NumericalError on persistent degeneracy.
+    NumericalError on a non-finite ``Z`` or persistent degeneracy.
     """
     if not is_commutative(table, tol):
         raise PreconditionError("character analysis requires a commutative table")
@@ -143,6 +140,8 @@ def characters(
     for retries in range(1 + _MAX_RETRIES):
         coeffs = rng.standard_normal(n)
         z = np.einsum("b,abc->ac", coeffs, table.lam)
+        if not np.isfinite(z).all():
+            raise NumericalError("the random combination of the regular matrices is not finite")
         eigvals, eigvecs = np.linalg.eig(z)
         gaps = np.abs(eigvals[:, None] - eigvals[None, :])
         np.fill_diagonal(gaps, np.inf)
@@ -164,14 +163,13 @@ def characters(
     # (e.g. on Z3) are far above this threshold
     rows = np.where(np.abs(rows.imag) < 1e-12, rows.real + 0.0j, rows)
     trivial = int(np.argmin(np.max(np.abs(rows - 1.0), axis=1)))
-    rows[trivial] = np.ones(n, dtype=np.complex128)
-    keys = [[(round(x, 9), round(y, 9)) for x, y in zip(re, im)]
-            for re, im in zip(rows.real.tolist(), rows.imag.tolist())]
-    order = [trivial] + sorted((m for m in range(n) if m != trivial), key=keys.__getitem__)
-    rows = rows[order]
+    rows[trivial] = 1.0
+    # trivial row first, then by rounded (re, im) values; the last key leads
+    keys = np.round(np.stack((rows.imag.T, rows.real.T), axis=1)[::-1], 9).reshape(2 * n, n)
+    rows = rows[np.lexsort((*keys, np.arange(n) != trivial))]
 
     mu = weights(table, tol)
-    norms = np.array([_haar_inner(rows[m], rows[m], mu).real for m in range(n)])
+    norms = (np.sum(np.conj(rows) * mu * rows, axis=1) / mu.sum()).real
     if np.any(norms <= 0):
         raise NumericalError("a character has nonpositive Haar norm")
     defects = _check_character_axioms(table, rows, mu)
@@ -189,18 +187,21 @@ def _check_character_axioms(table: HypergroupTable, rows, mu) -> tuple[float, ..
         raise NumericalError("characters are not normalized at the unit")
     if np.max(np.abs(rows[0] - 1.0)) > 0.0:
         raise NumericalError("row 0 is not the trivial character")
-    prod = rows[:, :, None] * rows[:, None, :]                    # chi(a) chi(b)
-    expand = (rows @ table.lam.reshape(n * n, n).T).reshape(n, n, n)  # sum_c lam chi(c)
-    multiplicativity = float(np.max(np.abs(prod - expand)))
+    diff = rows[:, :, None] * rows[:, None, :]                    # chi(a) chi(b)
+    # minus sum_c lam chi(c), one real part at a time, so lam is never copied to complex
+    lam_t, expand = table.lam.reshape(n * n, n).T, np.empty((n, n * n))
+    parts = (diff.real, diff.imag) if np.iscomplexobj(rows) else (diff,)
+    for part, values in zip(parts, (rows.real, rows.imag)):
+        part -= np.matmul(np.ascontiguousarray(values), lam_t, out=expand).reshape(n, n, n)
+    multiplicativity = float(np.max(np.abs(diff, out=expand.reshape(n, n, n))))
     if multiplicativity > _CHAR_TOL:
         raise NumericalError("characters fail multiplicativity beyond tolerance")
-    conj_rows = np.conj(rows)[:, list(table.involution)]
-    conjugation = float(np.max(np.abs(rows - conj_rows)))
+    conjugation = float(np.max(np.abs(rows - np.conj(rows)[:, list(table.involution)])))
     if conjugation > _CHAR_TOL:
         raise NumericalError("characters fail conjugation symmetry beyond tolerance")
     gram = np.einsum("ma,a,ka->mk", np.conj(rows), mu, rows) / mu.sum()
-    off = gram - np.diag(np.diag(gram))
-    orthogonality = float(np.max(np.abs(off)))
+    np.fill_diagonal(gram, 0.0)
+    orthogonality = float(np.max(np.abs(gram)))
     if orthogonality > _CHAR_TOL:
         raise NumericalError("characters are not Haar-orthogonal beyond tolerance")
     return normalization, multiplicativity, conjugation, orthogonality
@@ -246,7 +247,9 @@ def dual_hypergroup(
 
     ``c[m, m', p] = (chi_p, chi_m chi_m') / (chi_p, chi_p)`` in the
     Haar inner product, in real arithmetic exactly when every imaginary
-    part of the characters is 0.  Raises AxiomError (with the offending
+    part of the characters is 0.  Cost: n^4 multiply-adds in O(n^3) memory,
+    and one n x n Haar Gram of the rows against their conjugates (O(n^2)
+    memory) for the involution.  Raises AxiomError (with the offending
     triple in ``detail``) if some coefficient is negative beyond tol, in
     which case the dual is not a hypergroup.
     """
@@ -258,8 +261,7 @@ def dual_hypergroup(
     pointwise = rows[:, None, :] * rows[None, :, :]            # [m, m', a]
     gram = (pointwise.reshape(n * n, n) @ (np.conj(rows) * mu).T).reshape(n, n, n) / mu.sum()
     coeff = gram * ct.dual_weights[None, None, :]
-    worst = int(np.argmin(coeff.real))
-    m, k, p = np.unravel_index(worst, coeff.shape)
+    m, k, p = np.unravel_index(np.argmin(coeff.real), coeff.shape)
     if coeff.real[m, k, p] < -tol:
         raise AxiomError(
             "dual is not a hypergroup: negative structure constant "
@@ -273,16 +275,13 @@ def dual_hypergroup(
     if np.max(np.abs(row_sums - 1.0)) > max(tol, 1e-8):
         raise AxiomError("dual is not a hypergroup: rows do not sum to 1")
 
-    involution = []
-    conj_rows = np.conj(rows)
-    for m in range(n):
-        dists = np.max(np.abs(rows - conj_rows[m][None, :]), axis=1)
-        j = int(np.argmin(dists))
-        if dists[j] > max(tol, 1e-7):
-            raise NumericalError(f"no conjugate character found for row {m}")
-        involution.append(j)
-    labels = tuple(f"chi{m}" for m in range(n))
-    dual = HypergroupTable(labels, 0, tuple(involution), lam)
+    # (conj(chi_m), chi_k) = delta(k, m*) / w_k names each partner; the sup norm confirms it
+    partner = np.argmax(np.abs((rows * mu) @ rows.T) * ct.dual_weights, axis=1)
+    dists = np.max(np.abs(rows[partner] - np.conj(rows)), axis=1)
+    far = np.flatnonzero(dists > max(tol, 1e-7))
+    if far.size:
+        raise NumericalError(f"no conjugate character found for row {far[0]}")
+    dual = HypergroupTable(tuple(f"chi{m}" for m in range(n)), 0, tuple(partner.tolist()), lam)
     report = validate(dual, tol=max(tol, 1e-7))
     if not report.passed:
         raise AxiomError("dual table fails hypergroup axioms", report=report)

@@ -466,3 +466,33 @@ def ulp_distance(a, b):
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     scale = np.spacing(np.maximum(np.abs(a), np.abs(b)))
     return np.where(a == b, 0.0, np.abs(a - b) / scale)
+
+
+def character_order_reference(rows):
+    """The order of ``characters``' rows: the row nearest the constant 1
+    (sup norm) first, then the others by their Python ``round(x, 9)``
+    (re, im) pairs, element by element, ties in row order."""
+    rows = np.asarray(rows, dtype=np.complex128)
+    trivial = min(range(len(rows)), key=lambda m: max(abs(z - 1.0) for z in rows[m].tolist()))
+    keys = [[(round(z.real, 9), round(z.imag, 9)) for z in row] for row in rows.tolist()]
+    return [trivial] + sorted((m for m in range(len(rows)) if m != trivial), key=keys.__getitem__)
+
+
+def haar_norm_reference(row, mu):
+    """``(chi, chi)`` of one character row in the Haar inner product,
+    ``sum_a conj(chi(a)) mu_a chi(a) / sum(mu)``, one complex sum and one
+    complex division."""
+    row = np.asarray(row, dtype=np.complex128)
+    return complex(np.sum(np.conj(row) * mu * row) / mu.sum()).real
+
+
+def conjugate_partner_reference(rows):
+    """For each row m, the row j nearest ``conj(rows[m])`` in the sup norm
+    (least j on ties), and that distance."""
+    rows = np.asarray(rows, dtype=np.complex128)
+    out = []
+    for m in range(len(rows)):
+        dists = np.max(np.abs(rows - np.conj(rows[m])[None, :]), axis=1)
+        j = int(np.argmin(dists))
+        out.append((j, float(dists[j])))
+    return out

@@ -167,6 +167,19 @@ class TestCharactersCommand:
         dual = hk.parse_hypergroup(json.dumps(doc["dual"]))
         assert abs(dual.lam[1, 1, 0] - (2 - SQRT3)) < 1e-9
 
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--dual"]], ids=["human", "json", "dual"])
+    def test_overflowing_combination_exits_three(self, capsys, tmp_path, tables, flags):
+        # the random combination of the regular matrices overflows to inf
+        document = json.loads(hk.serialize_hypergroup(tables["z3"]))
+        document["lambda"][1][1][2] = 1e308
+        path = tmp_path / "z3-huge.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "characters", str(path), *flags)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical error: ") and "not finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("name", ["ghj", "conj-s3", "fibonacci-rescaled", "z3"])
     def test_json_embeds_the_serialized_documents(self, capsys, tables, name):
         code, out, _ = run(capsys, "characters", "--builtin", name, "--dual", "--json")

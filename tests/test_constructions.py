@@ -236,6 +236,14 @@ class TestGroupPartitions:
         assert not is_subgroup(s3, [0, 2, 2, 1])  # two transpositions, not closed
         assert is_subgroup(s3, range(6))
 
+    @pytest.mark.parametrize("subset", [[0, 1.5], [0, True], ["0", "1"]], ids=repr)
+    def test_is_subgroup_takes_integers_only(self, groups, subset):
+        # {0, 1} is a subgroup of s3; a float, a boolean or a string is not cast to it
+        s3 = groups["s3"]
+        assert hk.constructions.is_subgroup(s3, [0, 1])
+        assert hk.constructions.is_subgroup(s3, np.array([0, 1]))
+        assert not hk.constructions.is_subgroup(s3, subset)
+
     def test_is_subgroup_against_cyclic_subgroups(self, groups):
         group = groups["s4"]
         for sub in oracles.cyclic_subgroups(group):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -123,6 +124,13 @@ class TestCharacters:
         with pytest.raises(hk.NumericalError):
             hk.characters(shifty)
 
+    def test_overflowing_combination_is_numerical_error(self, tables):
+        z3 = tables["z3"]
+        lam = z3.lam.copy()
+        lam[1, 1, 2] = 1e308
+        with pytest.raises(hk.NumericalError, match="not finite"):
+            hk.characters(hk.HypergroupTable(z3.labels, z3.unit, z3.involution, lam))
+
     def test_z3_rows_sort_by_imaginary_part_on_every_seed(self, tables):
         # the two nontrivial rows agree in their real parts; the eigensolver
         # returns them in either order, and the imaginary parts break the tie
@@ -200,6 +208,49 @@ class TestCharacterDiagnostics:
         assert text == hk.serialize_character_table(plain)
         parsed = hk.parse_character_table(text)
         assert parsed.eigen_gap is None and parsed.normalization is None
+
+
+def reference_battery(groups):
+    """Shuffled SU(2)_k, and the class and commutative double-coset
+    tables of S4, Dic10 and D30, and of Dic5 and Z12, whose characters
+    are complex, each in a seeded basis order."""
+    for k in (4, 11, 20, 27, 36):
+        labels = tuple(f"j{j}" for j in range(k + 1))
+        table = hk.from_fusion_ring(hk.fusion_ring(labels, 0, oracles.su2_fusion_tensor(k)))
+        for seed in (1, 2, 3):
+            perm = np.random.default_rng([26, k, seed]).permutation(k + 1)
+            yield f"su2-{k}-{seed}", oracles.relabel(table, perm)
+    named = {"s4": groups["s4"], "dic10": oracles.dicyclic_group(10), "d30": oracles.dihedral_group(30),
+             "dic5": oracles.dicyclic_group(5), "z12": groups["z12"]}
+    for name, group in named.items():
+        built = {f"{name}-classes": hk.conjugacy_class_hypergroup(group)}
+        for h in oracles.cyclic_subgroups(group):
+            table = hk.double_coset_hypergroup(group, sorted(h))
+            if hk.is_commutative(table):
+                built[f"{name}-cosets-{sorted(h)}"] = table
+        for key, table in built.items():
+            perm = np.random.default_rng([26, table.n]).permutation(table.n)
+            yield key, oracles.relabel(table, perm)
+
+
+class TestCharacterReferences:
+    def test_order_norms_and_conjugates(self, groups):
+        # the row order, the dual weights and the dual's involution against
+        # per-row Python references
+        start = time.perf_counter()
+        count = 0
+        for name, table in reference_battery(groups):
+            ct = hk.characters(table)
+            assert oracles.character_order_reference(ct.chars) == list(range(table.n)), name
+            norms = np.array([oracles.haar_norm_reference(row, ct.haar_weights) for row in ct.chars])
+            assert np.array_equal(ct.dual_weights, 1.0 / norms), name
+            partners = oracles.conjugate_partner_reference(ct.chars)
+            assert max(dist for _, dist in partners) <= 1e-7, name
+            dual = hk.dual_hypergroup(table, chars=ct)
+            assert dual.involution == tuple(j for j, _ in partners), name
+            count += 1
+        assert count > 30
+        assert time.perf_counter() - start < 5.0
 
 
 class TestOrthogonality:
